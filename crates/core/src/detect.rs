@@ -325,8 +325,8 @@ mod budget {
 
     /// Deterministic step budgets for one detection run. Budgets are
     /// counted in solver backtracking **steps** — never wall-clock — so
-    /// a budgeted run degrades identically on every machine (CI is
-    /// single-CPU; timers would make degradation nondeterministic).
+    /// a budgeted run degrades identically on every machine (timers
+    /// would make degradation nondeterministic).
     ///
     /// [`DetectBudget::UNLIMITED`] leaves the solver's own defensive
     /// defaults ([`crate::solver::SolveOptions::default`]) in force and

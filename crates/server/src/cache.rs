@@ -15,6 +15,13 @@
 //! function re-solves — slower, never wrong) and reports the discard as
 //! a `GR006` ledger entry.
 //!
+//! Each entry's line of the render is made once, when the entry is
+//! stored or parsed, so a persist orders and joins the stored lines
+//! instead of re-formatting every field of every entry, although a
+//! request changes only a few of them. [`ReportCache::save`]
+//! writes `<path>.tmp` and renames it over the artifact, so a process
+//! killed mid-persist never leaves a torn file behind.
+//!
 //! Three invariants keep cached results sound:
 //!
 //! 1. Only [`DetectionStatus::Complete`] reports with no truncated
@@ -76,11 +83,31 @@ fn pred_from_name(s: &str) -> Option<CmpPred> {
 struct CachedEntry {
     /// Reductions with `function` left empty; re-labelled on hit.
     reductions: Vec<Reduction>,
-    /// Solver steps the original cold solve spent (reporting only; a
-    /// hit spends zero).
-    solved_steps: usize,
+    /// The entry's line of the `gr-cache/v1` render, made once when the
+    /// entry is created. It depends only on the fingerprint, the cold
+    /// solve's steps and the reductions — never on the touch clock — so
+    /// a render only orders and joins the stored lines.
+    line: Box<str>,
     /// LRU recency: larger = more recently used.
     touch: u64,
+}
+
+impl CachedEntry {
+    /// An entry for `fp` whose cold solve spent `solved_steps` (reporting
+    /// only; a hit spends zero), with its line rendered.
+    fn new(fp: u64, solved_steps: usize, reductions: Vec<Reduction>, touch: u64) -> CachedEntry {
+        let mut line = String::new();
+        let _ = write!(line, "{{\"fp\": \"{fp:016x}\", \"steps\": {solved_steps}, ");
+        line.push_str("\"reductions\": [");
+        for (j, r) in reductions.iter().enumerate() {
+            if j > 0 {
+                line.push_str(", ");
+            }
+            render_reduction(&mut line, r);
+        }
+        line.push_str("]}");
+        CachedEntry { reductions, line: line.into_boxed_str(), touch }
+    }
 }
 
 /// The in-memory face of the persistent cache. See the module docs for
@@ -153,13 +180,9 @@ impl ReportCache {
                 reductions.push(parse_reduction(r)?);
             }
             cache.clock += 1;
-            let touch = cache.clock;
+            let entry = CachedEntry::new(fp, solved_steps, reductions, cache.clock);
             // Duplicate fingerprints would make the render ambiguous.
-            if cache
-                .entries
-                .insert(fp, CachedEntry { reductions, solved_steps, touch })
-                .is_some()
-            {
+            if cache.entries.insert(fp, entry).is_some() {
                 return None;
             }
         }
@@ -172,29 +195,23 @@ impl ReportCache {
     /// same bytes.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut order: Vec<(&u64, &CachedEntry)> = self.entries.iter().collect();
+        let mut order: Vec<(u64, u64, &str)> =
+            self.entries.iter().map(|(fp, e)| (e.touch, *fp, &*e.line)).collect();
         // Secondary key on the fingerprint: entries whose touch clocks tie
         // must still render in one canonical order, or the same logical
         // cache state could produce different bytes across runs.
-        order.sort_by_key(|(fp, e)| (e.touch, **fp));
-        let mut out = String::new();
+        order.sort_unstable_by_key(|&(touch, fp, _)| (touch, fp));
+        let lines: usize = order.iter().map(|(_, _, line)| ",\n    ".len() + line.len()).sum();
+        let mut out = String::with_capacity(lines + 64);
         out.push_str("{\n");
         let _ = writeln!(out, "  \"schema\": {},", json_str(CACHE_SCHEMA));
         out.push_str("  \"entries\": [");
-        for (i, (fp, e)) in order.iter().enumerate() {
+        for (i, (_, _, line)) in order.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n    ");
-            let _ = write!(out, "{{\"fp\": \"{fp:016x}\", \"steps\": {}, ", e.solved_steps);
-            out.push_str("\"reductions\": [");
-            for (j, r) in e.reductions.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                render_reduction(&mut out, r);
-            }
-            out.push_str("]}");
+            out.push_str(line);
         }
         if order.is_empty() {
             out.push_str("]\n}\n");
@@ -204,12 +221,19 @@ impl ReportCache {
         out
     }
 
-    /// Writes the render to `path`, creating parent directories.
+    /// Writes the render to `path`, creating parent directories. The bytes
+    /// go to `<path>.tmp` in the same directory, which is then renamed over
+    /// `path`, so a process killed mid-write leaves the previous artifact
+    /// whole. There is no fsync: this guards against a killed process, not
+    /// against power loss.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        std::fs::write(path, self.render())
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        std::fs::write(&tmp, self.render())?;
+        std::fs::rename(&tmp, path)
     }
 
     /// Serves a cached report for fingerprint `fp`, re-labelled as
@@ -255,7 +279,7 @@ impl ReportCache {
             r.function = String::new();
         }
         self.clock += 1;
-        let entry = CachedEntry { reductions, solved_steps: report.steps_used, touch: self.clock };
+        let entry = CachedEntry::new(fp, report.steps_used, reductions, self.clock);
         if self.entries.insert(fp, entry).is_none() && self.entries.len() > self.capacity {
             // The victim is the oldest touch; on a clock tie the smallest
             // fingerprint loses. Without the secondary key the choice
@@ -364,6 +388,167 @@ fn parse_reduction(v: &JsonVal) -> Option<Reduction> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The field-by-field renderer that the stored lines replaced, kept as
+    /// the oracle of the differential test: it formats every field of every
+    /// entry on each call. `entries` are `(fp, steps, reductions)`,
+    /// least-recently-used first.
+    fn render_fields(entries: &[(u64, usize, Vec<Reduction>)]) -> String {
+        let mut out = String::new();
+        out.push_str("{\n");
+        let _ = writeln!(out, "  \"schema\": {},", json_str(CACHE_SCHEMA));
+        out.push_str("  \"entries\": [");
+        for (i, (fp, steps, reductions)) in entries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("\n    ");
+            let _ = write!(out, "{{\"fp\": \"{fp:016x}\", \"steps\": {steps}, ");
+            out.push_str("\"reductions\": [");
+            for (j, r) in reductions.iter().enumerate() {
+                if j > 0 {
+                    out.push_str(", ");
+                }
+                render_reduction(&mut out, r);
+            }
+            out.push_str("]}");
+        }
+        if entries.is_empty() {
+            out.push_str("]\n}\n");
+        } else {
+            out.push_str("\n  ]\n}\n");
+        }
+        out
+    }
+
+    /// xorshift64*: the differential test's seeded operation stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+
+        fn pick<T: Copy>(&mut self, xs: &[T]) -> T {
+            xs[self.below(xs.len() as u64) as usize]
+        }
+    }
+
+    /// A random complete report: every reduction field varies, and the
+    /// binding labels include characters the render must JSON-escape.
+    fn random_report(rng: &mut Rng) -> DetectionReport {
+        const LABELS: &[&str] =
+            &["acc", "header", "q\"uote", "back\\slash", "new\nline", "tab\t", "ctl\u{1}", "λü"];
+        let value = |rng: &mut Rng| ValueId(rng.below(1 << 20) as u32);
+        let reductions = (0..rng.below(4))
+            .map(|_| Reduction {
+                function: "f".into(),
+                kind: rng.pick(&[
+                    ReductionKind::Scalar,
+                    ReductionKind::Histogram,
+                    ReductionKind::Scan,
+                    ReductionKind::ArgMin,
+                    ReductionKind::FindFirst,
+                ]),
+                op: rng.pick(&[ReductionOp::Add, ReductionOp::Mul, ReductionOp::Min]),
+                header: BlockId(rng.below(64) as u32),
+                depth: rng.below(4) as u32,
+                anchor: value(rng),
+                object: rng.pick(&[None, Some(())]).map(|()| value(rng)),
+                affine: rng.below(2) == 1,
+                arg_pred: rng.pick(&[None, Some(CmpPred::Lt), Some(CmpPred::Ge)]),
+                bindings: (0..rng.below(4))
+                    .map(|_| (rng.pick(LABELS).into(), value(rng)))
+                    .collect(),
+            })
+            .collect();
+        DetectionReport {
+            function: "f".into(),
+            reductions,
+            status: DetectionStatus::Complete,
+            steps_used: rng.below(1 << 40) as usize,
+            truncated_idioms: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn render_matches_the_field_by_field_oracle_over_a_seeded_run() {
+        const CAPACITY: usize = 24;
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        // More fingerprints than the capacity, so stores evict, re-store
+        // evicted keys and overwrite live ones; small ones test the padding.
+        let fps: Vec<u64> = (0..3 * CAPACITY as u64)
+            .map(|i| if i % 4 == 0 { i } else { rng.below(u64::MAX) })
+            .collect();
+        let mut cache = ReportCache::new(CAPACITY);
+        // The reference LRU: `(fp, steps, blanked reductions)`,
+        // least-recently-used first.
+        let mut model: Vec<(u64, usize, Vec<Reduction>)> = Vec::new();
+        let (mut evictions, mut hits) = (0, 0);
+        for op in 0..6000 {
+            let fp = rng.pick(&fps);
+            let at = model.iter().position(|e| e.0 == fp);
+            if rng.below(2) == 0 {
+                let mut report = random_report(&mut rng);
+                if rng.below(8) == 0 {
+                    report.status = DetectionStatus::Degraded { budget: 9, steps_used: 9 };
+                }
+                let stored = cache.store(fp, &report);
+                assert_eq!(stored, !report.status.is_degraded());
+                if stored {
+                    if let Some(i) = at {
+                        model.remove(i);
+                    }
+                    let mut reductions = report.reductions;
+                    reductions.iter_mut().for_each(|r| r.function.clear());
+                    model.push((fp, report.steps_used, reductions));
+                    if model.len() > CAPACITY {
+                        model.remove(0);
+                        evictions += 1;
+                    }
+                }
+            } else {
+                let served = cache.hit(fp, "");
+                assert_eq!(served.is_some(), at.is_some());
+                if let Some(i) = at {
+                    let entry = model.remove(i);
+                    assert_eq!(
+                        format!("{:?}", served.unwrap().reductions),
+                        format!("{:?}", entry.2)
+                    );
+                    model.push(entry);
+                    hits += 1;
+                }
+            }
+            assert_eq!(cache.render(), render_fields(&model), "op {op}");
+            if op % 97 == 96 {
+                let bytes = cache.render();
+                cache = ReportCache::parse(&bytes, CAPACITY).expect("a render parses");
+                assert_eq!(cache.render(), bytes, "op {op}: parse → render round trip");
+            }
+        }
+        assert!(evictions > 100 && hits > 100, "{evictions} evictions, {hits} hits");
+    }
+
+    #[test]
+    fn render_keeps_the_gr_cache_v1_layout() {
+        let mut c = ReportCache::new(4);
+        assert_eq!(c.render(), "{\n  \"schema\": \"gr-cache/v1\",\n  \"entries\": []\n}\n");
+        let mut r = report("f", 1, 19);
+        r.reductions[0].bindings[0].0 = "q\"t\n".into();
+        c.store(0xd635_76cc_d640_dd13, &r);
+        c.store(1, &report("g", 0, 0));
+        let expected = "{\n  \"schema\": \"gr-cache/v1\",\n  \"entries\": [\n    \
+            {\"fp\": \"d63576ccd640dd13\", \"steps\": 19, \"reductions\": [\
+            {\"kind\": \"histogram\", \"op\": \"+\", \"header\": 2, \"depth\": 1, \
+            \"anchor\": 17, \"object\": 3, \"affine\": 1, \"pred\": \"lt\", \
+            \"bindings\": [[\"q\\\"t\\n\", 5], [\"acc\", 9]]}]},\n    \
+            {\"fp\": \"0000000000000001\", \"steps\": 0, \"reductions\": []}\n  ]\n}\n";
+        assert_eq!(c.render(), expected);
+    }
 
     fn report(function: &str, n_reductions: usize, steps: usize) -> DetectionReport {
         let reductions = (0..n_reductions)

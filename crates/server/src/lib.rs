@@ -3,9 +3,10 @@
 //! Turns the synchronous `gr-core` detection library into a served,
 //! cache-persistent system: a bounded job queue
 //! ([`gr_parallel::sync::BoundedQueue`]) feeds a pool of detection
-//! workers, each owning a [`PrefixCache`] shard (reset between
-//! functions — prefix solutions are assignments of one function's
-//! `ValueId`s), in front of a **persistent cross-run cache**
+//! workers, each borrowing the server's one [`IdiomRegistry`] and owning
+//! a [`PrefixCache`] shard (reset between functions — prefix solutions
+//! are assignments of one function's `ValueId`s), in front of a
+//! **persistent cross-run cache**
 //! ([`cache::ReportCache`], `gr-cache/v1` on disk) keyed by structural
 //! function fingerprints ([`gr_core::fingerprint`]).
 //!
@@ -139,6 +140,9 @@ struct Job {
 /// persistent report cache, alive across any number of batches.
 pub struct DetectionServer {
     config: ServeConfig,
+    /// The idiom registry, built once; every worker of every batch
+    /// borrows it.
+    registry: IdiomRegistry,
     cache: ReportCache,
     ledger: Vec<GrError>,
 }
@@ -158,7 +162,7 @@ impl DetectionServer {
             }
             None => ReportCache::new(config.capacity),
         };
-        DetectionServer { config, cache, ledger }
+        DetectionServer { config, registry: IdiomRegistry::with_default_idioms(), cache, ledger }
     }
 
     /// GR-coded failures observed outside any one function's report
@@ -221,6 +225,7 @@ impl DetectionServer {
         } else {
             let workers = self.config.jobs.max(1).min(jobs.len());
             let budget = self.config.budget;
+            let registry = &self.registry;
             let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(workers * 4));
             let out: Mutex<Vec<(usize, DetectionReport)>> = Mutex::new(Vec::new());
             std::thread::scope(|s| {
@@ -228,7 +233,6 @@ impl DetectionServer {
                     let queue = Arc::clone(&queue);
                     let out = &out;
                     s.spawn(move || {
-                        let registry = IdiomRegistry::with_default_idioms();
                         // This worker's PrefixCache shard: owned for the
                         // pool's lifetime, valid per function.
                         let mut shard = PrefixCache::new();
@@ -291,7 +295,8 @@ impl DetectionServer {
         batch
     }
 
-    /// Persists the cache to its configured path (no-op without one).
+    /// Persists the cache to its configured path (no-op without one),
+    /// replacing the file atomically ([`ReportCache::save`]).
     pub fn persist(&self) -> io::Result<()> {
         match &self.config.cache_path {
             Some(path) => self.cache.save(path),
@@ -425,6 +430,35 @@ mod tests {
         assert_eq!(r.summary.warm_hits, 1, "alpha-renamed twins share the cache entry");
         assert_eq!(r.results[0].report.function, "total");
         assert_eq!(r.results[0].report.reductions[0].function, "total");
+    }
+
+    #[test]
+    fn failed_persist_leaves_the_previous_artifact_whole() {
+        let dir = std::env::temp_dir().join(format!("gr-server-persist-{}", std::process::id()));
+        let path = dir.join("gr-cache.json");
+        let config =
+            ServeConfig { jobs: 1, cache_path: Some(path.clone()), ..ServeConfig::default() };
+        let mut server = DetectionServer::new(config);
+        server.run_batch(&modules(&[SUM]));
+        server.persist().unwrap();
+        let before = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(before, server.cache().render(), "save writes exactly the render");
+        assert!(!dir.join("gr-cache.json.tmp").exists(), "the temp file is renamed away");
+        // A directory on the temp file's name makes the write fail before
+        // the artifact is touched.
+        std::fs::create_dir_all(dir.join("gr-cache.json.tmp")).unwrap();
+        server.run_batch(&modules(&["int one(int* a, int n) {
+            int s = 0;
+            for (int i = 0; i < n; i++) s += a[i];
+            return s;
+        }"]));
+        assert_eq!(server.cache().len(), 2);
+        assert!(server.persist().is_err(), "an unwritable temp file must surface");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+        let (reloaded, poison) = ReportCache::load(&path, DEFAULT_CAPACITY);
+        assert!(poison.is_none(), "the previous artifact still loads");
+        assert_eq!(reloaded.render(), before);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
