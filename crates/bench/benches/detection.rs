@@ -2,7 +2,7 @@
 //! compile-time cost (3.77 s per benchmark program for their LLVM pass) —
 //! plus the solver-step ledger behind it: steps per suite with the shared
 //! for-loop prefix (solved once per function, idioms resumed via
-//! `solve_extend`) against the unshared solve-every-spec baseline.
+//! `solve_extend`).
 //!
 //! `cargo bench -p gr-bench --bench detection -- --quick` runs a single
 //! timed batch per suite (the CI smoke mode).
@@ -14,17 +14,10 @@ use gr_core::detect_reductions;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    println!("solver steps per suite (shared prefix vs unshared):");
+    println!("solver steps per suite (shared prefix):");
     for suite in corpus() {
         let s = measure_suite_stats(suite);
-        println!(
-            "  {:<10} shared={:<6} (prefix {:<5}) unshared={:<6} reduction={:.2}x",
-            s.suite,
-            s.steps_shared,
-            s.steps_prefix,
-            s.steps_unshared,
-            s.steps_unshared as f64 / s.steps_shared.max(1) as f64,
-        );
+        println!("  {:<10} steps={:<6} (prefix {:<5})", s.suite, s.steps_shared, s.steps_prefix);
     }
     for suite in corpus() {
         let modules: Vec<_> = suite_programs(suite).iter().map(|p| p.compile()).collect();

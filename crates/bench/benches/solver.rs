@@ -1,8 +1,7 @@
 //! Solver ablation (paper §3.2 vs §3.3): the naive `values(F)^I`
 //! enumeration against the backtracking DETECT procedure with
-//! constraint-driven candidate generation — and, per idiom, the cost of a
-//! full solve against a `solve_extend` resume from the shared for-loop
-//! prefix (steps before/after prefix sharing).
+//! constraint-driven candidate generation — and, per idiom, the steps of
+//! a `solve_extend` resume from the shared for-loop prefix.
 
 use gr_analysis::Analyses;
 use gr_bench::timing::bench;
@@ -34,21 +33,15 @@ fn main() {
     let analyses = Analyses::new(&m, func);
     let ctx = MatchCtx::new(&m, func, &analyses);
 
-    // Steps per idiom, before (full solve) and after (prefix shared).
+    // Steps per idiom, resumed from the shared prefix.
     let registry = IdiomRegistry::with_default_idioms();
-    let shared = registry.stats_report(&ctx, true);
-    let unshared = registry.stats_report(&ctx, false);
-    println!("steps per idiom on `{}` (full solve -> prefix extension):", func.name);
-    println!("  for-loop prefix: {} steps, solved once", shared.prefix.steps);
-    for ((name, ext), (_, full)) in shared.per_idiom.iter().zip(&unshared.per_idiom) {
-        println!("  {name:<22} {:>5} -> {:>4}", full.steps, ext.steps);
+    let report = registry.stats_report(&ctx);
+    println!("steps per idiom on `{}` (prefix extension):", func.name);
+    println!("  for-loop prefix: {} steps, solved once", report.prefix.steps);
+    for (name, ext) in &report.per_idiom {
+        println!("  {name:<22} {:>4}", ext.steps);
     }
-    println!(
-        "  total {} -> {} ({:.2}x fewer)",
-        unshared.total().steps,
-        shared.total().steps,
-        unshared.total().steps as f64 / shared.total().steps.max(1) as f64,
-    );
+    println!("  total {}", report.total().steps);
 
     let spec = small_spec();
     bench("solver/backtracking/3-label", || solve(&spec, &ctx, SolveOptions::default()).0.len());
@@ -68,13 +61,6 @@ fn main() {
                 SolveOptions::default(),
             );
             n += sols.len();
-        }
-        n
-    });
-    bench("solver/unshared/default-registry", || {
-        let mut n = 0;
-        for entry in registry.entries() {
-            n += solve(&entry.spec, &ctx, SolveOptions::default()).0.len();
         }
         n
     });

@@ -1,7 +1,8 @@
 //! Runs every figure harness in sequence (EXPERIMENTS.md layout) and
 //! writes `BENCH_detection.json` — the machine-readable solver/detection
-//! ledger (solver steps shared vs unshared, solutions, reductions, wall
-//! time per suite) that tracks the perf trajectory across PRs.
+//! ledger (solver steps, prefix steps, solutions, reductions, wall time
+//! per suite) that tracks the perf trajectory across PRs — plus the
+//! `BENCH_profile.collapsed` solver-step attribution.
 //!
 //! `--quick` skips the figure harnesses and only emits the JSON (the CI
 //! bench-smoke mode). `--out <path>` overrides the JSON location.
@@ -10,11 +11,14 @@
 //! than 20%, when a suite disappears, or when the total regresses — the
 //! CI guard against silent solver-cost creep (wall time is too noisy on
 //! shared runners; step counts are deterministic). The `"runtime"`
-//! scheduler counters (chunk dispatches, token polls, …) and the
+//! scheduler counters (chunk dispatches, token polls, …), the
 //! `"errors"` failure-ledger counters (deterministic fault probes, one
-//! per `GrError` class) ride the same budget. The comparison is
-//! printed as a baseline-vs-current diff table, and appended to the
-//! GitHub job summary when `GITHUB_STEP_SUMMARY` is set.
+//! per `GrError` class), the `"server"` block and the `"histograms"`
+//! digests ride the same budget. Both documents are read with the shared
+//! integer-only reader (`gr_trace::json`), so one that does not parse
+//! fails the check. The comparison is printed as a baseline-vs-current
+//! diff table, and appended to the GitHub job summary when
+//! `GITHUB_STEP_SUMMARY` is set.
 //! `--write-baseline` regenerates the baseline file deliberately (after
 //! intended spec growth) instead of checking against it.
 
@@ -22,280 +26,167 @@ use gr_bench::stats::{
     corpus, measure_error_counters, measure_profile, measure_runtime_counters,
     measure_server_throughput, measure_suite_stats, render_json,
 };
+use gr_trace::json::{lookup, JsonVal};
+use std::fmt::Write as _;
 
-/// Extracts `"solver_steps": N` from the `"total"` object of a
-/// `BENCH_detection.json` document (hand-rolled — the workspace builds
-/// without serde).
-fn total_solver_steps(json: &str) -> Option<usize> {
-    let total = json.split("\"total\"").nth(1)?;
-    parse_steps_after(total)
+type Obj = [(String, JsonVal)];
+
+/// The integer entries of the object under `key`; empty when the
+/// document has no such block.
+fn int_entries(doc: &Obj, key: &str) -> Vec<(String, i64)> {
+    let block = lookup(doc, key).and_then(JsonVal::as_obj).unwrap_or_default();
+    block.iter().filter_map(|(k, v)| Some((k.clone(), v.as_int()?))).collect()
 }
 
-/// Per-suite `(name, solver_steps)` rows of a `BENCH_detection.json`
-/// document, in document order.
-fn suite_steps(json: &str) -> Vec<(String, usize)> {
-    let mut out = Vec::new();
-    for seg in json.split("{\"suite\": \"").skip(1) {
-        let Some(name_end) = seg.find('"') else { continue };
-        let Some(steps) = parse_steps_after(seg) else { continue };
-        out.push((seg[..name_end].to_string(), steps));
-    }
-    out
+/// Per-suite `(name, solver_steps)` rows, in document order.
+fn suite_steps(doc: &Obj) -> Vec<(String, i64)> {
+    let suites = lookup(doc, "suites").and_then(JsonVal::as_arr).unwrap_or_default();
+    suites
+        .iter()
+        .filter_map(|s| {
+            let o = s.as_obj()?;
+            Some((lookup(o, "suite")?.as_str()?.to_string(), lookup(o, "solver_steps")?.as_int()?))
+        })
+        .collect()
 }
 
-fn parse_steps_after(seg: &str) -> Option<usize> {
-    let after = seg.split("\"solver_steps\":").nth(1)?;
-    let digits: String = after.trim_start().chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
+/// Per-histogram `(name, [count, sum, top bucket])` digests: enough to
+/// gate shape regressions. The top bucket is the highest non-empty one
+/// (-1 when every bucket is empty).
+fn histogram_digests(doc: &Obj) -> Vec<(String, [i64; 3])> {
+    let hists = lookup(doc, "histograms").and_then(JsonVal::as_obj).unwrap_or_default();
+    hists
+        .iter()
+        .filter_map(|(name, h)| {
+            let h = h.as_obj()?;
+            let field = |k: &str| lookup(h, k).and_then(JsonVal::as_int).unwrap_or(0);
+            let buckets = lookup(h, "buckets").and_then(JsonVal::as_arr).unwrap_or_default();
+            let top = buckets.iter().rposition(|b| b.as_int().is_some_and(|n| n > 0));
+            Some((name.clone(), [field("count"), field("sum"), top.map_or(-1, |i| i as i64)]))
+        })
+        .collect()
 }
 
-/// The `(name, value)` pairs of a flat counter object (`"runtime"`,
-/// `"errors"`), in document order. Empty when the document predates the
-/// block.
-fn counter_block(json: &str, label: &str) -> Vec<(String, i64)> {
-    let Some(seg) = json.split(label).nth(1) else { return Vec::new() };
-    let Some(open) = seg.find('{') else { return Vec::new() };
-    let Some(close) = seg.find('}') else { return Vec::new() };
-    let mut out = Vec::new();
-    for pair in seg[open + 1..close].split(',') {
-        let mut it = pair.splitn(2, ':');
-        let (Some(key), Some(val)) = (it.next(), it.next()) else { continue };
-        let key = key.trim().trim_matches('"');
-        if let Ok(v) = val.trim().parse::<i64>() {
-            out.push((key.to_string(), v));
-        }
-    }
-    out
+/// The largest value within the +20% budget over `base`.
+fn budget_limit(base: i64) -> i64 {
+    base + base.max(0) / 5
 }
 
-/// One parsed row of the `"histograms"` block: enough digest to gate
-/// shape regressions (count, sum, highest non-empty bucket).
-struct HistRow {
-    name: String,
-    count: i64,
-    sum: i64,
-    top_bucket: i64,
+/// Appends one baseline-vs-current row gated at +20% over `base`;
+/// returns the limit when `cur` exceeds it.
+fn gated_row(table: &mut String, label: &str, base: i64, cur: i64) -> Option<i64> {
+    let limit = budget_limit(base);
+    #[allow(clippy::cast_precision_loss)]
+    let delta = (cur - base) as f64 / base.max(1) as f64 * 100.0;
+    let status = if cur > limit { "**FAIL (+20% budget)**" } else { "ok" };
+    let _ = writeln!(table, "| {label} | {base} | {cur} | {delta:+.1}% | {status} |");
+    (cur > limit).then_some(limit)
 }
 
-/// Parses the nested `"histograms"` block. Unlike the flat counter blocks
-/// this needs string-aware balanced-brace scanning: histogram *keys*
-/// contain literal braces (`solver.fanout{spec}`) and the *values* are
-/// objects, so `counter_block`'s first-`}` heuristic would misparse it.
-fn histograms_block(json: &str) -> Vec<HistRow> {
-    let Some(seg) = json.split("\"histograms\":").nth(1) else { return Vec::new() };
-    let bytes = seg.as_bytes();
-    let Some(start) = seg.find('{') else { return Vec::new() };
-    let field = |obj: &str, key: &str| -> Option<i64> {
-        let after = obj.split(key).nth(1)?;
-        let after = after.trim_start();
-        let end = after
-            .char_indices()
-            .find(|(_, c)| !(c.is_ascii_digit() || *c == '-'))
-            .map_or(after.len(), |(i, _)| i);
-        after[..end].parse().ok()
-    };
-    let mut out = Vec::new();
-    let mut i = start + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => {
-                let kstart = i + 1;
-                let mut j = kstart;
-                while j < bytes.len() && bytes[j] != b'"' {
-                    if bytes[j] == b'\\' {
-                        j += 1;
-                    }
-                    j += 1;
-                }
-                let name = seg[kstart..j].to_string();
-                let Some(rel) = seg[j..].find('{') else { break };
-                let ostart = j + rel;
-                let mut k = ostart + 1;
-                let mut in_str = false;
-                let mut depth = 1i32;
-                while k < bytes.len() && depth > 0 {
-                    match bytes[k] {
-                        b'"' => in_str = !in_str,
-                        b'{' if !in_str => depth += 1,
-                        b'}' if !in_str => depth -= 1,
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                let obj = &seg[ostart..k];
-                let top_bucket = obj
-                    .split("\"buckets\":[")
-                    .nth(1)
-                    .and_then(|rest| rest.split(']').next())
-                    .map_or(-1, |list| {
-                        list.split(',')
-                            .enumerate()
-                            .filter(|(_, v)| v.trim().parse::<u64>().is_ok_and(|n| n > 0))
-                            .map(|(idx, _)| idx as i64)
-                            .max()
-                            .unwrap_or(-1)
-                    });
-                out.push(HistRow {
-                    name,
-                    count: field(obj, "\"count\":").unwrap_or(0),
-                    sum: field(obj, "\"sum\":").unwrap_or(0),
-                    top_bucket,
-                });
-                i = k;
+/// Gates the integer rows of one block: every baseline row must still be
+/// present and within budget; rows new in `cur` are listed as `new
+/// {kind}`, for a deliberate re-baseline.
+fn gate_rows(
+    table: &mut String,
+    failures: &mut Vec<String>,
+    (prefix, kind): (&str, &str),
+    base: &[(String, i64)],
+    cur: &[(String, i64)],
+) {
+    for (name, b) in base {
+        let label = format!("{prefix}{name}");
+        match cur.iter().find(|(n, _)| n == name) {
+            None => {
+                let _ = writeln!(table, "| {label} | {b} | — | — | **MISSING** |");
+                failures.push(format!("{kind} `{label}` disappeared from the current document"));
             }
-            b'}' => break,
-            _ => i += 1,
+            Some((_, c)) => {
+                if let Some(limit) = gated_row(table, &label, *b, *c) {
+                    failures
+                        .push(format!("{kind} `{label}` regressed: {c} > {limit} (+20% over {b})"));
+                }
+            }
         }
     }
-    out
+    for (name, c) in cur {
+        if !base.iter().any(|(n, _)| n == name) {
+            let _ = writeln!(table, "| {prefix}{name} | — | {c} | — | new {kind} (re-baseline) |");
+        }
+    }
 }
 
 /// Builds the baseline-vs-current markdown diff table and the list of
-/// failures (suite regressed >20%, suite disappeared, total regressed).
+/// failures: a suite, counter or histogram regressed more than 20% or
+/// disappeared, the total regressed, or a document does not parse.
 fn diff_report(baseline: &str, current: &str) -> (String, Vec<String>) {
-    use std::fmt::Write as _;
-    let base_rows = suite_steps(baseline);
-    let cur_rows = suite_steps(current);
-    let mut failures = Vec::new();
     let mut table = String::from(
         "| suite | baseline steps | current steps | delta | status |\n\
          |-------|---------------:|--------------:|------:|--------|\n",
     );
-    for (name, base) in &base_rows {
-        let limit = base + base / 5;
-        match cur_rows.iter().find(|(n, _)| n == name) {
-            None => {
-                let _ = writeln!(table, "| {name} | {base} | — | — | **MISSING** |");
-                failures.push(format!("suite `{name}` disappeared from the current document"));
-            }
-            Some((_, cur)) => {
-                #[allow(clippy::cast_precision_loss)]
-                let delta = (*cur as f64 - *base as f64) / (*base).max(1) as f64 * 100.0;
-                let status = if *cur > limit { "**FAIL (+20% budget)**" } else { "ok" };
-                let _ = writeln!(table, "| {name} | {base} | {cur} | {delta:+.1}% | {status} |");
-                if *cur > limit {
-                    failures.push(format!(
-                        "suite `{name}` regressed: {cur} steps > {limit} (+20% over {base})"
-                    ));
-                }
-            }
-        }
-    }
-    for (name, cur) in &cur_rows {
-        if !base_rows.iter().any(|(n, _)| n == name) {
-            let _ = writeln!(table, "| {name} | — | {cur} | — | new suite (re-baseline) |");
-        }
-    }
-    if let (Some(base), Some(cur)) = (total_solver_steps(baseline), total_solver_steps(current)) {
-        let limit = base + base / 5;
-        let status = if cur > limit { "**FAIL (+20% budget)**" } else { "ok" };
-        #[allow(clippy::cast_precision_loss)]
-        let delta = (cur as f64 - base as f64) / base.max(1) as f64 * 100.0;
-        let _ = writeln!(table, "| **total** | {base} | {cur} | {delta:+.1}% | {status} |");
-        if cur > limit {
-            failures.push(format!("total regressed: {cur} steps > {limit} (+20% over {base})"));
+    let mut failures = Vec::new();
+    let parse = |doc: &str| match JsonVal::parse(doc) {
+        Some(JsonVal::Obj(o)) => Some(o),
+        _ => None,
+    };
+    let (Some(base), Some(cur)) = (parse(baseline), parse(current)) else {
+        failures.push("the baseline or the current document is not integer-only JSON".to_string());
+        return (table, failures);
+    };
+    gate_rows(&mut table, &mut failures, ("", "suite"), &suite_steps(&base), &suite_steps(&cur));
+    let total = |doc: &Obj| {
+        let t = lookup(doc, "total").and_then(JsonVal::as_obj)?;
+        lookup(t, "solver_steps")?.as_int()
+    };
+    if let (Some(b), Some(c)) = (total(&base), total(&cur)) {
+        if let Some(limit) = gated_row(&mut table, "**total**", b, c) {
+            failures.push(format!("total regressed: {c} steps > {limit} (+20% over {b})"));
         }
     } else {
-        failures.push("cannot parse total solver_steps from baseline or current JSON".to_string());
+        failures.push("cannot read total solver_steps from baseline or current JSON".to_string());
     }
-    // Runtime scheduler counters (chunk dispatches, token polls, …) and
-    // the failure-ledger counters (`errors`: GR001…) ride the same >20%
-    // budget: the fixed workloads and fault probes are deterministic, so
-    // any increase is a real behavior change, not noise.
-    for (prefix, label) in
-        [("runtime", "\"runtime\":"), ("errors", "\"errors\":"), ("server", "\"server\":")]
-    {
-        let base_rows = counter_block(baseline, label);
-        let cur_rows = counter_block(current, label);
-        for (name, base) in &base_rows {
-            let limit = base + base / 5;
-            match cur_rows.iter().find(|(n, _)| n == name) {
-                None => {
-                    let _ = writeln!(table, "| {prefix}.{name} | {base} | — | — | **MISSING** |");
-                    failures.push(format!(
-                        "{prefix} counter `{name}` disappeared from the current document"
-                    ));
-                }
-                Some((_, cur)) => {
-                    #[allow(clippy::cast_precision_loss)]
-                    let delta = (*cur as f64 - *base as f64) / (*base).max(1) as f64 * 100.0;
-                    let status = if *cur > limit { "**FAIL (+20% budget)**" } else { "ok" };
-                    let _ = writeln!(
-                        table,
-                        "| {prefix}.{name} | {base} | {cur} | {delta:+.1}% | {status} |"
-                    );
-                    if *cur > limit {
-                        failures.push(format!(
-                            "{prefix} counter `{name}` regressed: {cur} > {limit} (+20% over {base})"
-                        ));
-                    }
-                }
-            }
-        }
-        for (name, cur) in &cur_rows {
-            if !base_rows.iter().any(|(n, _)| n == name) {
-                let _ = writeln!(
-                    table,
-                    "| {prefix}.{name} | — | {cur} | — | new counter (re-baseline) |"
-                );
-            }
-        }
+    // Runtime scheduler counters (chunk dispatches, token polls, …), the
+    // failure-ledger counters (`errors`: GR001…) and the serving block
+    // ride the same >20% budget: the fixed workloads and fault probes are
+    // deterministic, so any increase is a real behavior change, not noise.
+    for block in ["runtime", "errors", "server"] {
+        let prefix = format!("{block}.");
+        let (b, c) = (int_entries(&base, block), int_entries(&cur, block));
+        gate_rows(&mut table, &mut failures, (&prefix, "counter"), &b, &c);
     }
     // Histogram digests ride the same budget, plus a shape gate: a sample
     // landing in a strictly higher log2 bucket than the baseline ever saw
     // (e.g. a candidate-fanout blowup) fails even when the totals squeak
     // under +20%. The table row shows the sum; count and top-bucket
     // breaches are reported through the status column and failure list.
-    {
-        let base_rows = histograms_block(baseline);
-        let cur_rows = histograms_block(current);
-        for b in &base_rows {
-            match cur_rows.iter().find(|c| c.name == b.name) {
-                None => {
-                    let _ =
-                        writeln!(table, "| hist.{} | {} | — | — | **MISSING** |", b.name, b.sum);
-                    failures.push(format!(
-                        "histogram `{}` disappeared from the current document",
-                        b.name
-                    ));
-                }
-                Some(c) => {
-                    let mut reasons = Vec::new();
-                    for (what, base, cur) in [("count", b.count, c.count), ("sum", b.sum, c.sum)] {
-                        let limit = base + base.max(0) / 5;
-                        if cur > limit {
-                            reasons.push(format!("{what} {cur} > {limit} (+20% over {base})"));
-                        }
-                    }
-                    if c.top_bucket > b.top_bucket {
-                        reasons.push(format!(
-                            "top bucket {} > baseline {} (distribution shift)",
-                            c.top_bucket, b.top_bucket
-                        ));
-                    }
-                    #[allow(clippy::cast_precision_loss)]
-                    let delta = (c.sum as f64 - b.sum as f64) / (b.sum.max(1)) as f64 * 100.0;
-                    let status =
-                        if reasons.is_empty() { "ok".to_string() } else { "**FAIL**".to_string() };
-                    let _ = writeln!(
-                        table,
-                        "| hist.{} | {} | {} | {delta:+.1}% | {status} |",
-                        b.name, b.sum, c.sum
-                    );
-                    for r in reasons {
-                        failures.push(format!("histogram `{}` regressed: {r}", b.name));
-                    }
-                }
+    let (base_hists, cur_hists) = (histogram_digests(&base), histogram_digests(&cur));
+    for (name, [b_count, b_sum, b_top]) in &base_hists {
+        let Some((_, [c_count, c_sum, c_top])) = cur_hists.iter().find(|(n, _)| n == name) else {
+            let _ = writeln!(table, "| hist.{name} | {b_sum} | — | — | **MISSING** |");
+            failures.push(format!("histogram `{name}` disappeared from the current document"));
+            continue;
+        };
+        let mut reasons = Vec::new();
+        for (what, base, cur) in [("count", *b_count, *c_count), ("sum", *b_sum, *c_sum)] {
+            let limit = budget_limit(base);
+            if cur > limit {
+                reasons.push(format!("{what} {cur} > {limit} (+20% over {base})"));
             }
         }
-        for c in &cur_rows {
-            if !base_rows.iter().any(|b| b.name == c.name) {
-                let _ = writeln!(
-                    table,
-                    "| hist.{} | — | {} | — | new histogram (re-baseline) |",
-                    c.name, c.sum
-                );
-            }
+        if c_top > b_top {
+            reasons.push(format!("top bucket {c_top} > baseline {b_top} (distribution shift)"));
+        }
+        #[allow(clippy::cast_precision_loss)]
+        let delta = (c_sum - b_sum) as f64 / (*b_sum).max(1) as f64 * 100.0;
+        let status = if reasons.is_empty() { "ok" } else { "**FAIL**" };
+        let _ = writeln!(table, "| hist.{name} | {b_sum} | {c_sum} | {delta:+.1}% | {status} |");
+        for r in reasons {
+            failures.push(format!("histogram `{name}` regressed: {r}"));
+        }
+    }
+    for (name, [_, c_sum, _]) in &cur_hists {
+        if !base_hists.iter().any(|(n, _)| n == name) {
+            let _ =
+                writeln!(table, "| hist.{name} | — | {c_sum} | — | new histogram (re-baseline) |");
         }
     }
     (table, failures)
@@ -352,33 +243,10 @@ fn main() {
         server.warm_hit_permil,
     );
     let profile = measure_profile();
-    // The attribution is exact by construction; a mismatch with the legacy
-    // SolveStats ledger means an instrumentation bug, so it hard-fails the
-    // bench run rather than silently shipping a wrong profile.
-    if profile.attributed_steps != profile.legacy_steps as i64 {
-        eprintln!(
-            "attribution/legacy solver-step mismatch: {} != {}",
-            profile.attributed_steps, profile.legacy_steps
-        );
-        std::process::exit(1);
-    }
-    let json = render_json(&rows, &runtime, &errors, &server, &profile.histograms, quick);
-    match std::fs::write(out_path, &json) {
-        Ok(()) => println!("wrote {out_path}"),
-        Err(e) => {
-            eprintln!("cannot write {out_path}: {e}");
-            std::process::exit(1);
-        }
-    }
-    for (path, contents) in [
-        ("BENCH_profile.collapsed", &profile.collapsed),
-        ("BENCH_hitprofile.json", &profile.hit_profile_json),
-    ] {
+    let json = render_json(&rows, &runtime, &errors, &server, &profile.histograms);
+    for (path, contents) in [(out_path, &json), ("BENCH_profile.collapsed", &profile.collapsed)] {
         match std::fs::write(path, contents) {
-            Ok(()) => println!(
-                "wrote {path} (corpus solver.steps attribution {})",
-                profile.attributed_steps
-            ),
+            Ok(()) => println!("wrote {path}"),
             Err(e) => {
                 eprintln!("cannot write {path}: {e}");
                 std::process::exit(1);
@@ -426,5 +294,128 @@ fn main() {
             std::process::exit(1);
         }
         println!("baseline check: every suite within the +20% solver-step budget");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::diff_report;
+
+    /// A small integer-only document with every gated block.
+    const DOC: &str = r#"{
+  "schema": "gr-bench/detection-stats/v1",
+  "suites": [
+    {"suite": "NAS", "programs": 10, "solver_steps": 100, "solver_steps_prefix": 8, "solutions": 38, "reductions": 38, "wall_us": 58476},
+    {"suite": "Micro", "programs": 9, "solver_steps": 6, "solver_steps_prefix": 2, "solutions": 11, "reductions": 10, "wall_us": 11230}
+  ],
+  "total": {"solver_steps": 106, "wall_us": 69706},
+  "runtime": {"chunk_dispatch": 24, "token_polls": 24},
+  "errors": {"GR004": 1},
+  "server": {"cold_steps": 7432, "warm_steps": 0},
+  "histograms": {
+    "solver.fanout{find-last}": {"count":4,"sum":7,"min":1,"max":2,"buckets":[0,1,3]}
+  }
+}
+"#;
+
+    fn failures(base: &str, cur: &str) -> Vec<String> {
+        diff_report(base, cur).1
+    }
+
+    #[test]
+    fn identical_documents_pass() {
+        let (table, failures) = diff_report(DOC, DOC);
+        assert!(failures.is_empty(), "{failures:?}");
+        assert!(table.contains("| NAS | 100 | 100 | +0.0% | ok |"), "{table}");
+        assert!(table.contains("| **total** | 106 | 106 | +0.0% | ok |"), "{table}");
+        assert!(
+            table.contains("| hist.solver.fanout{find-last} | 7 | 7 | +0.0% | ok |"),
+            "{table}"
+        );
+    }
+
+    #[test]
+    fn a_suite_may_grow_twenty_percent_and_no_more() {
+        let nas = |steps: usize| {
+            DOC.replace("\"solver_steps\": 100,", &format!("\"solver_steps\": {steps},"))
+        };
+        assert!(failures(DOC, &nas(120)).is_empty());
+        let over = failures(DOC, &nas(121));
+        assert_eq!(over.len(), 1, "{over:?}");
+        assert!(over[0].contains("NAS") && over[0].contains("121"), "{over:?}");
+    }
+
+    #[test]
+    fn a_missing_suite_counter_or_histogram_fails() {
+        for (from, to) in [
+            ("\"suite\": \"Micro\"", "\"suite\": \"Tiny\""),
+            ("\"token_polls\"", "\"token_pollz\""),
+            ("\"GR004\"", "\"GR005\""),
+            ("\"warm_steps\"", "\"warm_stepz\""),
+            ("\"solver.fanout{find-last}\"", "\"solver.fanout{find-first}\""),
+        ] {
+            let cur = DOC.replace(from, to);
+            let (table, failed) = diff_report(DOC, &cur);
+            assert_eq!(failed.len(), 1, "{from} -> {to}: {failed:?}");
+            assert!(failed[0].contains("disappeared"), "{failed:?}");
+            assert!(table.contains("**MISSING**") && table.contains("re-baseline"), "{table}");
+        }
+    }
+
+    #[test]
+    fn a_block_absent_from_the_baseline_gates_nothing() {
+        let base: String = DOC
+            .lines()
+            .filter(|l| !l.contains("\"runtime\""))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let (table, failed) = diff_report(&base, DOC);
+        assert!(failed.is_empty(), "{failed:?}");
+        assert!(table.contains("| runtime.token_polls | — | 24 | — | new counter (re-baseline) |"));
+    }
+
+    #[test]
+    fn a_histogram_whose_top_bucket_shifts_up_fails() {
+        // Same count and sum; one sample moved a bucket up.
+        let cur = DOC.replace("\"buckets\":[0,1,3]", "\"buckets\":[0,1,2,1]");
+        let failed = failures(DOC, &cur);
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].contains("top bucket 3 > baseline 2"), "{failed:?}");
+    }
+
+    #[test]
+    fn an_unparseable_document_fails() {
+        assert!(!failures(DOC, "not json").is_empty());
+        assert!(!failures("not json", DOC).is_empty());
+        let cut = &DOC[..DOC.find("\"histograms\"").expect("DOC has histograms")];
+        assert!(!failures(DOC, cut).is_empty());
+        assert!(!failures(cut, DOC).is_empty());
+    }
+
+    #[test]
+    fn the_committed_baseline_yields_every_row() {
+        let base = include_str!("../../../../BENCH_detection_baseline.json");
+        let (table, failed) = diff_report(base, base);
+        assert!(failed.is_empty(), "{failed:?}");
+        for suite in ["NAS", "Parboil", "Rodinia", "Micro"] {
+            assert!(table.contains(&format!("| {suite} | ")), "{table}");
+        }
+        let rows = |prefix: &str| table.lines().filter(|l| l.starts_with(prefix)).count();
+        // Each one-line counter block holds one `"key": ` per entry plus
+        // its own label.
+        let mut counters = 0;
+        for block in ["runtime", "errors", "server"] {
+            let label = format!("\"{block}\":");
+            let line = base.lines().find(|l| l.trim_start().starts_with(&label)).expect("block");
+            let keys = line.matches("\": ").count() - 1;
+            assert!(keys > 0, "{block}");
+            assert_eq!(rows(&format!("| {block}.")), keys, "{block}: {table}");
+            counters += keys;
+        }
+        let hists = base.lines().filter(|l| l.contains("\"buckets\":")).count();
+        assert!(hists > 0);
+        assert_eq!(rows("| hist."), hists, "{table}");
+        // Header, separator, four suites, the total and nothing else.
+        assert_eq!(table.lines().count(), 2 + 4 + 1 + counters + hists, "{table}");
     }
 }

@@ -19,10 +19,9 @@
 use gr_benchsuite::measure::DetectionRow;
 
 /// Solver-step accounting across the detection corpus: the data behind
-/// `BENCH_detection.json` and the steps-regression tests. "Shared" runs
-/// the registry with prefix sharing (the for-loop skeleton solved once per
-/// function, idioms resumed via `solve_extend`); "unshared" solves every
-/// idiom spec from scratch — the pre-sharing cost model.
+/// `BENCH_detection.json` and the steps-regression tests. The registry
+/// runs with prefix sharing (the for-loop skeleton solved once per
+/// function, idioms resumed via `solve_extend`).
 pub mod stats {
     use gr_benchsuite::{suite_programs, Suite};
     use gr_core::atoms::MatchCtx;
@@ -41,14 +40,12 @@ pub mod stats {
         pub steps_shared: usize,
         /// Steps of the shared prefix solves alone.
         pub steps_prefix: usize,
-        /// Total solver steps with every idiom solved from scratch.
-        pub steps_unshared: usize,
         /// Solver solutions across the default registry.
         pub solutions: usize,
         /// Reductions reported by detection.
         pub reductions: usize,
-        /// Wall time of one full `detect_reductions` sweep, milliseconds.
-        pub wall_ms: f64,
+        /// Wall time of one full `detect_reductions` sweep, microseconds.
+        pub wall_us: u128,
     }
 
     /// All suites of the detection bench corpus (the 40 paper programs
@@ -69,28 +66,26 @@ pub mod stats {
             programs: programs.len(),
             steps_shared: 0,
             steps_prefix: 0,
-            steps_unshared: 0,
             solutions: 0,
             reductions: 0,
-            wall_ms: 0.0,
+            wall_us: 0,
         };
         for m in &modules {
             for func in &m.functions {
                 let analyses = gr_analysis::Analyses::new(m, func);
                 let ctx = MatchCtx::new(m, func, &analyses);
-                let shared = registry.stats_report(&ctx, true);
-                let total = shared.total();
+                let report = registry.stats_report(&ctx);
+                let total = report.total();
                 out.steps_shared += total.steps;
-                out.steps_prefix += shared.prefix.steps;
+                out.steps_prefix += report.prefix.steps;
                 out.solutions += total.solutions;
-                out.steps_unshared += registry.stats_report(&ctx, false).total().steps;
             }
         }
         let t0 = Instant::now();
         for m in &modules {
             out.reductions += gr_core::detect_reductions(std::hint::black_box(m)).len();
         }
-        out.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        out.wall_us = t0.elapsed().as_micros();
         out
     }
 
@@ -250,15 +245,6 @@ pub mod stats {
         /// Collapsed-stack attribution of `solver.steps` (flamegraph
         /// format), byte-deterministic.
         pub collapsed: String,
-        /// The per-call-site hit-position profile, serialized
-        /// (`gr-trace/hit-profile/v1`).
-        pub hit_profile_json: String,
-        /// Attribution total of `solver.steps` across everything detected
-        /// in the session (corpus sweep plus the runtime workload kernel)
-        /// — must equal [`ProfileArtifacts::legacy_steps`] exactly.
-        pub attributed_steps: i64,
-        /// The legacy `SolveStats` ledger total over the same modules.
-        pub legacy_steps: usize,
     }
 
     /// Runs one trace session over a full corpus detection sweep plus the
@@ -269,7 +255,7 @@ pub mod stats {
     #[must_use]
     pub fn measure_profile() -> ProfileArtifacts {
         use gr_interp::{Machine, Memory, RtVal};
-        use gr_trace::profile::{Attribution, HitProfile};
+        use gr_trace::profile::Attribution;
 
         const FIND_FIRST: &str = "int find(int* a, int x, int n) {
                  int r = n;
@@ -316,23 +302,9 @@ pub mod stats {
             };
             histograms.entry(key).or_insert_with(gr_trace::Histogram::new).merge(h);
         }
-        let attr = Attribution::from_trace(&trace);
-        // The ledger the attribution must conserve: every module detected
-        // inside the session — the corpus sweep *and* the runtime
-        // workload kernel.
-        let legacy_steps: usize = modules
-            .iter()
-            .chain(std::iter::once(&fm))
-            .map(|m| {
-                gr_core::detect::detection_stats(m).iter().map(|(_, s)| s.steps).sum::<usize>()
-            })
-            .sum();
         ProfileArtifacts {
             histograms,
-            collapsed: attr.collapsed("solver.steps"),
-            hit_profile_json: HitProfile::from_trace(&trace).render_json(),
-            attributed_steps: attr.total("solver.steps"),
-            legacy_steps,
+            collapsed: Attribution::from_trace(&trace).collapsed("solver.steps"),
         }
     }
 
@@ -442,7 +414,9 @@ pub mod stats {
     /// Renders the per-suite stats plus the runtime scheduler counters,
     /// the failure-ledger counters, the serving-throughput block and the
     /// histogram digests as the `BENCH_detection.json` document
-    /// (hand-rolled writer — the workspace builds without serde).
+    /// (hand-rolled writer — the workspace builds without serde). Every
+    /// value is an integer, so the baseline gate reads the document with
+    /// the shared integer-only reader (`gr_trace::json`).
     #[must_use]
     pub fn render_json(
         rows: &[SuiteStats],
@@ -450,37 +424,29 @@ pub mod stats {
         errors: &gr_trace::MetricsSnapshot,
         server: &ServerStats,
         histograms: &std::collections::BTreeMap<String, gr_trace::Histogram>,
-        quick: bool,
     ) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("{\n");
         let _ = writeln!(s, "  \"schema\": \"gr-bench/detection-stats/v1\",");
-        let _ = writeln!(s, "  \"quick\": {quick},");
         let _ = writeln!(s, "  \"suites\": [");
         for (i, r) in rows.iter().enumerate() {
             let comma = if i + 1 < rows.len() { "," } else { "" };
             let _ = writeln!(
                 s,
-                "    {{\"suite\": \"{}\", \"programs\": {}, \"solver_steps\": {}, \"solver_steps_prefix\": {}, \"solver_steps_unshared\": {}, \"solutions\": {}, \"reductions\": {}, \"wall_ms\": {:.3}}}{comma}",
+                "    {{\"suite\": \"{}\", \"programs\": {}, \"solver_steps\": {}, \"solver_steps_prefix\": {}, \"solutions\": {}, \"reductions\": {}, \"wall_us\": {}}}{comma}",
                 r.suite,
                 r.programs,
                 r.steps_shared,
                 r.steps_prefix,
-                r.steps_unshared,
                 r.solutions,
                 r.reductions,
-                r.wall_ms,
+                r.wall_us,
             );
         }
         let _ = writeln!(s, "  ],");
         let shared: usize = rows.iter().map(|r| r.steps_shared).sum();
-        let unshared: usize = rows.iter().map(|r| r.steps_unshared).sum();
-        let wall: f64 = rows.iter().map(|r| r.wall_ms).sum();
-        let _ = writeln!(
-            s,
-            "  \"total\": {{\"solver_steps\": {shared}, \"solver_steps_unshared\": {unshared}, \"sharing_speedup\": {:.3}, \"wall_ms\": {wall:.3}}},",
-            unshared as f64 / shared.max(1) as f64,
-        );
+        let wall: u128 = rows.iter().map(|r| r.wall_us).sum();
+        let _ = writeln!(s, "  \"total\": {{\"solver_steps\": {shared}, \"wall_us\": {wall}}},");
         let _ = write!(s, "  \"runtime\": {{");
         for (i, (k, v)) in runtime.counters.iter().enumerate() {
             if i > 0 {

@@ -10,20 +10,20 @@
 //! them spuriously, while a genuine candidate-generation regression does.
 //!
 //! `trace_substrate.rs` re-asserts the corpus pin through the `gr-trace`
-//! counters, proving the legacy ledger and the trace substrate count the
-//! same thing.
+//! counters, proving the detection reports and the trace count the same
+//! steps.
 
 use gr_bench::stats::{corpus, measure_suite_stats};
 use gr_benchsuite::{suite_programs, Suite};
 use gr_core::atoms::MatchCtx;
 use gr_core::detect::PrefixCache;
 use gr_core::spec::IdiomRegistry;
-use gr_core::ReductionKind;
+use gr_core::{DetectBudget, ReductionKind};
 
 /// Total solver steps of the default registry on `main` before prefix
 /// sharing landed, over the same corpus (NAS + Parboil + Rodinia + Micro),
-/// measured at commit `6996b9c` with `IdiomRegistry::solve_stats` per
-/// function. The acceptance bar for prefix sharing was a ≥3× reduction;
+/// measured at commit `6996b9c` with the registry's shared-prefix solve
+/// per function. The acceptance bar for prefix sharing was a ≥3× reduction;
 /// the trie-backed extension search (forced moves free, priority order,
 /// generator memoisation) now sits two orders of magnitude under it.
 const MAIN_BASELINE_STEPS: usize = 12_185;
@@ -36,7 +36,7 @@ fn shared_steps(suite: Suite) -> usize {
         for func in &m.functions {
             let analyses = gr_analysis::Analyses::new(&m, func);
             let ctx = MatchCtx::new(&m, func, &analyses);
-            total += registry.solve_stats(&ctx).steps;
+            total += registry.stats_report(&ctx).total().steps;
         }
     }
     total
@@ -104,7 +104,7 @@ fn fusion_extension_stays_free_and_still_fires() {
             for func in &m.functions {
                 let analyses = gr_analysis::Analyses::new(&m, func);
                 let ctx = MatchCtx::new(&m, func, &analyses);
-                let report = registry.stats_report(&ctx, true);
+                let report = registry.stats_report(&ctx);
                 for (name, stats) in &report.per_idiom {
                     if *name == "map-reduce-fusion" {
                         fusion_ext += stats.steps;
@@ -136,7 +136,7 @@ fn early_exit_idiom_extensions_stay_free_and_still_fire() {
             for func in &m.functions {
                 let analyses = gr_analysis::Analyses::new(&m, func);
                 let ctx = MatchCtx::new(&m, func, &analyses);
-                let report = registry.stats_report(&ctx, true);
+                let report = registry.stats_report(&ctx);
                 for (name, stats) in &report.per_idiom {
                     if matches!(
                         *name,
@@ -184,7 +184,7 @@ fn two_distinct_prefixes_cached_without_collision() {
     let func = &m.functions[0];
     let analyses = gr_analysis::Analyses::new(&m, func);
     let ctx = MatchCtx::new(&m, func, &analyses);
-    let report = registry.stats_report(&ctx, true);
+    let report = registry.stats_report(&ctx);
     assert_eq!(report.prefix_cache.len(), 2, "{:?}", report.prefix_cache);
     let fold = report
         .prefix_cache
@@ -210,21 +210,40 @@ fn two_distinct_prefixes_cached_without_collision() {
     assert!(rs.iter().any(|r| r.kind == gr_core::ReductionKind::FindFirst));
 }
 
+/// Steps of a suite with every idiom spec solved from scratch — the
+/// pre-sharing reference path, kept only for this comparison.
+fn unshared_steps(suite: Suite) -> usize {
+    let registry = IdiomRegistry::with_default_idioms();
+    let mut total = 0;
+    for p in suite_programs(suite) {
+        let m = p.compile();
+        for func in &m.functions {
+            let analyses = gr_analysis::Analyses::new(&m, func);
+            let ctx = MatchCtx::new(&m, func, &analyses);
+            total += registry
+                .detect_in_function_report(&ctx, None, DetectBudget::UNLIMITED)
+                .steps_used;
+        }
+    }
+    total
+}
+
 #[test]
 fn sharing_beats_unshared_solves_on_every_suite() {
     let mut shared_total = 0usize;
     let mut unshared_total = 0usize;
     for suite in corpus() {
         let s = measure_suite_stats(suite);
+        let unshared = unshared_steps(suite);
         assert!(
-            s.steps_shared < s.steps_unshared,
+            s.steps_shared < unshared,
             "{}: shared {} !< unshared {}",
             s.suite,
             s.steps_shared,
-            s.steps_unshared
+            unshared
         );
         shared_total += s.steps_shared;
-        unshared_total += s.steps_unshared;
+        unshared_total += unshared;
     }
     // Forced moves are free on both paths, which shrinks the prefix's
     // share of each unshared solve; per-suite the gain varies (NAS is
@@ -317,14 +336,16 @@ fn bench_json_renders_all_suites() {
     // A small serving sweep keeps the render test fast; the real corpus
     // size is exercised by `all_figures` and the serving tests.
     let server = gr_bench::stats::measure_server_throughput(gr_benchsuite::fuzz::CORPUS_SEED, 64);
-    let json = gr_bench::stats::render_json(&rows, &runtime, &errors, &server, &hists, true);
+    let json = gr_bench::stats::render_json(&rows, &runtime, &errors, &server, &hists);
     for suite in ["nas", "parboil", "rodinia", "micro"] {
         assert!(
             json.to_lowercase().contains(&format!("\"suite\": \"{suite}\"")),
             "missing {suite} in {json}"
         );
     }
-    assert!(json.contains("\"sharing_speedup\""));
+    // The baseline gate reads the document with the shared integer-only
+    // reader, which rejects floats and booleans.
+    assert!(gr_trace::json::JsonVal::parse(&json).is_some(), "unreadable document: {json}");
     assert!(json.contains("\"runtime\": {\"chunk_dispatch\": 12}"));
     assert!(json.contains("\"errors\": {\"GR001\": 3}"));
     assert!(json.contains("\"server\": {\"corpus_functions\": 64, "), "missing server block");

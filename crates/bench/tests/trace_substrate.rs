@@ -1,43 +1,49 @@
 //! The solver-step pins of `solver_steps.rs`, re-checked through the
-//! `gr-trace` substrate: one counting layer for the legacy [`SolveStats`]
-//! ledger, the CLI, and `BENCH_detection.json`.
+//! `gr-trace` substrate: the trace's `solver.steps` counter must equal the
+//! steps the detection reports account, over the whole corpus.
 //!
 //! These tests live in their own binary because each opens a global trace
 //! session (the session lock serializes them); pipeline code running in
 //! *other* test binaries executes in other processes and cannot record
 //! into these sessions.
-//!
-//! [`SolveStats`]: gr_core::solver::SolveStats
 
 use gr_bench::stats::{corpus, measure_runtime_counters};
 use gr_benchsuite::suite_programs;
 use gr_core::atoms::MatchCtx;
+use gr_core::detect::PrefixCache;
 use gr_core::spec::IdiomRegistry;
+use gr_core::DetectBudget;
 
 #[test]
-fn corpus_trace_steps_match_legacy_and_stay_pinned() {
+fn corpus_trace_steps_match_reports_and_stay_pinned() {
     // The same sweep `solver_steps.rs` pins (prefix-shared, full corpus),
     // with a session around it: the trace counter must agree with the
-    // hand-threaded totals exactly, and the pinned bound holds on the
-    // unified substrate.
+    // reports' step totals exactly, and the pinned bound holds on the
+    // trace.
     let registry = IdiomRegistry::with_default_idioms();
     let guard = gr_trace::start();
-    let mut legacy = 0usize;
+    let mut reported = 0usize;
     for suite in corpus() {
         for p in suite_programs(suite) {
             let m = p.compile();
             for func in &m.functions {
                 let analyses = gr_analysis::Analyses::new(&m, func);
                 let ctx = MatchCtx::new(&m, func, &analyses);
-                legacy += registry.solve_stats(&ctx).steps;
+                reported += registry
+                    .detect_in_function_report(
+                        &ctx,
+                        Some(&mut PrefixCache::new()),
+                        DetectBudget::UNLIMITED,
+                    )
+                    .steps_used;
             }
         }
     }
     let trace = guard.finish();
     assert_eq!(
         trace.counter("solver.steps"),
-        legacy as i64,
-        "trace substrate and SolveStats must count identically"
+        reported as i64,
+        "the trace and the detection reports must count the same steps"
     );
     // Same trend guard as `corpus_steps_drop_3x_vs_pre_sharing_main`,
     // asserted on the trace counter (measured 168 with the trie-backed

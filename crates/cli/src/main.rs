@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! greduce detect <file.c> [--trace] [--profile] [--budget N]   detect reductions
-//! greduce stats <file.c> [--json]  solver-step ledger (shared prefix vs unshared)
+//! greduce stats <file.c> [--json]  solver-step ledger (shared prefix + extensions)
 //! greduce trace <file.c> [--json out]   trace the pipeline, write Chrome JSON
 //! greduce profile <file.c> [--json|--collapsed]   span cost attribution
 //! greduce compare <file.c>       ours vs icc-model vs Polly-model
@@ -32,20 +32,6 @@ fn reduction_loops(rs: &[gr_core::Reduction]) -> Vec<(String, gr_ir::BlockId)> {
         }
     }
     loops
-}
-
-/// Flags solver-limit truncation (`SolveStats::truncated`) after a
-/// default, unbudgeted detection run — hitting the built-in step or
-/// solution ceiling is rare, but silently partial results would be worse.
-fn warn_truncation(module: &gr_ir::Module) {
-    for (func, stats) in gr_core::detect::detection_stats(module) {
-        if stats.truncated {
-            eprintln!(
-                "warning: solver limit hit in `{func}` ({} steps, {} solution(s)); detection may be partial",
-                stats.steps, stats.solutions
-            );
-        }
-    }
 }
 
 /// Serving options shared by `greduce batch` and `greduce serve`.
@@ -173,7 +159,7 @@ fn main() -> ExitCode {
             println!("                               solver steps per function (anytime mode);");
             println!("                               --profile prints the span cost attribution");
             println!(
-                "  stats <file.c> [--json]      per-function solver steps, shared vs unshared"
+                "  stats <file.c> [--json]      per-function solver steps, prefix and extensions"
             );
             println!(
                 "  trace <file.c> [--json out]  trace detect+outline, write Chrome trace JSON"
@@ -339,114 +325,65 @@ fn main() -> ExitCode {
                             _ => return usage(),
                         }
                     }
-                    if let Some(steps) = budget {
-                        // Anytime detection: a starved solver degrades to a
-                        // partial per-function report instead of running
-                        // without bound. Degradation is a warning, not a
-                        // failure — the reductions printed are still sound.
-                        let guard = (with_trace || with_profile).then(gr_trace::start);
-                        let reports = gr_core::detect_reductions_budgeted(
-                            &module,
-                            gr_core::DetectBudget::steps(steps),
-                        );
-                        let empty = reports.iter().all(|r| r.reductions.is_empty());
-                        if empty {
-                            println!("no reductions detected");
-                        }
-                        for rep in &reports {
-                            for r in &rep.reductions {
-                                println!("{r}");
-                            }
-                        }
-                        let mut degraded = 0usize;
-                        for rep in &reports {
-                            if let gr_core::DetectionStatus::Degraded { budget, steps_used } =
-                                rep.status
-                            {
-                                degraded += 1;
-                                eprintln!(
-                                    "warning: detection degraded in `{}`: {steps_used} steps spent of {budget} budgeted (truncated: {})",
-                                    rep.function,
-                                    rep.truncated_idioms.join(", ")
-                                );
-                            }
-                        }
-                        if let Some(guard) = guard {
-                            let trace = guard.finish();
-                            if with_trace {
-                                if let Err(e) = std::fs::write("TRACE.json", trace.chrome_json()) {
-                                    eprintln!("cannot write TRACE.json: {e}");
-                                    return ExitCode::FAILURE;
-                                }
-                                println!(
-                                    "trace: wrote TRACE.json ({} events); error ledger: GR001 x{}",
-                                    trace.events.len(),
-                                    trace.counter("error{GR001}")
-                                );
-                            }
-                            if with_profile {
-                                let attr = gr_trace::profile::Attribution::from_trace(&trace);
-                                print!("{}", attr.render_text("solver.steps"));
-                            }
-                        }
-                        if degraded > 0 {
-                            eprintln!(
-                                "{degraded} of {} function(s) degraded; re-run with a larger --budget for full coverage",
-                                reports.len()
-                            );
-                        }
-                        return ExitCode::SUCCESS;
-                    }
-                    if !with_trace && !with_profile {
-                        let rs = detect_reductions(&module);
-                        if rs.is_empty() {
-                            println!("no reductions detected");
-                        }
-                        for r in &rs {
-                            println!("{r}");
-                        }
-                        warn_truncation(&module);
-                        return ExitCode::SUCCESS;
-                    }
-                    // --trace / --profile: run detection inside a trace
-                    // session and cross-check the trace substrate against
-                    // the legacy SolveStats counters — must agree exactly.
-                    let guard = gr_trace::start();
-                    let rs = detect_reductions(&module);
-                    let trace = guard.finish();
-                    if rs.is_empty() {
+                    // Anytime detection: a starved solver degrades to a
+                    // partial per-function report instead of running
+                    // without bound. Degradation is a warning, not a
+                    // failure — the reductions printed are still sound.
+                    // Without --budget only the solver's own defensive
+                    // limits apply, and hitting them degrades the same way.
+                    let guard = (with_trace || with_profile).then(gr_trace::start);
+                    let reports = gr_core::detect_reductions_budgeted(
+                        &module,
+                        budget
+                            .map_or(gr_core::DetectBudget::UNLIMITED, gr_core::DetectBudget::steps),
+                    );
+                    if reports.iter().all(|r| r.reductions.is_empty()) {
                         println!("no reductions detected");
                     }
-                    for r in &rs {
-                        println!("{r}");
-                    }
-                    warn_truncation(&module);
-                    let legacy: usize = gr_core::detect::detection_stats(&module)
-                        .iter()
-                        .map(|(_, s)| s.steps)
-                        .sum();
-                    let traced = trace.counter("solver.steps");
-                    if with_trace {
-                        if let Err(e) = std::fs::write("TRACE.json", trace.chrome_json()) {
-                            eprintln!("cannot write TRACE.json: {e}");
-                            return ExitCode::FAILURE;
+                    for rep in &reports {
+                        for r in &rep.reductions {
+                            println!("{r}");
                         }
-                        println!(
-                            "trace: wrote TRACE.json ({} events); solver steps {traced} (legacy solver_steps {legacy})",
-                            trace.events.len()
-                        );
                     }
-                    if with_profile {
-                        let attr = gr_trace::profile::Attribution::from_trace(&trace);
-                        print!("{}", attr.render_text("solver.steps"));
-                        println!(
-                            "attributed solver steps {} (legacy solver_steps {legacy})",
-                            attr.total("solver.steps")
-                        );
+                    let mut degraded = 0usize;
+                    for rep in &reports {
+                        if let gr_core::DetectionStatus::Degraded { steps_used, .. } = rep.status {
+                            degraded += 1;
+                            let spent = match budget {
+                                Some(b) => format!("{steps_used} steps spent of {b} budgeted"),
+                                None => format!("solver limit hit after {steps_used} steps"),
+                            };
+                            eprintln!(
+                                "warning: detection degraded in `{}`: {spent} (truncated: {})",
+                                rep.function,
+                                rep.truncated_idioms.join(", ")
+                            );
+                        }
                     }
-                    if traced != legacy as i64 {
-                        eprintln!("trace/legacy solver-step mismatch: {traced} != {legacy}");
-                        return ExitCode::FAILURE;
+                    if let Some(guard) = guard {
+                        let trace = guard.finish();
+                        if with_trace {
+                            if let Err(e) = std::fs::write("TRACE.json", trace.chrome_json()) {
+                                eprintln!("cannot write TRACE.json: {e}");
+                                return ExitCode::FAILURE;
+                            }
+                            println!(
+                                "trace: wrote TRACE.json ({} events); solver steps {}; error ledger: GR001 x{}",
+                                trace.events.len(),
+                                trace.counter("solver.steps"),
+                                trace.counter("error{GR001}")
+                            );
+                        }
+                        if with_profile {
+                            let attr = gr_trace::profile::Attribution::from_trace(&trace);
+                            print!("{}", attr.render_text("solver.steps"));
+                        }
+                    }
+                    if degraded > 0 && budget.is_some() {
+                        eprintln!(
+                            "{degraded} of {} function(s) degraded; re-run with a larger --budget for full coverage",
+                            reports.len()
+                        );
                     }
                     ExitCode::SUCCESS
                 }
@@ -498,7 +435,7 @@ fn main() -> ExitCode {
                     // render below is byte-deterministic, and the self
                     // values reconcile exactly with the flat counters (the
                     // attribution is recorded at counter-emit time, not
-                    // sampled) — the reconcile check at the end enforces it.
+                    // sampled).
                     let mut mode = "text";
                     for a in args.iter().skip(2) {
                         match a.as_str() {
@@ -538,26 +475,13 @@ fn main() -> ExitCode {
                             );
                         }
                     }
-                    let legacy: usize = gr_core::detect::detection_stats(&module)
-                        .iter()
-                        .map(|(_, s)| s.steps)
-                        .sum();
-                    if attr.total("solver.steps") != legacy as i64 {
-                        eprintln!(
-                            "attribution/legacy solver-step mismatch: {} != {legacy}",
-                            attr.total("solver.steps")
-                        );
-                        return ExitCode::FAILURE;
-                    }
                     ExitCode::SUCCESS
                 }
                 "stats" => {
                     // Per-function solver cost: the shared for-loop prefix
-                    // is solved once and every idiom resumes from it;
-                    // `unshared` is what solving each spec from scratch
-                    // would have cost. With `--json` the same ledger is
-                    // emitted as one machine-readable document instead of
-                    // the table.
+                    // is solved once and every idiom resumes from it. With
+                    // `--json` the same ledger is emitted as one
+                    // machine-readable document instead of the table.
                     let mut json_mode = false;
                     for a in args.iter().skip(2) {
                         match a.as_str() {
@@ -567,7 +491,6 @@ fn main() -> ExitCode {
                     }
                     let registry = gr_core::IdiomRegistry::with_default_idioms();
                     let mut total_shared = 0usize;
-                    let mut total_unshared = 0usize;
                     let mut rs: Vec<gr_core::Reduction> = Vec::new();
                     // Module-wide extension-step total per idiom, summed
                     // over the per-function reports below.
@@ -586,8 +509,7 @@ fn main() -> ExitCode {
                         // Collected here so the refusal report below does
                         // not need another full detection pass.
                         rs.extend(registry.detect_in_function(&ctx));
-                        let shared = registry.stats_report(&ctx, true);
-                        let unshared = registry.stats_report(&ctx, false);
+                        let shared = registry.stats_report(&ctx);
                         if !json_mode {
                             println!("{}:", func.name);
                         }
@@ -623,14 +545,11 @@ fn main() -> ExitCode {
                             ));
                         }
                         json_funcs.push_str("], \"idioms\": [");
-                        for (i, ((name, ext), (_, full))) in
-                            shared.per_idiom.iter().zip(&unshared.per_idiom).enumerate()
-                        {
+                        for (i, (name, ext)) in shared.per_idiom.iter().enumerate() {
                             if !json_mode {
                                 println!(
-                                    "  {name:<20}{:>6} steps (unshared: {}){}",
+                                    "  {name:<20}{:>6} steps{}",
                                     ext.steps,
-                                    full.steps,
                                     if ext.truncated { "  TRUNCATED" } else { "" }
                                 );
                             }
@@ -638,11 +557,10 @@ fn main() -> ExitCode {
                                 json_funcs.push(',');
                             }
                             json_funcs.push_str(&format!(
-                                "{{\"name\": {}, \"steps\": {}, \"unshared\": {}, \"truncated\": {}}}",
+                                "{{\"name\": {}, \"steps\": {}, \"truncated\": {}}}",
                                 gr_trace::json_str(name),
                                 ext.steps,
-                                full.steps,
-                                ext.truncated
+                                u8::from(ext.truncated)
                             ));
                             match idiom_steps.iter_mut().find(|(n, _)| n == name) {
                                 Some((_, acc)) => *acc += ext.steps,
@@ -650,22 +568,17 @@ fn main() -> ExitCode {
                             }
                         }
                         let s = shared.total();
-                        let u = unshared.total();
                         if !json_mode {
                             println!(
-                                "  total               {:>6} steps, {} solutions (unshared: {}, {:.2}x)",
-                                s.steps,
-                                s.solutions,
-                                u.steps,
-                                u.steps as f64 / s.steps.max(1) as f64
+                                "  total               {:>6} steps, {} solutions",
+                                s.steps, s.solutions
                             );
                         }
                         json_funcs.push_str(&format!(
-                            "], \"total\": {{\"steps\": {}, \"solutions\": {}, \"unshared\": {}}}}}",
-                            s.steps, s.solutions, u.steps
+                            "], \"total\": {{\"steps\": {}, \"solutions\": {}}}}}",
+                            s.steps, s.solutions
                         ));
                         total_shared += s.steps;
-                        total_unshared += u.steps;
                     }
                     let trie_trace = trie_guard.finish();
                     let trie_nodes = trie_trace.counter("solver.trie.nodes");
@@ -678,10 +591,7 @@ fn main() -> ExitCode {
                         );
                     }
                     if !json_mode && module.functions.len() > 1 {
-                        println!(
-                            "module total: {total_shared} steps (unshared: {total_unshared}, {:.2}x)",
-                            total_unshared as f64 / total_shared.max(1) as f64
-                        );
+                        println!("module total: {total_shared} steps");
                     }
                     if !json_mode && module.functions.len() > 1 && idiom_steps.len() > 1 {
                         println!("extension steps per idiom (module total):");
@@ -749,14 +659,14 @@ fn main() -> ExitCode {
                         // One deterministic document: key order is fixed,
                         // maps are emitted in collection order (functions
                         // and idioms in module order, refusals sorted).
-                        let mut out = String::from("{\n  \"schema\": \"greduce/stats/v1\",");
+                        let mut out = String::from("{\n  \"schema\": \"greduce/stats/v2\",");
                         out.push_str("\n  \"functions\": [");
                         out.push_str(&json_funcs);
                         if !json_funcs.is_empty() {
                             out.push_str("\n  ");
                         }
                         out.push_str(&format!(
-                            "],\n  \"module\": {{\"shared_steps\": {total_shared}, \"unshared_steps\": {total_unshared}}},"
+                            "],\n  \"module\": {{\"shared_steps\": {total_shared}}},"
                         ));
                         out.push_str(&format!(
                             "\n  \"trie\": {{\"nodes\": {trie_nodes}, \"shared_gen\": {trie_shared_gen}, \"pruned_sym\": {trie_pruned_sym}}},"

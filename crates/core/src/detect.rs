@@ -32,11 +32,12 @@ use std::sync::Arc;
 
 /// Memoized prefix solutions for one function ([`MatchCtx`]): the shared
 /// for-loop sub-problem is solved once and every idiom entry resumes from
-/// it ([`solve_extend`]). Keyed by the prefix's structural fingerprint, so
-/// any family of specs built on the same marked prefix shares — not just
-/// the built-in for-loop. Specs stacking several prefix *instances*
-/// (map-reduce fusion's producer/consumer pair) resume from tuples of the
-/// same cached solutions, so even a two-loop idiom costs one solve here.
+/// it ([`solve_extend`](crate::solver::solve_extend)). Keyed by the
+/// prefix's structural fingerprint, so any family of specs built on the
+/// same marked prefix shares — not just the built-in for-loop. Specs
+/// stacking several prefix *instances* (map-reduce fusion's
+/// producer/consumer pair) resume from tuples of the same cached
+/// solutions, so even a two-loop idiom costs one solve here.
 ///
 /// A cache is only meaningful for a single `MatchCtx`: build one per
 /// function and drop it afterwards (the driver does).
@@ -301,20 +302,6 @@ pub fn detect_in_function(
 ) -> Vec<Reduction> {
     let ctx = MatchCtx::new(module, func, analyses);
     IdiomRegistry::with_default_idioms().detect_in_function(&ctx)
-}
-
-/// Cumulative solver statistics per function across all registered idioms
-/// (used by benchmarks).
-#[must_use]
-pub fn detection_stats(module: &Module) -> Vec<(String, SolveStats)> {
-    let registry = IdiomRegistry::with_default_idioms();
-    let mut out = Vec::new();
-    for func in &module.functions {
-        let analyses = Analyses::new(module, func);
-        let ctx = MatchCtx::new(module, func, &analyses);
-        out.push((func.name.clone(), registry.solve_stats(&ctx)));
-    }
-    out
 }
 
 /// Budgeted **anytime** detection: step budgets, degradation status and
@@ -817,21 +804,6 @@ mod tests {
         let rs = detect_with(&scans_only, &m);
         assert_eq!(rs.len(), 1, "{rs:?}");
         assert_eq!(rs[0].kind, ReductionKind::Scan);
-    }
-
-    #[test]
-    fn detection_stats_cover_all_registered_idioms() {
-        // Two accumulators in one loop: the scalar spec's `acc` label
-        // genuinely branches, so the solve costs at least one accounted
-        // step (a single-accumulator body is all forced moves, at zero).
-        let m = compile(
-            "float f(float* a, int n) { float s = 0.0; float t = 1.0; for (int i = 0; i < n; i++) { s += a[i]; t *= a[i]; } return s + t; }",
-        )
-        .unwrap();
-        let stats = detection_stats(&m);
-        assert_eq!(stats.len(), 1);
-        assert!(stats[0].1.steps > 0);
-        assert!(!stats[0].1.truncated);
     }
 
     // `sum` carries two accumulators so the scalar spec's `acc` label

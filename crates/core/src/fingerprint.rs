@@ -12,7 +12,7 @@
 //!    Gensym suffixes from outlining (`__chunk_find_5`) are name noise of
 //!    exactly this kind, so the one name that *is* semantic — a call's
 //!    target — is hashed through [`strip_gensym`], the same normalization
-//!    the hit-profile site keys use (`gr-trace/hit-profile/v1`).
+//!    the runtime's per-call-site histogram keys use.
 //! 2. **Edit sensitivity.** Any structural change — one instruction
 //!    added, an operand swapped, a constant changed, a type widened —
 //!    must change the fingerprint, because a stale cache hit would serve
@@ -92,9 +92,8 @@ impl Default for Fnv64 {
 
 /// Strips a trailing `_<digits>` gensym suffix: `__chunk_find_5` →
 /// `__chunk_find`, `k` → `k`. The same normalization the parallel
-/// runtime applies to trace site keys and `gr-trace/hit-profile/v1`
-/// applies to hit-profile sites, reused here so fingerprints (and the
-/// cache entries they key) are stable under gensym renaming.
+/// runtime applies to trace site keys, reused here so fingerprints (and
+/// the cache entries they key) are stable under gensym renaming.
 #[must_use]
 pub fn strip_gensym(name: &str) -> &str {
     match name.rfind('_') {

@@ -129,6 +129,16 @@ impl SolveStats {
         self.solutions += other.solutions;
         self.truncated = self.truncated || other.truncated;
     }
+
+    /// Records the steps into the `solver.steps` trace counter — the only
+    /// place the trace learns them. Called once as a solve returns, while
+    /// its span is still open, so the steps are attributed to the `solve`
+    /// or `extend` path that spent them; a step-free solve records nothing.
+    fn record_steps(&self) {
+        if self.steps > 0 {
+            gr_trace::counter("solver.steps", self.steps as i64);
+        }
+    }
 }
 
 /// Memoized candidate generation, shared across solver runs over the same
@@ -587,6 +597,7 @@ pub fn solve(spec: &Spec, ctx: &MatchCtx<'_>, opts: SolveOptions) -> (Vec<Assign
     let plan = SearchPlan::new(spec, ctx, 0, 0, opts.policy);
     let mut asg: Assignment = vec![ValueId(0); spec.arity()];
     search(&plan, ctx, &mut asg, 0, &mut solutions, &mut stats, opts, None);
+    stats.record_steps();
     solutions.sort_unstable();
     (solutions, stats)
 }
@@ -670,6 +681,7 @@ pub fn solve_extend_with_memo(
         opts,
         &mut memo,
     );
+    stats.record_steps();
     solutions.sort_unstable();
     (solutions, stats)
 }
@@ -785,12 +797,6 @@ fn search(
     for v in survivors {
         if branching {
             stats.steps += 1;
-            if gr_trace::enabled() {
-                // The `solver.steps` trace counter increments exactly where
-                // `stats.steps` does, so the two substrates agree
-                // byte-for-byte.
-                gr_trace::counter("solver.steps", 1);
-            }
             if stats.steps >= opts.max_steps {
                 stats.truncated = true;
                 return;
@@ -802,15 +808,16 @@ fn search(
         }
         // c_k: all conjunct atoms decided at this position must hold, and
         // the optimistic evaluation of the undecided disjunctions must not
-        // be false.
-        let ok = if gr_trace::enabled() {
-            check_traced(plan, ctx, asg, pos)
-        } else {
-            plan.checkers[pos].iter().all(|a| a.check(ctx, asg))
-                && plan.partials_hold(ctx, asg, pos)
+        // be false. A prune is counted under the kind of the first failing
+        // checker atom (or `Or`).
+        let pruned_by = match plan.checkers[pos].iter().find(|a| !a.check(ctx, asg)) {
+            Some(a) => Some(a.kind_name()),
+            None if !plan.partials_hold(ctx, asg, pos) => Some("Or"),
+            None => None,
         };
-        if ok {
-            search(plan, ctx, asg, pos + 1, solutions, stats, opts, memo.as_deref_mut());
+        match pruned_by {
+            Some(kind) => gr_trace::counter_keyed("solver.prunes", kind, 1),
+            None => search(plan, ctx, asg, pos + 1, solutions, stats, opts, memo.as_deref_mut()),
         }
         if solutions.len() >= opts.max_solutions {
             stats.truncated = true;
@@ -820,25 +827,6 @@ fn search(
             return;
         }
     }
-}
-
-/// The `c_k` check of [`search`] with prune-reason recording: same
-/// evaluation order and short-circuiting as the untraced path, but the
-/// first failing checker atom (or the optimistic `Or` evaluation) is
-/// counted under `solver.prunes{<kind>}`.
-#[cold]
-fn check_traced(plan: &SearchPlan<'_>, ctx: &MatchCtx<'_>, asg: &[ValueId], pos: usize) -> bool {
-    for a in &plan.checkers[pos] {
-        if !a.check(ctx, asg) {
-            gr_trace::counter_keyed("solver.prunes", a.kind_name(), 1);
-            return false;
-        }
-    }
-    if !plan.partials_hold(ctx, asg, pos) {
-        gr_trace::counter_keyed("solver.prunes", "Or", 1);
-        return false;
-    }
-    true
 }
 
 /// Materializes the candidate set for position `pos`: the most selective

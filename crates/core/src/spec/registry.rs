@@ -40,11 +40,13 @@
 //! resumes every entry's search from the cached partial assignments with
 //! [`solve_extend`](crate::solver::solve_extend). Registering a new idiom
 //! on a cached skeleton therefore costs one *extension* solve — a handful
-//! of steps — rather than a full re-solve; on the bench corpus the
-//! default registry runs in far fewer solver steps than unshared solving
-//! ([`IdiomRegistry::stats_report`] measures both paths and the
-//! per-prefix cache hit counts, and `crates/bench/tests/solver_steps.rs`
-//! pins the totals).
+//! of steps — rather than a full re-solve.
+//! [`IdiomRegistry::stats_report`] splits a function's cost into the
+//! prefix solves and each idiom's extension, with per-prefix cache hit
+//! counts. Solving every spec from scratch
+//! ([`IdiomRegistry::detect_in_function_with`] without a cache) stays only
+//! as a test oracle: `crates/bench/tests/solver_steps.rs` checks that it
+//! reports byte-identical reductions in more steps, and pins the totals.
 //!
 //! A spec may even stack **several instances** of one prefix: map-reduce
 //! fusion ([`crate::spec::fusion`]) poses the for-loop sub-problem twice
@@ -262,8 +264,8 @@ impl IdiomRegistry {
 
     /// [`IdiomRegistry::detect_in_function`] with an explicit prefix cache.
     /// Passing `None` solves every spec from scratch — the pre-sharing
-    /// behaviour, kept callable so tests and benchmarks can verify the two
-    /// paths produce identical reports.
+    /// behaviour, kept callable only as the reference path that tests
+    /// compare the shared reports and steps against.
     #[must_use]
     pub fn detect_in_function_with(
         &self,
@@ -377,27 +379,17 @@ impl IdiomRegistry {
         }
     }
 
-    /// Cumulative solver statistics over all registered idioms for one
-    /// function (used by benchmarks and the figure harnesses), with prefix
-    /// sharing — the shared prefix solve is counted exactly once.
+    /// Per-idiom solver statistics for one function: every entry resumes
+    /// from the function's cached prefix solutions and reports
+    /// extension-only cost (the one-time prefix cost lands in
+    /// [`RegistryStats::prefix`]).
     #[must_use]
-    pub fn solve_stats(&self, ctx: &MatchCtx<'_>) -> SolveStats {
-        self.stats_report(ctx, true).total()
-    }
-
-    /// Per-idiom solver statistics for one function. With `shared`, every
-    /// entry resumes from the function's cached prefix solutions and
-    /// reports extension-only cost (the one-time prefix cost lands in
-    /// [`RegistryStats::prefix`]); without, every entry is solved from
-    /// scratch — the before/after comparison the benches print.
-    #[must_use]
-    pub fn stats_report(&self, ctx: &MatchCtx<'_>, shared: bool) -> RegistryStats {
+    pub fn stats_report(&self, ctx: &MatchCtx<'_>) -> RegistryStats {
         let mut cache = PrefixCache::new();
         let mut report = RegistryStats::default();
         for entry in &self.entries {
-            let cache_ref = shared.then_some(&mut cache);
             let opts = SolveOptions { policy: self.policy, ..SolveOptions::default() };
-            let (_, stats, prefix) = solve_with_cache(&entry.spec, ctx, cache_ref, opts);
+            let (_, stats, prefix) = solve_with_cache(&entry.spec, ctx, Some(&mut cache), opts);
             if let Some(p) = prefix {
                 report.prefix.absorb(p);
             }
@@ -413,20 +405,18 @@ impl IdiomRegistry {
 #[derive(Debug, Clone, Default)]
 pub struct RegistryStats {
     /// Cost of the shared prefix solves (one per distinct prefix per
-    /// function; zero when solving unshared).
+    /// function).
     pub prefix: SolveStats,
-    /// Extension (or, unshared, full) solve cost per idiom entry.
+    /// Extension solve cost per idiom entry.
     pub per_idiom: Vec<(&'static str, SolveStats)>,
-    /// Per-prefix cache accounting (one row per distinct fingerprint;
-    /// empty when solving unshared).
+    /// Per-prefix cache accounting (one row per distinct fingerprint).
     pub prefix_cache: Vec<crate::detect::PrefixCacheSummary>,
 }
 
 impl RegistryStats {
     /// Total statistics: prefix cost plus every idiom's cost. Prefix
     /// *solutions* (partial for-loop assignments) are not idiom matches
-    /// and are excluded, so the solution count stays comparable between
-    /// the shared and unshared paths.
+    /// and are excluded, so the solution count is the idioms' alone.
     #[must_use]
     pub fn total(&self) -> SolveStats {
         let mut acc =

@@ -133,38 +133,11 @@ pub struct ChunkPolicy {
     /// iteration space before the speculative tail has been touched.
     /// Without it the space is bisected evenly.
     pub front_ramp: bool,
-    /// Expected hit position for this call site, seeded from a persisted
-    /// [`gr_trace::profile::HitProfile`] (the approximate median of past
-    /// hits). **Read-only this release:** the planner records and carries
-    /// the hint but the ramp stays static — this is the data contract the
-    /// adaptive-scheduling work consumes when it lands.
-    pub expected_hit: Option<i64>,
 }
 
 impl Default for ChunkPolicy {
     fn default() -> ChunkPolicy {
-        ChunkPolicy { chunks_per_worker: 8, front_ramp: true, expected_hit: None }
-    }
-}
-
-impl ChunkPolicy {
-    /// Seeds [`ChunkPolicy::expected_hit`] from a recorded hit-position
-    /// profile for call site `site` (typically the searched function's
-    /// chunk name). Sites absent from the profile leave the hint unset;
-    /// the rest of the policy is untouched.
-    ///
-    /// The profile records sites under their gensym-stripped name
-    /// ([`gr_core::strip_gensym`] — the trailing outliner counter is not
-    /// stable across runs), so the lookup accepts either form: an exact
-    /// match wins, otherwise the stripped name is tried. Passing the raw
-    /// `plan.chunk_fn` of a freshly outlined plan therefore finds the
-    /// profile a *previous* run recorded, even though the gensym differs.
-    #[must_use]
-    pub fn with_profile(self, profile: &gr_trace::profile::HitProfile, site: &str) -> ChunkPolicy {
-        let expected_hit = profile
-            .median_hit(site)
-            .or_else(|| profile.median_hit(gr_core::strip_gensym(site)));
-        ChunkPolicy { expected_hit, ..self }
+        ChunkPolicy { chunks_per_worker: 8, front_ramp: true }
     }
 }
 

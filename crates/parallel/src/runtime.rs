@@ -696,14 +696,12 @@ fn recover_pass_failure(
 /// chunk-function name with its trailing outliner gensym stripped
 /// (`__chunk_find_5` → `__chunk_find`). The gensym is a process-global
 /// counter, so it is not stable across runs — exactly the wrong key for
-/// the persisted [`gr_trace::profile::HitProfile`]. Distinct search loops
-/// in one function share a site; that coarseness is deliberate.
+/// histograms the bench baseline gates by name. Distinct search loops in
+/// one function share a site; that coarseness is deliberate.
 ///
 /// This is [`gr_core::strip_gensym`] — the same normalization the
-/// fingerprinting layer applies to call names — *not* a private
-/// re-implementation: `ChunkPolicy::with_profile` strips lookups with the
-/// same function, and a divergence between the two would silently orphan
-/// every persisted profile entry.
+/// fingerprinting layer applies to call names — not a private
+/// re-implementation.
 fn trace_site(chunk_fn: &str) -> &str {
     gr_core::strip_gensym(chunk_fn)
 }
@@ -954,8 +952,7 @@ fn execute_search(
         if gr_trace::enabled() {
             // Hit-position profile per call site: the committed hit is the
             // sequential first hit, so this histogram is identical across
-            // thread counts and is what an adaptive ramp would train on
-            // (gr_trace::profile::HitProfile extracts it).
+            // thread counts.
             gr_trace::histogram_keyed("runtime.hit_pos", trace_site(&plan.chunk_fn), won.hit);
             gr_trace::histogram_keyed("runtime.hit_chunk", trace_site(&plan.chunk_fn), w as i64);
         }
@@ -2445,11 +2442,7 @@ mod tests {
         let m = compile(SUM_UNTIL_INT).unwrap();
         let rs = detect_reductions(&m);
         let (pm, mut plan) = parallelize(&m, "sum_until", &rs).unwrap();
-        plan.chunking = crate::plan::ChunkPolicy {
-            chunks_per_worker: 4,
-            front_ramp: false,
-            ..crate::plan::ChunkPolicy::default()
-        };
+        plan.chunking = crate::plan::ChunkPolicy { chunks_per_worker: 4, front_ramp: false };
         let mut data: Vec<i64> = vec![2; 10_000];
         data[7_777] = -1;
         for threads in [1usize, 3, 8] {

@@ -156,51 +156,6 @@ fn hit_position_histogram_records_sequential_first_hit() {
     let hits = t.histogram("runtime.hit_pos{__chunk_find}").expect("hit recorded");
     assert_eq!((hits.count, hits.min, hits.max), (1, expect, expect));
     assert!(t.histogram("runtime.hit_chunk{__chunk_find}").is_some());
-    // And the extraction layer sees it: the persisted profile's median
-    // for this site is the recorded hit's bucket floor.
-    let profile = gr_trace::profile::HitProfile::from_trace(&t);
-    let median = profile.median_hit("__chunk_find").expect("site present");
-    assert!(median > 0 && median <= expect, "median {median} vs hit {expect}");
-}
-
-#[test]
-fn persisted_profile_round_trips_into_a_fresh_plan_policy() {
-    // The full profile lifecycle across the gensym seam: a traced run
-    // records hit positions under the *stripped* site name; the profile
-    // is persisted and reloaded; a fresh outline of the same function
-    // gets a chunk function with a *different* gensym suffix — and
-    // `ChunkPolicy::with_profile` must still find the recorded site from
-    // the raw chunk name.
-    let n = 9000usize;
-    let data: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 10007).collect();
-    let x = data[2 * n / 3];
-    let (_, t) = traced_search_run(&data, x, 1);
-
-    // Record → persist → reload, byte-identically.
-    let profile = gr_trace::profile::HitProfile::from_trace(&t);
-    let json = profile.render_json();
-    let parsed = gr_trace::profile::HitProfile::parse_json(&json).expect("own render parses");
-    assert_eq!(parsed, profile, "persisted profile must round-trip losslessly");
-    let median = parsed.median_hit("__chunk_find").expect("recorded site present");
-
-    // A fresh speculative plan for the same source: its chunk function
-    // carries a fresh outliner gensym, so the raw name is not a key in
-    // the profile — only the stripped site is.
-    let m = compile(FIND_FIRST).unwrap();
-    let rs = detect_reductions(&m);
-    let (_, plan) = parallelize(&m, "find", &rs).unwrap();
-    assert_eq!(gr_core::strip_gensym(&plan.chunk_fn), "__chunk_find");
-    assert_ne!(plan.chunk_fn, "__chunk_find", "outlined name must carry a gensym");
-    assert!(
-        parsed.median_hit(&plan.chunk_fn).is_none(),
-        "raw gensym name is deliberately absent from the profile"
-    );
-    let policy = gr_parallel::plan::ChunkPolicy::default().with_profile(&parsed, &plan.chunk_fn);
-    assert_eq!(
-        policy.expected_hit,
-        Some(median),
-        "lookup through the raw chunk name must resolve via the stripped site"
-    );
 }
 
 #[test]

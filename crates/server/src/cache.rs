@@ -7,8 +7,8 @@
 //! per-function [`PrefixCache`](gr_core::detect::PrefixCache), which
 //! amortizes the prefix solve across idioms within one run.
 //!
-//! Persistence follows the same discipline as `gr-trace/hit-profile/v1`
-//! (see `docs/formats.md`): a versioned schema tag, a hand-rendered
+//! Persistence follows the discipline of every persisted format (see
+//! `docs/formats.md`): a versioned schema tag, a hand-rendered
 //! byte-deterministic JSON layout, and a reader that rejects anything
 //! malformed with `None` rather than guessing. A rejected file is
 //! *poison*: [`ReportCache::load`] degrades to an empty cache (every

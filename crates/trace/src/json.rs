@@ -1,6 +1,7 @@
-//! A minimal integer-only JSON reader shared by every versioned artifact
-//! format this workspace persists (`gr-trace/hit-profile/v1`,
-//! `greduce/stats/v1`, `gr-cache/v1` — see `docs/formats.md`).
+//! A minimal integer-only JSON reader shared by the documents this
+//! workspace writes and parses again: the `gr-cache/v1` report cache, the
+//! `greduce/stats/v2` ledger and the `BENCH_detection.json` bench ledger
+//! that `all_figures --baseline` gates (see `docs/formats.md`).
 //!
 //! The workspace has no serde on purpose (no external dependencies), and
 //! its formats never need floats: every number written is an `i64`.

@@ -53,9 +53,8 @@
 //! - [`Trace::snapshot`] — a [`MetricsSnapshot`]: the merged counter map
 //!   with a byte-deterministic JSON rendering, folded into
 //!   `BENCH_detection.json` by the bench harness.
-//! - [`profile`] — post-hoc aggregations: span cost attribution
-//!   (collapsed-stack / flamegraph text, self/total trees) and persistent
-//!   per-call-site hit-position profiles ([`profile::HitProfile`]).
+//! - [`profile`] — post-hoc span cost attribution (collapsed-stack /
+//!   flamegraph text, self/total trees).
 
 pub mod json;
 pub mod profile;
@@ -244,26 +243,6 @@ impl Histogram {
         for (i, b) in other.buckets.iter().enumerate() {
             self.buckets[i] += b;
         }
-    }
-
-    /// The lower bound of the bucket containing the median sample
-    /// (`None` when empty). An approximation by construction — histograms
-    /// only keep bucket counts — but deterministic, which is what the
-    /// chunk-policy hint consumers need.
-    #[must_use]
-    pub fn median(&self) -> Option<i64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = self.count.div_ceil(2);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Some(Histogram::bucket_floor(i));
-            }
-        }
-        None
     }
 
     /// Renders the histogram as a one-line JSON object
@@ -1043,7 +1022,6 @@ mod tests {
         assert_eq!(h.min, 0);
         assert_eq!(h.max, 100);
         assert_eq!(h.buckets, vec![1, 1, 2, 1, 0, 0, 0, 1]);
-        assert_eq!(h.median(), Some(2));
         assert_eq!(
             h.render_json(),
             "{\"count\":6,\"sum\":110,\"min\":0,\"max\":100,\"buckets\":[1,1,2,1,0,0,0,1]}"

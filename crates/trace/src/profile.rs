@@ -1,29 +1,21 @@
-//! Post-hoc profiling aggregations over a collected [`Trace`].
+//! Post-hoc profiling aggregation over a collected [`Trace`].
 //!
-//! Two consumers-facing views live here:
+//! [`Attribution`] folds the span-path counter attribution recorded
+//! during a session (see [`Trace::attributed`]) into a hierarchical
+//! self/total cost tree, with a collapsed-stack text sink that standard
+//! flamegraph tooling consumes directly and byte-deterministic JSON /
+//! text renderings. Because attribution happens at counter-emit time,
+//! tree totals reconcile *exactly* with the flat counters — there is no
+//! sampling and no drift.
 //!
-//! - [`Attribution`] folds the span-path counter attribution recorded
-//!   during a session (see [`Trace::attributed`]) into a hierarchical
-//!   self/total cost tree, with a collapsed-stack text sink that standard
-//!   flamegraph tooling consumes directly and byte-deterministic JSON /
-//!   text renderings. Because attribution happens at counter-emit time,
-//!   tree totals reconcile *exactly* with the flat counters — there is no
-//!   sampling and no drift.
-//! - [`HitProfile`] extracts the per-call-site hit-position histograms the
-//!   speculative runtime records (`runtime.hit_pos{site}`) into a
-//!   standalone, deterministically-serialized profile file. `ChunkPolicy`
-//!   consumes it read-only today (the ramp stays static); it is the data
-//!   contract a future adaptive-scheduling change flips on.
-//!
-//! Everything here is plain data folding — no sessions, no globals — so it
-//! works the same on a [`TraceGuard::finish`](crate::TraceGuard::finish)
-//! result and on a [`live_snapshot`](crate::live_snapshot).
+//! It is plain data folding — no sessions, no globals — so it works the
+//! same on a [`TraceGuard::finish`](crate::TraceGuard::finish) result and
+//! on a [`live_snapshot`](crate::live_snapshot).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::json::{lookup, JsonVal};
-use crate::{json_str, Histogram, Trace};
+use crate::{json_str, Trace};
 
 /// Display name for the empty span path (counters recorded outside any
 /// span).
@@ -200,100 +192,6 @@ impl Attribution {
     }
 }
 
-/// Histogram-key prefix under which the speculative runtime records hit
-/// positions (`runtime.hit_pos{<call site>}`).
-pub const HIT_POS_PREFIX: &str = "runtime.hit_pos{";
-
-/// Per-call-site hit-position profile, extracted from the
-/// `runtime.hit_pos{site}` histograms a traced run records.
-///
-/// Serialized deterministically via [`HitProfile::render_json`] and read
-/// back with [`HitProfile::parse_json`], so a profile file produced by one
-/// run can seed `ChunkPolicy::expected_hit` hints in a later one. This
-/// release only defines the contract and a read-only consumer — the chunk
-/// ramp stays static.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HitProfile {
-    /// Call site (the outlined chunk-function name with its run-varying
-    /// gensym suffix stripped, e.g. `__chunk_find`) → hit-position
-    /// histogram.
-    pub sites: BTreeMap<String, Histogram>,
-}
-
-impl HitProfile {
-    /// Collects every `runtime.hit_pos{site}` histogram from `trace`.
-    #[must_use]
-    pub fn from_trace(trace: &Trace) -> HitProfile {
-        let mut sites = BTreeMap::new();
-        for (name, h) in &trace.histograms {
-            if let Some(rest) = name.strip_prefix(HIT_POS_PREFIX) {
-                if let Some(site) = rest.strip_suffix('}') {
-                    sites.insert(site.to_string(), h.clone());
-                }
-            }
-        }
-        HitProfile { sites }
-    }
-
-    /// The approximate median hit position for `site` (bucket lower
-    /// bound), if the profile has samples for it.
-    #[must_use]
-    pub fn median_hit(&self, site: &str) -> Option<i64> {
-        self.sites.get(site).and_then(Histogram::median)
-    }
-
-    /// Renders the profile as byte-deterministic JSON
-    /// (schema `gr-trace/hit-profile/v1`).
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"gr-trace/hit-profile/v1\",\n  \"sites\": {");
-        for (i, (site, h)) in self.sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}: {}", json_str(site), h.render_json());
-        }
-        if !self.sites.is_empty() {
-            out.push('\n');
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-
-    /// Parses a profile previously written by [`HitProfile::render_json`].
-    /// Returns `None` on malformed input or a wrong schema tag. Tolerates
-    /// whitespace variations; numbers must be integers.
-    #[must_use]
-    pub fn parse_json(input: &str) -> Option<HitProfile> {
-        let doc = JsonVal::parse(input)?;
-        let top = doc.as_obj()?;
-        let schema = lookup(top, "schema")?.as_str()?;
-        if schema != "gr-trace/hit-profile/v1" {
-            return None;
-        }
-        let mut sites = BTreeMap::new();
-        for (site, val) in lookup(top, "sites")?.as_obj()? {
-            let o = val.as_obj()?;
-            let buckets_val = lookup(o, "buckets")?.as_arr()?;
-            let mut buckets = Vec::with_capacity(buckets_val.len());
-            for b in buckets_val {
-                buckets.push(u64::try_from(b.as_int()?).ok()?);
-            }
-            let count = u64::try_from(lookup(o, "count")?.as_int()?).ok()?;
-            let (min, max) = if count == 0 {
-                (i64::MAX, i64::MIN)
-            } else {
-                (lookup(o, "min")?.as_int()?, lookup(o, "max")?.as_int()?)
-            };
-            sites.insert(
-                site.clone(),
-                Histogram { count, sum: lookup(o, "sum")?.as_int()?, min, max, buckets },
-            );
-        }
-        Some(HitProfile { sites })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,51 +259,15 @@ mod tests {
         assert_eq!(json, a.render_json());
     }
 
-    #[test]
-    fn hit_profile_round_trips_byte_exactly() {
-        let mut p = HitProfile::default();
-        let mut h = Histogram::new();
-        for v in [3000i64, 2999, 3001, 0] {
-            h.record(v);
-        }
-        p.sites.insert("find_first".to_string(), h);
-        p.sites.insert("empty \"site\"".to_string(), Histogram::new());
-        let json = p.render_json();
-        let back = HitProfile::parse_json(&json).expect("round trip");
-        assert_eq!(back, p);
-        assert_eq!(back.render_json(), json, "render-parse-render is byte-stable");
-        assert_eq!(p.median_hit("find_first"), Some(2048));
-        assert_eq!(p.median_hit("empty \"site\""), None);
-        assert_eq!(p.median_hit("absent"), None);
-    }
-
-    #[test]
-    fn hit_profile_parse_rejects_malformed_input() {
-        assert!(HitProfile::parse_json("").is_none());
-        assert!(HitProfile::parse_json("{}").is_none());
-        assert!(HitProfile::parse_json("{\"schema\": \"other/v1\", \"sites\": {}}").is_none());
-        assert!(HitProfile::parse_json("{\"schema\": \"gr-trace/hit-profile/v1\"").is_none());
-        let ok =
-            HitProfile::parse_json("{ \"schema\": \"gr-trace/hit-profile/v1\", \"sites\": {} }");
-        assert_eq!(ok, Some(HitProfile::default()));
-    }
-
     #[cfg(not(feature = "off"))]
     #[test]
-    fn from_trace_extracts_hit_sites_and_attribution() {
+    fn from_trace_extracts_attribution() {
         let guard = crate::start();
         {
             let _d = crate::span("detect");
             crate::counter("solver.steps", 5);
         }
-        crate::histogram_keyed("runtime.hit_pos", "find_first", 3000);
-        crate::histogram_keyed("runtime.hit_pos", "any_of", 12);
-        crate::histogram_keyed("runtime.chunk_len", "find_first", 64);
         let trace = guard.finish();
-        let p = HitProfile::from_trace(&trace);
-        assert_eq!(p.sites.len(), 2, "only hit_pos histograms are profile sites");
-        assert_eq!(p.sites["find_first"].sum, 3000);
-        assert_eq!(p.sites["any_of"].count, 1);
         let a = Attribution::from_trace(&trace);
         assert_eq!(a.total("solver.steps"), trace.counter("solver.steps"));
         assert_eq!(a.collapsed("solver.steps"), "(root);detect 5\n");
