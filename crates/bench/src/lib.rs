@@ -111,9 +111,8 @@ pub mod stats {
                  }
                  return r;
              }";
-        // Everything from detection on happens inside the session: the
-        // solver counters it records are filtered out below, and pipeline
-        // work never leaks into a session another thread may hold open.
+        // Everything from detection on happens inside the session; the
+        // solver counters it records are filtered out below.
         let guard = gr_trace::start();
         let m = gr_frontend::compile(FIND_FIRST).expect("runtime workload compiles");
         let rs = gr_core::detect_reductions(&m);
@@ -151,11 +150,6 @@ pub mod stats {
     /// Every probe is fixed (program, data, thread count, fault site), so
     /// the counts are byte-deterministic and CI gates them against the
     /// baseline exactly like the scheduler counters.
-    ///
-    /// Single-threaded callers only (the figure binaries): the fault
-    /// seams are armed while the trace session is open, the reverse of
-    /// the guard-then-session order the test suites use, which is safe
-    /// only because nothing else contends for either lock here.
     #[must_use]
     pub fn measure_error_counters() -> gr_trace::MetricsSnapshot {
         use gr_interp::{Machine, Memory, RtVal};

@@ -1,9 +1,6 @@
 //! Corpus-wide pins for the profiling layer: the collapsed-stack
 //! attribution must be hierarchical and stay within the corpus step pin,
 //! and the profile artifacts must be byte-deterministic across runs.
-//!
-//! Own binary for the same reason as `trace_substrate.rs`: each test
-//! opens a global trace session and the session lock serializes them.
 
 use gr_bench::stats::measure_profile;
 

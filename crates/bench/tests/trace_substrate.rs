@@ -1,11 +1,6 @@
 //! The solver-step pins of `solver_steps.rs`, re-checked through the
 //! `gr-trace` substrate: the trace's `solver.steps` counter must equal the
 //! steps the detection reports account, over the whole corpus.
-//!
-//! These tests live in their own binary because each opens a global trace
-//! session (the session lock serializes them); pipeline code running in
-//! *other* test binaries executes in other processes and cannot record
-//! into these sessions.
 
 use gr_bench::stats::{corpus, measure_runtime_counters};
 use gr_benchsuite::suite_programs;

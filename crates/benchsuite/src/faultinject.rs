@@ -30,10 +30,6 @@
 //! (`target/fuzz-failures/`); [`write_fault_ledger`] additionally renders
 //! the aggregated `error.*` ledger to `target/fault-ledger/` so CI can
 //! upload what actually fired.
-//!
-//! Lock-order discipline (shared with `crates/parallel/tests/`): the
-//! [`InjectGuard`] is always armed **before** the trace session opens —
-//! both are process-exclusive, and a fixed order cannot deadlock.
 
 use std::collections::BTreeMap;
 
@@ -353,10 +349,12 @@ fn runtime_case(
 
     let mut observed: Vec<String> = Vec::new();
     let mut traces: Vec<gr_trace::Trace> = Vec::new();
+    // Thread counts whose checks passed: `traces[checked]`, when present,
+    // is the trace of the run whose check failed.
+    let mut checked = 0usize;
     let mut fired = 0usize;
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         for &t in threads {
-            // Lock order: fault seam first, trace session second.
             let fault = arm.map(|f| f());
             let session = gr_trace::start();
             let mut mem = Memory::new(&pm);
@@ -390,6 +388,7 @@ fn runtime_case(
                     "{tag} (threads={t}): outcome shape diverged: sequential {s:?} vs parallel {p:?}"
                 ),
             }
+            checked += 1;
         }
     }));
     for trace in &traces {
@@ -397,7 +396,8 @@ fn runtime_case(
     }
     if let Err(panic) = outcome {
         let seq_ok = seq_ret.as_ref().ok().cloned().flatten();
-        fuzz::dump_failure(seed, case_idx, case, &seq_ok, &observed, panic.as_ref());
+        let failing = traces.get(checked);
+        fuzz::dump_failure(seed, case_idx, case, &seq_ok, &observed, panic.as_ref(), failing);
         std::panic::resume_unwind(panic);
     }
     if fired > 0 {

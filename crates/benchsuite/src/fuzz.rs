@@ -567,7 +567,7 @@ pub fn run_differential(seed: u64, cases: usize, threads: &[usize]) -> FuzzRepor
             }
         }));
         if let Err(panic) = outcome {
-            dump_failure(seed, case_idx, &case, &seq_ret, &observed, panic.as_ref());
+            dump_failure(seed, case_idx, &case, &seq_ret, &observed, panic.as_ref(), None);
             std::panic::resume_unwind(panic);
         }
     }
@@ -578,9 +578,9 @@ pub fn run_differential(seed: u64, cases: usize, threads: &[usize]) -> FuzzRepor
 /// `target/fuzz-failures/<seed>.txt` — the seed, the rendered program,
 /// the sequential reference result and every parallel result observed
 /// before the divergence — so a CI failure is diagnosable without
-/// re-running the sweep. When a trace session is active, the live event
-/// stream is additionally dumped to `<seed>.trace.json` (Chrome trace
-/// format) so the failing schedule itself is part of the artifact.
+/// re-running the sweep. `trace`, when the caller traced the failing run,
+/// is additionally dumped to `<seed>.trace.json` (Chrome trace format)
+/// so the failing schedule itself is part of the artifact.
 pub(crate) fn dump_failure(
     seed: u64,
     case_idx: usize,
@@ -588,6 +588,7 @@ pub(crate) fn dump_failure(
     seq_ret: &Option<RtVal>,
     observed: &[String],
     panic: &(dyn std::any::Any + Send),
+    trace: Option<&gr_trace::Trace>,
 ) {
     use std::fmt::Write as _;
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/fuzz-failures");
@@ -615,7 +616,7 @@ pub(crate) fn dump_failure(
     if std::fs::write(&path, body).is_ok() {
         eprintln!("fuzz-failure artifact written to {}", path.display());
     }
-    if let Some(trace) = gr_trace::live_snapshot() {
+    if let Some(trace) = trace {
         let trace_path = dir.join(format!("{seed:#x}.trace.json"));
         if std::fs::write(&trace_path, trace.chrome_json()).is_ok() {
             eprintln!("fuzz-failure trace written to {}", trace_path.display());
@@ -661,6 +662,7 @@ mod tests {
             &Some(RtVal::I(5)),
             &["threads=2: parallel result = Some(I(6))".to_string()],
             payload.as_ref(),
+            None,
         );
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../../target/fuzz-failures/0xa11ce.txt");
@@ -673,14 +675,14 @@ mod tests {
     }
 
     #[test]
-    fn failure_artifact_dumps_live_trace_when_session_active() {
+    fn failure_artifact_dumps_the_failing_runs_trace() {
         let mut rng = StdRng::seed_from_u64(2);
         let case = generate(&mut rng);
         let payload: Box<dyn std::any::Any + Send> = Box::new("synthetic divergence".to_string());
         let guard = gr_trace::start();
         gr_trace::counter("fuzz.synthetic", 1);
-        dump_failure(0xBEEF2, 0, &case, &Some(RtVal::I(5)), &[], payload.as_ref());
-        drop(guard.finish());
+        let failing = guard.finish();
+        dump_failure(0xBEEF2, 0, &case, &Some(RtVal::I(5)), &[], payload.as_ref(), Some(&failing));
         let dir =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../target/fuzz-failures");
         let txt = dir.join("0xbeef2.txt");

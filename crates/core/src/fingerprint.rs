@@ -9,10 +9,10 @@
 //!    never looks at name strings (the solver enumerates `values(F)`
 //!    positionally), so two alpha-renamed twins have byte-identical
 //!    reports modulo the `function` field and must share one cache entry.
-//!    Gensym suffixes from outlining (`__chunk_find_5`) are name noise of
-//!    exactly this kind, so the one name that *is* semantic — a call's
-//!    target — is hashed through [`strip_gensym`], the same normalization
-//!    the runtime's per-call-site histogram keys use.
+//!    Gensym suffixes (`_<digits>`, as in the outliner's `__chunk_find_1`
+//!    when `__chunk_find` is taken) are name noise of exactly this kind,
+//!    so the one name that *is* semantic — a call's target — is hashed
+//!    through `strip_gensym`.
 //! 2. **Edit sensitivity.** Any structural change — one instruction
 //!    added, an operand swapped, a constant changed, a type widened —
 //!    must change the fingerprint, because a stale cache hit would serve
@@ -90,12 +90,10 @@ impl Default for Fnv64 {
     }
 }
 
-/// Strips a trailing `_<digits>` gensym suffix: `__chunk_find_5` →
-/// `__chunk_find`, `k` → `k`. The same normalization the parallel
-/// runtime applies to trace site keys, reused here so fingerprints (and
-/// the cache entries they key) are stable under gensym renaming.
-#[must_use]
-pub fn strip_gensym(name: &str) -> &str {
+/// Strips a trailing `_<digits>` gensym suffix: `__chunk_find_1` →
+/// `__chunk_find`, `k` → `k`, so fingerprints (and the cache entries they
+/// key) are stable under gensym renaming.
+fn strip_gensym(name: &str) -> &str {
     match name.rfind('_') {
         Some(i) if i + 1 < name.len() && name[i + 1..].bytes().all(|b| b.is_ascii_digit()) => {
             &name[..i]

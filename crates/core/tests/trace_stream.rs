@@ -1,8 +1,5 @@
 //! The detection pipeline's trace stream: byte-identical replays, prune
 //! reasons, the error ledger and the prefix-cache counters.
-//!
-//! Every test opens a trace session; the global session lock serializes
-//! them, so no other test in this binary records into a foreign session.
 
 use gr_core::atoms::MatchCtx;
 use gr_core::detect_reductions;

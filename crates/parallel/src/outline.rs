@@ -5,7 +5,7 @@
 //! Given a function `f` with detected reductions that all live in one
 //! counted loop, [`parallelize`] produces a new module in which:
 //!
-//! * a function `__chunk_f_<k>(lo, hi, step, closure…, cells…)` contains
+//! * a function `__chunk_f(lo, hi, step, closure…, cells…)` contains
 //!   a clone of the loop body iterating `lo → hi`, with every carried
 //!   value stored to its out-cell at the end (partial results). Scalar
 //!   accumulators are seeded with their operator's identity; argmin/argmax
@@ -15,10 +15,14 @@
 //!   both passes of the two-pass block scan;
 //! * `f`'s loop is replaced by: allocate one cell per carried value,
 //!   store the original initial value, call the intrinsic
-//!   `__parrun_<k>(iter_begin, iter_end, iter_step, closure…, cells…)`,
+//!   `__parrun_f(iter_begin, iter_end, iter_step, closure…, cells…)`,
 //!   reload the cells, and jump to the loop exit;
 //! * all uses of the carried values after the loop are rewired to the
 //!   reloaded values.
+//!
+//! The names depend only on the module being rewritten: a module that
+//! already holds `__chunk_f` gets `__chunk_f_1` and `__parrun_f_1` (the
+//! smallest free suffix) instead.
 //!
 //! The runtime (see [`crate::runtime`]) intercepts the intrinsic, bisects
 //! the iteration space over threads, runs the chunk on privatized memory
@@ -136,7 +140,19 @@ impl fmt::Display for OutlineError {
 
 impl std::error::Error for OutlineError {}
 
-static CHUNK_COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+/// The chunk and intrinsic names for outlining `func_name` in `module`:
+/// `__chunk_<f>` and `__parrun_<f>`, suffixed `_<k>` with the smallest
+/// free `k` only when the module already holds that chunk name. They
+/// depend on the module alone, so rewriting one module twice names its
+/// chunks the same.
+fn chunk_names(module: &Module, func_name: &str) -> (String, String) {
+    let base = format!("__chunk_{func_name}");
+    let suffix = (0..)
+        .map(|k| if k == 0 { String::new() } else { format!("_{k}") })
+        .find(|suffix| module.function(&format!("{base}{suffix}")).is_none())
+        .expect("some suffix is free");
+    (format!("{base}{suffix}"), format!("__parrun_{func_name}{suffix}"))
+}
 
 /// Rewrites `func_name` in (a clone of) `module` to execute its detected
 /// reduction loop through the parallel runtime.
@@ -458,9 +474,7 @@ fn parallelize_inner(
     }
 
     // --- build the chunk function -----------------------------------------
-    let k = CHUNK_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let chunk_name = format!("__chunk_{func_name}_{k}");
-    let intrinsic = format!("__parrun_{func_name}_{k}");
+    let (chunk_name, intrinsic) = chunk_names(module, func_name);
 
     let mut params: Vec<(String, Type)> = vec![
         ("lo".to_string(), Type::Int),
@@ -895,7 +909,7 @@ fn parallelize_inner(
 /// Outlines a detected **map-reduce fusion** into a single chunked
 /// map+reduce body that never materializes the intermediate array:
 ///
-/// * `__chunk_f_<k>(lo, hi, step, closure…, out)` iterates the *consumer's*
+/// * `__chunk_f(lo, hi, step, closure…, out)` iterates the *consumer's*
 ///   range once; each iteration first runs the producer body's value
 ///   computation (the `tmp[i] = p_val` store and its address chain are
 ///   **not cloned** — the consumer's `tmp[j]` load is rewired straight to
@@ -1124,9 +1138,7 @@ fn outline_fused(
     }
 
     // --- build the fused chunk ------------------------------------------
-    let k = CHUNK_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let chunk_name = format!("__chunk_{func_name}_{k}");
-    let intrinsic = format!("__parrun_{func_name}_{k}");
+    let (chunk_name, intrinsic) = chunk_names(module, func_name);
 
     let acc_ty = func.value(acc).ty;
     let ptr_ty = |ty: Type| match ty {
@@ -1375,7 +1387,7 @@ fn outline_fused(
 /// guard is independent of them). The chunk clones both exits **and** the
 /// carried state:
 ///
-/// * `__chunk_f_<k>(lo, hi, step, closure…, hit, exits…, folds…)` runs
+/// * `__chunk_f(lo, hi, step, closure…, hit, exits…, folds…)` runs
 ///   the loop over `[lo, hi)` with the guarded break intact and every
 ///   fold accumulator seeded with its operator's identity. Its exit block
 ///   merges a **hit phi** — the iterator from the break edge,
@@ -1572,9 +1584,7 @@ fn outline_speculative(
     }
 
     // --- build the chunk function ----------------------------------------
-    let k = CHUNK_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let chunk_name = format!("__chunk_{func_name}_{k}");
-    let intrinsic = format!("__parrun_{func_name}_{k}");
+    let (chunk_name, intrinsic) = chunk_names(module, func_name);
 
     let ptr_ty = |ty: Type| match ty {
         Type::Int | Type::Bool => Type::PtrInt,
@@ -2064,6 +2074,25 @@ mod tests {
         assert_eq!(plan.pred, gr_ir::CmpPred::Lt);
         // lo, hi, step, a, n?, cell — closure contains at least `a`.
         assert!(plan.arg_count >= 5);
+    }
+
+    #[test]
+    fn chunk_names_depend_only_on_the_module() {
+        const SUM: &str =
+            "float sum(float* a, int n) { float s = 0.0; for (int i = 0; i < n; i++) s += a[i]; return s; }";
+        let names = |m: &Module| {
+            let (_, plan) = parallelize(m, "sum", &detect_reductions(m)).unwrap();
+            (plan.chunk_fn, plan.intrinsic)
+        };
+        let m = compile(SUM).unwrap();
+        let plain = ("__chunk_sum".to_string(), "__parrun_sum".to_string());
+        assert_eq!(names(&m), plain);
+        assert_eq!(names(&m), plain, "a second rewrite of one module names its chunk the same");
+        let taken = format!("float __chunk_sum(float x) {{ return x; }}\n{SUM}");
+        let suffixed = ("__chunk_sum_1".to_string(), "__parrun_sum_1".to_string());
+        assert_eq!(names(&compile(&taken).unwrap()), suffixed);
+        let both = format!("float __chunk_sum_1(float x) {{ return x; }}\n{taken}");
+        assert_eq!(names(&compile(&both).unwrap()).0, "__chunk_sum_2", "the smallest free suffix");
     }
 
     #[test]

@@ -255,18 +255,24 @@ fn run_pass(
         &plan.chunk_fn
     };
     gr_trace::counter("runtime.passes", 1);
+    let seams = crate::fault::armed();
+    let seams = seams.as_deref();
     let results: Result<Vec<PieceOut>, PieceFailure> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (pi, &(start, len)) in pieces.iter().enumerate() {
             let base: &Memory = mem;
             let mut piece_args = args.to_vec();
             let seeds = scan_seeds[pi].clone();
+            let slot = gr_trace::worker();
             handles.push(scope.spawn(move || -> Result<PieceOut, PieceFailure> {
+                let _trace = slot.map(gr_trace::Worker::bind);
                 // Contain panics on the worker itself: a panicking chunk
                 // must never tear down the whole executor (unwinding out
                 // of a scoped thread aborts via the scope join).
                 let run = catch_unwind(AssertUnwindSafe(|| -> Result<PieceOut, Trap> {
-                    crate::fault::maybe_panic(pi);
+                    if let Some(seams) = seams {
+                        seams.maybe_panic(pi);
+                    }
                     if gr_trace::enabled() {
                         gr_trace::counter("runtime.chunk_dispatch", 1);
                         gr_trace::instant(
@@ -692,20 +698,6 @@ fn recover_pass_failure(
     }
 }
 
-/// Stable per-call-site key for the runtime profiling histograms: the
-/// chunk-function name with its trailing outliner gensym stripped
-/// (`__chunk_find_5` → `__chunk_find`). The gensym is a process-global
-/// counter, so it is not stable across runs — exactly the wrong key for
-/// histograms the bench baseline gates by name. Distinct search loops in
-/// one function share a site; that coarseness is deliberate.
-///
-/// This is [`gr_core::strip_gensym`] — the same normalization the
-/// fingerprinting layer applies to call names — not a private
-/// re-implementation.
-fn trace_site(chunk_fn: &str) -> &str {
-    gr_core::strip_gensym(chunk_fn)
-}
-
 /// The cancellable speculative executor for early-exit loops: searches
 /// and speculative folds.
 ///
@@ -759,11 +751,11 @@ fn execute_search(
         if plan.chunking.front_ramp { ramped(count, target) } else { bisect(count, target) };
     if gr_trace::enabled() {
         gr_trace::counter("runtime.chunks_planned", pieces.len() as i64);
-        // Chunk-size distribution per call site, recorded at plan time (on
-        // the dispatching thread, before any worker races) so the profile
-        // is deterministic for a fixed thread count.
+        // Chunk-size distribution per chunk function, recorded at plan
+        // time (on the dispatching thread, before any worker races) so the
+        // profile is deterministic for a fixed thread count.
         for &(_, len) in &pieces {
-            gr_trace::histogram_keyed("runtime.chunk_len", trace_site(&plan.chunk_fn), len);
+            gr_trace::histogram_keyed("runtime.chunk_len", &plan.chunk_fn, len);
         }
         if plan.chunking.front_ramp {
             gr_trace::instant(
@@ -797,20 +789,24 @@ fn execute_search(
     // crate's poisoning-immune mutex: a panicking worker (whose panic is
     // contained before the lock is ever held here) can never wedge it.
     let failures: crate::sync::Mutex<Vec<(usize, GrError)>> = crate::sync::Mutex::new(Vec::new());
+    let seams = crate::fault::armed();
+    let seams = seams.as_deref();
     let results: Vec<Vec<ChunkOut>> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..threads.max(1) {
             let base: &Memory = mem;
             let (token, next, pieces, trapped) = (&token, &next, &pieces, &trapped);
             let (exit_objs, fold_objs, failures) = (&exit_objs, &fold_objs, &failures);
+            let slot = gr_trace::worker();
             handles.push(scope.spawn(move || -> Vec<ChunkOut> {
+                let _trace = slot.map(gr_trace::Worker::bind);
                 let mut done = Vec::new();
                 loop {
                     let c = next.fetch_add(1, Ordering::SeqCst);
                     if c >= pieces.len() {
                         break;
                     }
-                    if crate::fault::abort_requested(c) {
+                    if seams.is_some_and(|s| s.abort_requested(c)) {
                         token.abort();
                     }
                     gr_trace::counter("runtime.token_polls", 1);
@@ -832,7 +828,9 @@ fn execute_search(
                     piece_args[0] = RtVal::I(p_lo);
                     piece_args[1] = RtVal::I(clamp_hi(plan, p_hi, hi, step, start + len == count));
                     let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        crate::fault::maybe_panic(c);
+                        if let Some(seams) = seams {
+                            seams.maybe_panic(c);
+                        }
                         run_speculative_chunk(
                             module,
                             &plan.chunk_fn,
@@ -950,11 +948,11 @@ fn execute_search(
         let won = outs.iter().find(|o| o.chunk == w).expect("winner chunk result present");
         gr_trace::counter("runtime.merge_commits", 1);
         if gr_trace::enabled() {
-            // Hit-position profile per call site: the committed hit is the
-            // sequential first hit, so this histogram is identical across
-            // thread counts.
-            gr_trace::histogram_keyed("runtime.hit_pos", trace_site(&plan.chunk_fn), won.hit);
-            gr_trace::histogram_keyed("runtime.hit_chunk", trace_site(&plan.chunk_fn), w as i64);
+            // Hit-position profile per chunk function: the committed hit is
+            // the sequential first hit, so this histogram is identical
+            // across thread counts.
+            gr_trace::histogram_keyed("runtime.hit_pos", &plan.chunk_fn, won.hit);
+            gr_trace::histogram_keyed("runtime.hit_chunk", &plan.chunk_fn, w as i64);
         }
         mem.store_i(hit_obj, 0, won.hit).map_err(Trap::Mem)?;
         for (&o, obj) in exit_objs.iter().zip(&won.exits) {

@@ -5,11 +5,7 @@
 //! fallback re-runs the loop in sequential order rather than merging
 //! reassociated partials.
 //!
-//! Lock-order discipline for this binary: tests arm the
-//! [`gr_parallel::fault::InjectGuard`] **before** opening the trace
-//! session — both are process-exclusive, and a fixed order cannot
-//! deadlock. The thread-matrix CI leg runs this file under
-//! `GR_THREADS={2,8}`.
+//! The thread-matrix CI leg runs this file under `GR_THREADS={2,8}`.
 
 use gr_core::detect_reductions;
 use gr_frontend::compile;
@@ -240,4 +236,35 @@ fn unfired_faults_are_disarmed_by_guard_drop() {
     assert_eq!(got, n as i64);
     assert_eq!(trace.counter("runtime.trap_fallbacks"), 0);
     assert_eq!(trace.counter("error{GR004}"), 0);
+}
+
+#[test]
+fn concurrent_guards_fault_only_their_own_runs() {
+    // A panic and an abort armed at the same time on two threads: each
+    // run degrades through its own fault and never sees the other's.
+    let n = 2000usize;
+    let data: Vec<i64> = (0..n as i64).collect();
+    for round in 0..5 {
+        let barrier = std::sync::Barrier::new(2);
+        let ledgers: Vec<(i64, i64)> = std::thread::scope(|s| {
+            let arms: [fn() -> InjectGuard; 2] =
+                [|| InjectGuard::panic_at_chunk(0), || InjectGuard::abort_at_chunk(0)];
+            let handles: Vec<_> = arms
+                .into_iter()
+                .map(|arm| {
+                    let (data, barrier) = (&data, &barrier);
+                    s.spawn(move || {
+                        let fault = arm();
+                        barrier.wait();
+                        let (got, trace) = parallel_find(data, -1, 2);
+                        assert_eq!(got, n as i64);
+                        assert!(fault.fired());
+                        (trace.counter("error{GR004}"), trace.counter("error{GR005}"))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(ledgers, vec![(1, 0), (0, 1)], "round {round}");
+    }
 }

@@ -2,9 +2,7 @@
 //!
 //! The ROADMAP gates scheduling wins on deterministic scheduler-step
 //! counters rather than wall time; these tests pin that property on the
-//! `gr-trace` substrate. Every test opens a trace session, so the global
-//! session lock serializes them against each other — no other test in
-//! this binary records into a foreign session.
+//! `gr-trace` substrate, and that a trace holds only its owner's work.
 //!
 //! The thread-matrix CI leg runs this file under `GR_THREADS={2,8}`
 //! (through [`gr_parallel::test_thread_counts`]), asserting determinism at
@@ -187,6 +185,81 @@ fn detection_side_event_stream_is_thread_count_invariant() {
                 assert_eq!(&stream, ref_stream, "threads={threads}");
                 assert_eq!(steps, *ref_steps, "threads={threads}");
             }
+        }
+    }
+}
+
+const INT_SUM: &str = "int sum(int* a, int n) {
+         int s = 0;
+         for (int i = 0; i < n; i++) s += a[i];
+         return s;
+     }";
+
+#[test]
+fn traced_fold_renders_byte_identical_chrome_json_at_eight_threads() {
+    // A fold runs one worker per piece; each worker's lane is the slot its
+    // spawner took for that piece, so the rendered trace cannot depend on
+    // which worker happened to record first.
+    let m = compile(INT_SUM).unwrap();
+    let rs = detect_reductions(&m);
+    let (pm, plan) = parallelize(&m, "sum", &rs).unwrap();
+    assert!(plan.search.is_none());
+    let data: Vec<i64> = (0..4096).collect();
+    let render = || {
+        let mut mem = Memory::new(&pm);
+        let a = mem.alloc_int(&data);
+        let mut machine = Machine::new(&pm, mem);
+        machine.set_handler(handler(&pm, plan.clone(), 8));
+        let guard = gr_trace::start();
+        let got = machine.call("sum", &[RtVal::ptr(a), RtVal::I(data.len() as i64)]).unwrap();
+        let trace = guard.finish();
+        assert_eq!(got.unwrap().as_i(), data.iter().sum::<i64>());
+        assert_eq!(trace.counter("runtime.chunk_complete"), 8);
+        trace.chrome_json()
+    };
+    let first = render();
+    for repeat in 1..50 {
+        assert_eq!(render(), first, "repeat {repeat}");
+    }
+}
+
+#[test]
+fn concurrent_sessions_hold_only_their_owners_work() {
+    // Two traced pipelines and one untraced one run at the same time; each
+    // trace must render exactly what the same pipeline renders alone.
+    let n = 9000usize;
+    let data: Vec<i64> = (0..n as i64).map(|i| (i * 7919) % 10007).collect();
+    let x = data[2 * n / 3];
+    let solo = traced_search_run(&data, x, 1).1.chrome_json();
+    for round in 0..5 {
+        let barrier = std::sync::Barrier::new(3);
+        let traces: Vec<String> = std::thread::scope(|s| {
+            let (data, barrier) = (&data, &barrier);
+            let traced: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(move || {
+                        barrier.wait();
+                        traced_search_run(data, x, 1).1.chrome_json()
+                    })
+                })
+                .collect();
+            s.spawn(move || {
+                barrier.wait();
+                let m = compile(FIND_FIRST).unwrap();
+                let rs = detect_reductions(&m);
+                let (pm, plan) = parallelize(&m, "find", &rs).unwrap();
+                let mut mem = Memory::new(&pm);
+                let a = mem.alloc_int(data);
+                let mut machine = Machine::new(&pm, mem);
+                machine.set_handler(handler(&pm, plan, 1));
+                machine
+                    .call("find", &[RtVal::ptr(a), RtVal::I(x), RtVal::I(data.len() as i64)])
+                    .unwrap();
+            });
+            traced.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (i, json) in traces.iter().enumerate() {
+            assert_eq!(json, &solo, "round {round}, traced thread {i}");
         }
     }
 }

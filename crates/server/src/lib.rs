@@ -232,7 +232,9 @@ impl DetectionServer {
                 for _ in 0..workers {
                     let queue = Arc::clone(&queue);
                     let out = &out;
+                    let slot = gr_trace::worker();
                     s.spawn(move || {
+                        let _trace = slot.map(gr_trace::Worker::bind);
                         // This worker's PrefixCache shard: owned for the
                         // pool's lifetime, valid per function.
                         let mut shard = PrefixCache::new();
@@ -365,21 +367,21 @@ mod tests {
         return s;
     }";
 
+    /// Two accumulators, so the scalar spec's `acc` label branches: a
+    /// single-accumulator body is all forced moves and cold-solves at
+    /// zero steps.
+    const NORMS: &str = "float norms(float* a, int n) {
+        float s = 0.0;
+        float q = 0.0;
+        for (int i = 0; i < n; i++) { s += a[i]; q += a[i] * a[i]; }
+        return s + q;
+    }";
+
     #[test]
     fn cold_batch_matches_sequential_and_warm_batch_is_free() {
-        // The second function carries two accumulators so the scalar
-        // spec's `acc` label branches: a single-accumulator body is all
-        // forced moves and would cold-solve at zero steps, making the
-        // `solver_steps > 0` assertion below vacuous.
-        let ms = modules(&[
-            SUM,
-            "float norms(float* a, int n) {
-            float s = 0.0;
-            float q = 0.0;
-            for (int i = 0; i < n; i++) { s += a[i]; q += a[i] * a[i]; }
-            return s + q;
-        }",
-        ]);
+        // NORMS keeps the `solver_steps > 0` assertion below from being
+        // vacuous.
+        let ms = modules(&[SUM, NORMS]);
         let mut server = DetectionServer::new(ServeConfig::default());
         let cold = server.run_batch(&ms);
         assert_eq!(cold.summary.cold_solves, 2);
@@ -397,6 +399,25 @@ mod tests {
         for (w, c) in warm.results.iter().zip(&cold.results) {
             assert_eq!(format!("{:?}", w.report.reductions), format!("{:?}", c.report.reductions));
         }
+    }
+
+    #[test]
+    fn traced_pool_workers_record_into_the_callers_session() {
+        // Cold solves run on the pool's workers, so the caller's trace
+        // sees their solver steps only if every worker joins its session.
+        let ms = modules(&[SUM, NORMS, &NORMS.replace("norms", "norms2")]);
+        let traced_steps = |jobs: usize| {
+            let mut server = DetectionServer::new(ServeConfig { jobs, ..ServeConfig::default() });
+            let guard = gr_trace::start();
+            let batch = server.run_batch(&ms);
+            let trace = guard.finish();
+            assert_eq!(trace.counter("server.jobs"), 3);
+            assert_eq!(trace.counter("solver.steps"), batch.summary.solver_steps as i64);
+            trace.counter("solver.steps")
+        };
+        let one = traced_steps(1);
+        assert!(one > 0, "the batch must cost solver steps");
+        assert_eq!(traced_steps(2), one, "jobs = 2 records what jobs = 1 does");
     }
 
     #[test]

@@ -9,26 +9,27 @@
 //!    program produce the same stream; counters aggregate to the same
 //!    totals. This is what lets CI gate scheduler behaviour on counters
 //!    instead of timings on single-CPU containers.
-//! 2. **Zero cost when off.** Recording is guarded by one relaxed atomic
-//!    load; with the `off` cargo feature the guard becomes a constant
+//! 2. **Zero cost when off.** Recording is guarded by one thread-local
+//!    read; with the `off` cargo feature the guard becomes a constant
 //!    `false` and every instrumented call site is dead-code-eliminated.
 //!
 //! ## Sessions
 //!
 //! Recording happens inside a *session*, started with [`start`] and closed
 //! with [`TraceGuard::finish`], which returns the collected [`Trace`].
-//! Sessions are process-global and mutually exclusive: a second `start`
-//! blocks until the first guard is dropped. Each participating thread gets
-//! its own buffer (in the spirit of `parallel::sync` — a thread only ever
-//! touches its own, so there is no cross-thread contention on the hot
-//! path) and a stable *worker ordinal* assigned on first emission; the
-//! session opener is always worker 0.
+//! A session belongs to the thread that opens it: [`start`] binds the
+//! calling thread as worker 0 and never blocks, so sessions on different
+//! threads are independent, and a `start` on a thread that is already
+//! recording shadows the outer session until its guard drops. A thread
+//! records only while it is bound, into a buffer only it touches, so the
+//! hot path takes no lock.
 //!
-//! Because the enable flag is global, threads that are not logically part
-//! of the traced operation would also record if they ran pipeline code
-//! concurrently in the same process. Test suites therefore keep all
-//! tracing tests in dedicated files where every test opens a session (the
-//! session lock then serializes them).
+//! Work the owner hands to other threads joins its session explicitly:
+//! the spawner takes one [`worker`] slot per thread, on its own thread,
+//! and the spawned thread binds it with [`Worker::bind`]. Worker ordinals
+//! follow the order the slots were taken. A thread that was never given a
+//! slot records nothing, so a trace holds exactly the work its owner
+//! asked for.
 //!
 //! ## Recording API
 //!
@@ -59,10 +60,10 @@
 pub mod json;
 pub mod profile;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::marker::PhantomData;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Argument value attached to an event.
@@ -128,7 +129,8 @@ pub struct Event {
     pub name: &'static str,
     /// Begin/End/Instant.
     pub phase: Phase,
-    /// Worker ordinal (0 = session opener; others in registration order).
+    /// Worker ordinal: 0 is the session opener; spawned workers count up
+    /// in the order their spawner took their [`worker`] slots.
     pub worker: u32,
     /// 1-based per-worker emission index; the logical timestamp.
     pub seq: u64,
@@ -278,194 +280,221 @@ struct AttrState {
     deltas: BTreeMap<String, BTreeMap<&'static str, i64>>,
 }
 
+/// Everything one worker recorded. Only its own thread writes it; it
+/// joins the session when that thread unbinds.
+#[derive(Default)]
 struct WorkerBuf {
     worker: u32,
-    events: Mutex<Vec<Event>>,
-    sums: Mutex<BTreeMap<String, i64>>,
-    maxes: Mutex<BTreeMap<String, i64>>,
-    hists: Mutex<BTreeMap<String, Histogram>>,
-    attr: Mutex<AttrState>,
+    events: Vec<Event>,
+    sums: BTreeMap<String, i64>,
+    maxes: BTreeMap<String, i64>,
+    hists: BTreeMap<String, Histogram>,
+    attr: AttrState,
 }
 
 impl WorkerBuf {
-    fn new(worker: u32) -> WorkerBuf {
-        WorkerBuf {
-            worker,
-            events: Mutex::new(Vec::new()),
-            sums: Mutex::new(BTreeMap::new()),
-            maxes: Mutex::new(BTreeMap::new()),
-            hists: Mutex::new(BTreeMap::new()),
-            attr: Mutex::new(AttrState::default()),
-        }
+    fn emit(&mut self, name: &'static str, phase: Phase, args: Vec<(&'static str, ArgVal)>) {
+        let seq = self.events.len() as u64 + 1;
+        self.events.push(Event { name, phase, worker: self.worker, seq, args });
     }
 }
 
-struct SessionState {
-    buffers: Vec<Arc<WorkerBuf>>,
-    next_worker: u32,
+/// One session's worker buffers, indexed by ordinal. A slot stays `None`
+/// while its worker is bound, and for good if it never binds.
+#[derive(Default)]
+struct Session {
+    slots: Mutex<Vec<Option<WorkerBuf>>>,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-static SESSION_TOKEN: Mutex<()> = Mutex::new(());
-static SESSION: Mutex<SessionState> =
-    Mutex::new(SessionState { buffers: Vec::new(), next_worker: 0 });
+impl Session {
+    /// Locks the slots. Every update is one push, store or take, so a lock
+    /// poisoned by a panicking holder still guards valid data.
+    fn lock(&self) -> MutexGuard<'_, Vec<Option<WorkerBuf>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes the next worker slot and returns its ordinal.
+    fn take_slot(&self) -> u32 {
+        let mut slots = self.lock();
+        slots.push(None);
+        u32::try_from(slots.len() - 1).expect("fewer than 2^32 workers per session")
+    }
+}
+
+/// A thread's binding: the session it records into and its own buffer.
+struct Recorder {
+    session: Arc<Session>,
+    buf: WorkerBuf,
+}
 
 thread_local! {
-    static TLS_BUF: RefCell<Option<(u64, Arc<WorkerBuf>)>> = const { RefCell::new(None) };
+    /// The calling thread's binding; `None` while it records nothing.
+    static BOUND: RefCell<Option<Recorder>> = const { RefCell::new(None) };
+    /// Whether `BOUND` holds a binding. A plain flag, so the check every
+    /// instrumented call site makes stays one thread-local load.
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
 }
 
-fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Whether a trace session is currently recording. One relaxed atomic
-/// load; a constant `false` under the `off` feature. Instrumented code may
-/// use this to skip argument construction entirely.
+/// Whether the calling thread is recording into a trace session. One
+/// thread-local read; a constant `false` under the `off` feature.
+/// Instrumented code may use this to skip argument construction entirely.
 #[inline]
 pub fn enabled() -> bool {
     if cfg!(feature = "off") {
         return false;
     }
-    ENABLED.load(Ordering::Relaxed)
+    RECORDING.get()
 }
 
-/// Exclusive handle on the active trace session. Dropping it (or calling
-/// [`TraceGuard::finish`]) stops recording; only `finish` yields the
-/// collected [`Trace`].
+/// Runs `f` on the calling thread's buffer and reports whether it ran:
+/// a thread that records nothing skips it.
+#[inline]
+fn record(f: impl FnOnce(&mut WorkerBuf)) -> bool {
+    if !enabled() {
+        return false;
+    }
+    BOUND.with_borrow_mut(|bound| bound.as_mut().map(|rec| f(&mut rec.buf)).is_some())
+}
+
+/// Binds `rec` (or nothing) to the calling thread and returns the binding
+/// it replaces.
+fn rebind(rec: Option<Recorder>) -> Option<Recorder> {
+    RECORDING.set(rec.is_some());
+    BOUND.with(|b| b.replace(rec))
+}
+
+/// Keeps the calling thread bound to a session as one worker. Dropping
+/// it hands the thread's records to the session and restores the binding
+/// it shadowed; guards on one thread drop in reverse order of creation,
+/// as lexical scopes do. `!Send`, because it unbinds the thread it drops
+/// on. Obtained from [`Worker::bind`] (and held by every [`TraceGuard`]).
+#[must_use = "the thread records only while the guard lives"]
+pub struct WorkerGuard {
+    outer: Option<Recorder>,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl WorkerGuard {
+    fn bind(session: Arc<Session>, worker: u32) -> WorkerGuard {
+        let rec = Recorder { session, buf: WorkerBuf { worker, ..WorkerBuf::default() } };
+        WorkerGuard { outer: rebind(Some(rec)), _not_send: PhantomData }
+    }
+}
+
+impl Drop for WorkerGuard {
+    fn drop(&mut self) {
+        if let Some(rec) = rebind(self.outer.take()) {
+            let slot = rec.buf.worker as usize;
+            rec.session.lock()[slot] = Some(rec.buf);
+        }
+    }
+}
+
+/// A worker slot in a session, taken by [`worker`] for one thread the
+/// caller is about to spawn.
+pub struct Worker {
+    session: Arc<Session>,
+    worker: u32,
+}
+
+impl Worker {
+    /// Binds the calling (spawned) thread to the slot's session, under the
+    /// slot's ordinal, until the returned guard drops.
+    pub fn bind(self) -> WorkerGuard {
+        WorkerGuard::bind(self.session, self.worker)
+    }
+}
+
+/// Takes one worker slot in the calling thread's session, for a thread it
+/// is about to spawn: take it on the spawning thread, in spawn order, and
+/// [`Worker::bind`] it on the spawned one. `None` when the caller records
+/// nothing (and always under the `off` feature).
+#[must_use]
+pub fn worker() -> Option<Worker> {
+    if cfg!(feature = "off") {
+        return None;
+    }
+    BOUND.with_borrow(|bound| {
+        bound.as_ref().map(|rec| Worker {
+            worker: rec.session.take_slot(),
+            session: Arc::clone(&rec.session),
+        })
+    })
+}
+
+/// Handle on the trace session opened by [`start`]. Dropping it (or
+/// calling [`TraceGuard::finish`]) stops recording on the opening thread
+/// and restores any session it shadowed; only `finish` yields the
+/// collected [`Trace`]. `!Send`: the opener keeps it.
+///
+/// ```compile_fail
+/// fn send<T: Send>() {}
+/// send::<gr_trace::TraceGuard>();
+/// ```
+#[must_use = "recording stops when the guard drops"]
 pub struct TraceGuard {
-    _token: Option<MutexGuard<'static, ()>>,
+    /// The session and the opener's binding; `None` under `off`.
+    open: Option<(Arc<Session>, WorkerGuard)>,
 }
 
 impl TraceGuard {
     /// Stops recording and returns the collected trace: events sorted by
     /// (worker, seq), counters merged across workers (sums added,
-    /// high-water marks maxed).
+    /// high-water marks maxed). Workers that are still bound are left out.
     pub fn finish(self) -> Trace {
-        if cfg!(feature = "off") {
+        let Some((session, opener)) = self.open else {
             return Trace::empty();
-        }
-        ENABLED.store(false, Ordering::SeqCst);
-        let buffers = {
-            let mut s = plock(&SESSION);
-            s.next_worker = 0;
-            std::mem::take(&mut s.buffers)
         };
-        collect(&buffers)
-        // the session token drops here, releasing exclusivity
+        drop(opener);
+        let slots = std::mem::take(&mut *session.lock());
+        collect(slots.into_iter().flatten())
     }
+}
+
+/// Starts a trace session owned by the calling thread, which becomes its
+/// worker 0. Never blocks: sessions on other threads are independent, and
+/// one already recording on this thread is shadowed until the returned
+/// guard drops.
+pub fn start() -> TraceGuard {
+    if cfg!(feature = "off") {
+        return TraceGuard { open: None };
+    }
+    let session = Arc::new(Session::default());
+    let opener = WorkerGuard::bind(Arc::clone(&session), session.take_slot());
+    TraceGuard { open: Some((session, opener)) }
 }
 
 /// Merges worker buffers into a [`Trace`]: events sorted by (worker, seq),
 /// sums added, high-water marks maxed, histograms bucket-merged, span-path
 /// counter attributions summed per (path, counter).
-fn collect(buffers: &[Arc<WorkerBuf>]) -> Trace {
-    let mut events = Vec::new();
-    let mut sums: BTreeMap<String, i64> = BTreeMap::new();
+fn collect(buffers: impl Iterator<Item = WorkerBuf>) -> Trace {
+    let mut trace = Trace::empty();
     let mut maxes: BTreeMap<String, i64> = BTreeMap::new();
-    let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
-    let mut attributed: BTreeMap<String, BTreeMap<String, i64>> = BTreeMap::new();
     for buf in buffers {
-        events.extend(plock(&buf.events).iter().cloned());
-        for (k, v) in plock(&buf.sums).iter() {
-            *sums.entry(k.clone()).or_insert(0) += *v;
+        trace.events.extend(buf.events);
+        for (k, v) in buf.sums {
+            *trace.counters.entry(k).or_insert(0) += v;
         }
-        for (k, v) in plock(&buf.maxes).iter() {
-            let e = maxes.entry(k.clone()).or_insert(i64::MIN);
-            *e = (*e).max(*v);
+        for (k, v) in buf.maxes {
+            let e = maxes.entry(k).or_insert(i64::MIN);
+            *e = (*e).max(v);
         }
-        for (k, h) in plock(&buf.hists).iter() {
-            histograms.entry(k.clone()).or_default().merge(h);
+        for (k, h) in &buf.hists {
+            trace.histograms.entry(k.clone()).or_default().merge(h);
         }
-        for (path, per) in plock(&buf.attr).deltas.iter() {
-            let slot = attributed.entry(path.clone()).or_default();
+        for (path, per) in buf.attr.deltas {
+            let slot = trace.attributed.entry(path).or_default();
             for (c, v) in per {
-                *slot.entry((*c).to_string()).or_insert(0) += *v;
+                *slot.entry(c.to_string()).or_insert(0) += v;
             }
         }
     }
-    events.sort_by_key(|e| (e.worker, e.seq));
-    let mut counters = sums;
+    trace.events.sort_by_key(|e| (e.worker, e.seq));
     for (k, v) in maxes {
-        let e = counters.entry(k).or_insert(i64::MIN);
+        let e = trace.counters.entry(k).or_insert(i64::MIN);
         *e = (*e).max(v);
     }
-    Trace { events, counters, histograms, attributed }
-}
-
-/// Clones the state of the *live* session into a [`Trace`] without ending
-/// it — `None` when no session is recording (or under the `off` feature).
-/// Used by failure paths (e.g. fuzz repro artifacts) that want to dump the
-/// event stream leading up to a mismatch while the session keeps running.
-#[must_use]
-pub fn live_snapshot() -> Option<Trace> {
-    if !enabled() {
-        return None;
-    }
-    let buffers: Vec<Arc<WorkerBuf>> = plock(&SESSION).buffers.clone();
-    Some(collect(&buffers))
-}
-
-impl Drop for TraceGuard {
-    fn drop(&mut self) {
-        if !cfg!(feature = "off") {
-            ENABLED.store(false, Ordering::SeqCst);
-        }
-    }
-}
-
-/// Starts a trace session, blocking until any previous session's guard is
-/// dropped. The calling thread is registered as worker 0.
-pub fn start() -> TraceGuard {
-    if cfg!(feature = "off") {
-        return TraceGuard { _token: None };
-    }
-    let token = SESSION_TOKEN.lock().unwrap_or_else(PoisonError::into_inner);
-    {
-        let mut s = plock(&SESSION);
-        s.buffers.clear();
-        s.next_worker = 0;
-    }
-    EPOCH.fetch_add(1, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
-    // Register the opener eagerly so it is always worker 0.
-    let _ = current_buf();
-    TraceGuard { _token: Some(token) }
-}
-
-fn current_buf() -> Option<Arc<WorkerBuf>> {
-    if !enabled() {
-        return None;
-    }
-    let epoch = EPOCH.load(Ordering::SeqCst);
-    TLS_BUF.with(|slot| {
-        {
-            let cached = slot.borrow();
-            if let Some((e, buf)) = cached.as_ref() {
-                if *e == epoch {
-                    return Some(Arc::clone(buf));
-                }
-            }
-        }
-        let mut s = plock(&SESSION);
-        if !enabled() {
-            return None;
-        }
-        let buf = Arc::new(WorkerBuf::new(s.next_worker));
-        s.next_worker += 1;
-        s.buffers.push(Arc::clone(&buf));
-        drop(s);
-        *slot.borrow_mut() = Some((epoch, Arc::clone(&buf)));
-        Some(buf)
-    })
-}
-
-fn emit(name: &'static str, phase: Phase, args: Vec<(&'static str, ArgVal)>) {
-    if let Some(buf) = current_buf() {
-        let mut events = plock(&buf.events);
-        let seq = events.len() as u64 + 1;
-        events.push(Event { name, phase, worker: buf.worker, seq, args });
-    }
+    trace
 }
 
 /// RAII span: emits a Begin event on creation (when recording) and the
@@ -477,15 +506,12 @@ pub struct Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(name) = self.name {
-            if enabled() {
-                emit(name, Phase::End, Vec::new());
-                if let Some(buf) = current_buf() {
-                    let mut attr = plock(&buf.attr);
-                    if let Some(mark) = attr.marks.pop() {
-                        attr.path.truncate(mark);
-                    }
+            record(|buf| {
+                buf.emit(name, Phase::End, Vec::new());
+                if let Some(mark) = buf.attr.marks.pop() {
+                    buf.attr.path.truncate(mark);
                 }
-            }
+            });
         }
     }
 }
@@ -499,28 +525,21 @@ pub fn span(name: &'static str) -> Span {
 /// Opens a span with arguments on the Begin event.
 #[must_use]
 pub fn span_with(name: &'static str, args: Vec<(&'static str, ArgVal)>) -> Span {
-    if !enabled() {
-        return Span { name: None };
-    }
-    emit(name, Phase::Begin, args);
-    if let Some(buf) = current_buf() {
-        let mut attr = plock(&buf.attr);
-        let mark = attr.path.len();
-        attr.marks.push(mark);
+    let recorded = record(|buf| {
+        buf.emit(name, Phase::Begin, args);
+        let attr = &mut buf.attr;
+        attr.marks.push(attr.path.len());
         if !attr.path.is_empty() {
             attr.path.push(';');
         }
         attr.path.push_str(name);
-    }
-    Span { name: Some(name) }
+    });
+    Span { name: recorded.then_some(name) }
 }
 
 /// Emits an instantaneous event with arguments.
 pub fn instant(name: &'static str, args: Vec<(&'static str, ArgVal)>) {
-    if !enabled() {
-        return;
-    }
-    emit(name, Phase::Instant, args);
+    record(|buf| buf.emit(name, Phase::Instant, args));
 }
 
 /// Adds `delta` to the summed counter `name` on the current worker.
@@ -529,43 +548,31 @@ pub fn instant(name: &'static str, args: Vec<(&'static str, ArgVal)>) {
 /// [`Trace::attributed`]), so attribution totals reconcile exactly with
 /// the flat counter by construction.
 pub fn counter(name: &'static str, delta: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        *plock(&buf.sums).entry(name.to_string()).or_insert(0) += delta;
-        let state = &mut *plock(&buf.attr);
+    record(|buf| {
+        *buf.sums.entry(name.to_string()).or_insert(0) += delta;
+        let state = &mut buf.attr;
         if !state.deltas.contains_key(state.path.as_str()) {
             state.deltas.insert(state.path.clone(), BTreeMap::new());
         }
         let per = state.deltas.get_mut(state.path.as_str()).expect("path slot just ensured");
         *per.entry(name).or_insert(0) += delta;
-    }
+    });
 }
 
 /// Adds `delta` to the keyed counter `name{key}` — e.g.
 /// `counter_keyed("solver.prunes", "Dominates", 1)` records under
 /// `solver.prunes{Dominates}`.
 pub fn counter_keyed(name: &'static str, key: &str, delta: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        *plock(&buf.sums).entry(format!("{name}{{{key}}}")).or_insert(0) += delta;
-    }
+    record(|buf| *buf.sums.entry(format!("{name}{{{key}}}")).or_insert(0) += delta);
 }
 
 /// Raises the high-water-mark counter `name` to at least `value` (merged
 /// across workers by max).
 pub fn counter_max(name: &'static str, value: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        let mut maxes = plock(&buf.maxes);
-        let e = maxes.entry(name.to_string()).or_insert(i64::MIN);
+    record(|buf| {
+        let e = buf.maxes.entry(name.to_string()).or_insert(i64::MIN);
         *e = (*e).max(value);
-    }
+    });
 }
 
 /// Records one sample into the log2-bucketed histogram `name` on the
@@ -573,24 +580,14 @@ pub fn counter_max(name: &'static str, value: i64) {
 /// [`TraceGuard::finish`], so the merged result is byte-deterministic for
 /// a deterministic sample multiset regardless of worker interleaving.
 pub fn histogram(name: &'static str, value: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        plock(&buf.hists).entry(name.to_string()).or_default().record(value);
-    }
+    record(|buf| buf.hists.entry(name.to_string()).or_default().record(value));
 }
 
 /// Records one sample into the keyed histogram `name{key}` — e.g.
 /// `histogram_keyed("runtime.hit_pos", "find_first", 3000)` records under
 /// `runtime.hit_pos{find_first}`.
 pub fn histogram_keyed(name: &'static str, key: &str, value: i64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(buf) = current_buf() {
-        plock(&buf.hists).entry(format!("{name}{{{key}}}")).or_default().record(value);
-    }
+    record(|buf| buf.hists.entry(format!("{name}{{{key}}}")).or_default().record(value));
 }
 
 /// The result of a trace session: the ordered event stream plus the merged
@@ -851,7 +848,7 @@ mod off_tests {
         histogram_keyed("h", "k", 3);
         instant("i", Vec::new());
         let _s = span("s");
-        assert!(live_snapshot().is_none());
+        assert!(worker().is_none());
         let t = guard.finish();
         assert!(t.events.is_empty());
         assert!(t.counters.is_empty());
@@ -946,7 +943,9 @@ mod tests {
         counter("c", 1);
         std::thread::scope(|s| {
             for _ in 0..4 {
-                s.spawn(|| {
+                let slot = worker();
+                s.spawn(move || {
+                    let _bound = slot.map(Worker::bind);
                     counter("c", 10);
                     instant("worker.tick", Vec::new());
                 });
@@ -955,15 +954,99 @@ mod tests {
         let trace = guard.finish();
         assert_eq!(trace.counter("c"), 41);
         let ticks: Vec<u32> = trace.events_named("worker.tick").map(|e| e.worker).collect();
-        assert_eq!(ticks.len(), 4);
-        for w in &ticks {
-            assert!((1..=4).contains(w), "spawned threads get ordinals 1..=4, got {w}");
-        }
+        assert_eq!(ticks, vec![1, 2, 3, 4], "spawned threads get ordinals 1..=4");
         // Events are sorted by (worker, seq).
         let order: Vec<(u32, u64)> = trace.events.iter().map(|e| (e.worker, e.seq)).collect();
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(order, sorted);
+    }
+
+    #[test]
+    fn ordinals_follow_the_order_slots_were_taken() {
+        // Threads start in reverse slot order; each records its slot index,
+        // so the lane a tick lands on shows which slot the thread bound.
+        let guard = start();
+        let mut slots: Vec<(usize, Worker)> =
+            (0..4).map(|i| (i, worker().expect("recording"))).collect();
+        while let Some((i, slot)) = slots.pop() {
+            std::thread::scope(|s| {
+                s.spawn(move || {
+                    let _bound = slot.bind();
+                    instant("worker.tick", vec![("slot", i.into())]);
+                });
+            });
+        }
+        let trace = guard.finish();
+        let ticks: Vec<(u32, Option<i64>)> = trace
+            .events_named("worker.tick")
+            .map(|e| (e.worker, e.arg_int("slot")))
+            .collect();
+        assert_eq!(ticks, vec![(1, Some(0)), (2, Some(1)), (3, Some(2)), (4, Some(3))]);
+    }
+
+    #[test]
+    fn a_thread_without_a_slot_records_nothing() {
+        let guard = start();
+        counter("c", 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!enabled(), "spawning does not bind");
+                counter("c", 10);
+                instant("stray", Vec::new());
+            });
+        });
+        let trace = guard.finish();
+        assert_eq!(trace.counter("c"), 1);
+        assert_eq!(trace.events_named("stray").count(), 0);
+    }
+
+    #[test]
+    fn a_nested_session_shadows_the_outer_one() {
+        let outer = start();
+        counter("a", 1);
+        let inner = start();
+        counter("b", 2);
+        let slot = worker().expect("recording");
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let _bound = slot.bind();
+                counter("b", 20);
+            });
+        });
+        let inner = inner.finish();
+        assert!(enabled(), "the outer session records again");
+        counter("c", 3);
+        let outer = outer.finish();
+        assert!(!enabled());
+        assert_eq!((inner.counter("a"), inner.counter("b"), inner.counter("c")), (0, 22, 0));
+        assert_eq!((outer.counter("a"), outer.counter("b"), outer.counter("c")), (1, 0, 3));
+    }
+
+    #[test]
+    fn sessions_on_different_threads_are_independent() {
+        // Both sessions are open at once; neither sees the other's work.
+        let barrier = std::sync::Barrier::new(2);
+        let traces: Vec<Trace> = std::thread::scope(|s| {
+            let handles: Vec<_> = [3i64, 5]
+                .into_iter()
+                .map(|n| {
+                    let barrier = &barrier;
+                    s.spawn(move || {
+                        let guard = start();
+                        barrier.wait();
+                        for _ in 0..n {
+                            counter("x", 1);
+                        }
+                        barrier.wait();
+                        guard.finish()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("no panic")).collect()
+        });
+        assert_eq!(traces[0].counter("x"), 3);
+        assert_eq!(traces[1].counter("x"), 5);
     }
 
     #[test]
@@ -1062,7 +1145,9 @@ mod tests {
             histogram_keyed("h.by", "site", 2);
             std::thread::scope(|s| {
                 for t in 0..4 {
+                    let slot = worker();
                     s.spawn(move || {
+                        let _bound = slot.map(Worker::bind);
                         histogram("h", t * 10);
                         histogram_keyed("h.by", "site", t);
                     });
@@ -1117,21 +1202,6 @@ mod tests {
     }
 
     #[test]
-    fn live_snapshot_observes_without_ending_the_session() {
-        let guard = start();
-        counter("c", 3);
-        histogram("h", 4);
-        let snap = live_snapshot().expect("session active");
-        assert_eq!(snap.counter("c"), 3);
-        assert_eq!(snap.histogram("h").map(|h| h.count), Some(1));
-        assert!(enabled(), "snapshot must not stop recording");
-        counter("c", 4);
-        let trace = guard.finish();
-        assert_eq!(trace.counter("c"), 7);
-        assert!(live_snapshot().is_none(), "no session after finish");
-    }
-
-    #[test]
     fn chrome_json_labels_lanes_and_groups_keyed_counters() {
         let guard = start();
         {
@@ -1140,8 +1210,12 @@ mod tests {
             counter_keyed("solver.prunes", "Dominates", 3);
             counter_keyed("solver.prunes", "ReadsBefore", 4);
         }
+        let slot = worker();
         std::thread::scope(|s| {
-            s.spawn(|| instant("worker.tick", Vec::new()));
+            s.spawn(move || {
+                let _bound = slot.map(Worker::bind);
+                instant("worker.tick", Vec::new());
+            });
         });
         let trace = guard.finish();
         let json = trace.chrome_json();

@@ -8,9 +8,9 @@
 //! tree totals reconcile *exactly* with the flat counters — there is no
 //! sampling and no drift.
 //!
-//! It is plain data folding — no sessions, no globals — so it works the
-//! same on a [`TraceGuard::finish`](crate::TraceGuard::finish) result and
-//! on a [`live_snapshot`](crate::live_snapshot).
+//! It is plain data folding over a
+//! [`TraceGuard::finish`](crate::TraceGuard::finish) result — no
+//! sessions, no globals.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
