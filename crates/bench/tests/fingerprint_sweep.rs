@@ -1,6 +1,6 @@
 //! Fingerprint distinctness sweep over the seeded fuzz grammars.
 //!
-//! The serving layer keys its caches on `gr-fp/v1` structural
+//! The serving layer keys its caches on `gr-fp/v2` structural
 //! fingerprints, so two properties carry the whole design:
 //!
 //! 1. **Distinct programs fingerprint apart.** The synthetic corpus

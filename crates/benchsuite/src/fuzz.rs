@@ -324,7 +324,7 @@ pub fn corpus_functions_from_env() -> usize {
 /// bench: `functions` single-kernel translation units named `f0..fN`,
 /// drawn from the same idiom grammar as the differential fuzzer but with
 /// the function index folded into each body as a distinguishing constant
-/// — `gr-fp/v1` hashes constant payloads, so every non-twin function has
+/// — `gr-fp/v2` hashes constant payloads, so every non-twin function has
 /// a distinct structural fingerprint. Every 16th function instead
 /// repeats the previous body verbatim under its own name: an
 /// alpha-renamed twin, the fingerprint-level duplicate a warm report

@@ -176,7 +176,7 @@ fn main() -> ExitCode {
             println!("  batch <files..> [--jobs N] [--cache <dir>] [--budget N]");
             println!("                               run files through the detection worker pool;");
             println!("                               --cache persists a fingerprint-keyed report");
-            println!("                               cache (gr-cache/v1) so unchanged functions");
+            println!("                               cache (gr-cache/v2) so unchanged functions");
             println!("                               re-serve with zero solver steps");
             println!("  serve [--jobs N] [--cache <dir>] [--budget N]");
             println!("                               long-running server: reads one file path per");
@@ -253,8 +253,9 @@ fn main() -> ExitCode {
                 }
                 // One request = one file batch; the persistent cache and
                 // the worker pool configuration live across requests, and
-                // the cache is re-persisted after each one so a killed
-                // server loses at most the in-flight request.
+                // each request's stores and touches are appended to the
+                // cache file after it, so a killed server loses at most
+                // the in-flight request.
                 serve_files(&mut server, std::slice::from_ref(&path.to_string()));
                 if let Err(e) = server.persist() {
                     eprintln!("cannot persist cache: {e}");

@@ -108,10 +108,11 @@ pub enum GrError {
         /// Function (chunk) being executed.
         function: String,
     },
-    /// `GR006` — a persistent detection-cache artifact (`gr-cache/v1`)
-    /// failed to parse or failed its schema check and was discarded;
-    /// every affected function degraded to a full re-solve. Served
-    /// results are never derived from a corrupted artifact.
+    /// `GR006` — a persistent detection-cache file (`gr-cache/v2`) had a
+    /// bad header or a complete record that failed to parse and was
+    /// discarded; every affected function degraded to a full re-solve.
+    /// Served results are never derived from a corrupted artifact. A
+    /// torn last record (a kill mid-append) is dropped without this code.
     CacheCorrupt {
         /// Path of the discarded cache file, rendered.
         path: String,

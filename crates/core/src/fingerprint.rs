@@ -1,22 +1,29 @@
 //! Structural function fingerprints — the content-hash key of the
-//! persistent detection cache (`gr-cache/v1`, see `docs/formats.md`).
+//! persistent detection cache (`gr-cache/v2`, see `docs/formats.md`).
 //!
 //! A fingerprint must satisfy two properties the serving layer
 //! (`gr-server`) builds on:
 //!
 //! 1. **Alpha-rename stability.** Renaming the function, its parameters,
-//!    locals, labels or globals must not change the fingerprint: detection
-//!    never looks at name strings (the solver enumerates `values(F)`
-//!    positionally), so two alpha-renamed twins have byte-identical
-//!    reports modulo the `function` field and must share one cache entry.
-//!    Gensym suffixes (`_<digits>`, as in the outliner's `__chunk_find_1`
-//!    when `__chunk_find` is taken) are name noise of exactly this kind,
-//!    so the one name that *is* semantic — a call's target — is hashed
-//!    through `strip_gensym`.
-//! 2. **Edit sensitivity.** Any structural change — one instruction
-//!    added, an operand swapped, a constant changed, a type widened —
-//!    must change the fingerprint, because a stale cache hit would serve
-//!    a wrong report forever.
+//!    locals, labels, globals or callees must not change the fingerprint:
+//!    detection never looks at user-chosen name strings (the solver
+//!    enumerates `values(F)` positionally), so two alpha-renamed twins
+//!    have byte-identical reports modulo the `function` field and must
+//!    share one cache entry.
+//! 2. **Soundness.** Every input detection reads must reach the hash, so
+//!    any change that could change the report — one instruction added, an
+//!    operand swapped, a constant changed, a type widened, a callee that
+//!    turns impure — changes the fingerprint, because a stale cache hit
+//!    would serve a wrong report forever.
+//!
+//! Detection reads exactly one module-level fact about a function: the
+//! purity of each callee ([`PurityInfo`], a fixpoint over the whole call
+//! graph, which `Analyses` hands to the atoms). So a call hashes as its
+//! callee's purity bit, never as the callee's name, and a renamed callee
+//! keeps the fingerprint. The one exception is a built-in's name
+//! ([`gr_ir::builtins::is_builtin`]): the post-check reads `fmin`, `fmax`,
+//! `imin` and `imax` by name as a reduction's operator, and a user
+//! function may shadow a built-in, so such calls hash the name as well.
 //!
 //! The hash is FNV-1a over a canonical byte encoding of the function's
 //! positional structure (types, opcodes, operand indices, constant
@@ -27,11 +34,13 @@
 //! across runs. The encoding is versioned by [`FINGERPRINT_SCHEMA`];
 //! bumping it invalidates every on-disk cache entry at once.
 
+use gr_analysis::purity::PurityInfo;
 use gr_ir::{Function, Module, Opcode, ValueKind};
 
-/// Version tag mixed into every fingerprint. Bump when the encoding
-/// changes; old `gr-cache/v1` entries then simply never match again.
-pub const FINGERPRINT_SCHEMA: &str = "gr-fp/v1";
+/// Version tag mixed into every fingerprint and named by the header of
+/// every `gr-cache/v2` file. Bump when the encoding changes; files keyed
+/// by another version then load as corruption and serve no hits.
+pub const FINGERPRINT_SCHEMA: &str = "gr-fp/v2";
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -90,42 +99,42 @@ impl Default for Fnv64 {
     }
 }
 
-/// Strips a trailing `_<digits>` gensym suffix: `__chunk_find_1` →
-/// `__chunk_find`, `k` → `k`, so fingerprints (and the cache entries they
-/// key) are stable under gensym renaming.
-fn strip_gensym(name: &str) -> &str {
-    match name.rfind('_') {
-        Some(i) if i + 1 < name.len() && name[i + 1..].bytes().all(|b| b.is_ascii_digit()) => {
-            &name[..i]
-        }
-        _ => name,
-    }
-}
-
-fn hash_opcode(h: &mut Fnv64, opcode: &Opcode) {
+fn hash_opcode(h: &mut Fnv64, purity: &PurityInfo, opcode: &Opcode) {
     match opcode {
         // `Display` covers every payload-free opcode with a stable
-        // mnemonic; the one name-carrying opcode is normalized below.
+        // mnemonic; a call hashes what detection reads of its callee.
         Opcode::Call(name) => {
             h.write_str("call");
-            h.write_str(strip_gensym(name));
+            h.write_u64(u64::from(purity.is_pure(name)));
+            h.write_str(if gr_ir::builtins::is_builtin(name) { name } else { "" });
         }
         other => h.write_str(&other.to_string()),
     }
 }
 
-/// Structural fingerprint of `func` within `module`.
+/// Structural fingerprint of `func` within `module`, computing the
+/// module's [`PurityInfo`] on the way. A caller fingerprinting several
+/// functions of one module computes it once and calls
+/// [`function_fingerprint_with`].
+#[must_use]
+pub fn function_fingerprint(module: &Module, func: &Function) -> u64 {
+    function_fingerprint_with(module, &PurityInfo::new(module), func)
+}
+
+/// Structural fingerprint of `func` within `module`, whose callee purity
+/// is `purity` (`PurityInfo::new(module)`).
 ///
 /// Hashes, in order: the schema tag, the signature (parameter types and
 /// return type — not names), the value arena (kind tag, payload, type —
 /// not the optional source name), and the block layout (per-block
-/// instruction lists — not block names). Global references hash the
+/// instruction lists — not block names). A call hashes its callee's
+/// purity bit, plus the name for a built-in. Global references hash the
 /// referenced global's element type and declared size, not its name, so
 /// renaming a global is alpha-renaming too. `ValueId`s and `BlockId`s
 /// are arena positions — already name-free — and are hashed as raw
 /// indices.
 #[must_use]
-pub fn function_fingerprint(module: &Module, func: &Function) -> u64 {
+pub fn function_fingerprint_with(module: &Module, purity: &PurityInfo, func: &Function) -> u64 {
     let mut h = Fnv64::new();
     h.write_str(FINGERPRINT_SCHEMA);
 
@@ -170,7 +179,7 @@ pub fn function_fingerprint(module: &Module, func: &Function) -> u64 {
             }
             ValueKind::Inst { opcode, operands } => {
                 h.write_str("inst");
-                hash_opcode(&mut h, opcode);
+                hash_opcode(&mut h, purity, opcode);
                 h.write_usize(operands.len());
                 for op in operands {
                     h.write_usize(op.index());
@@ -195,10 +204,11 @@ pub fn function_fingerprint(module: &Module, func: &Function) -> u64 {
 /// driver diffs against the persistent cache.
 #[must_use]
 pub fn module_fingerprints(module: &Module) -> Vec<(String, u64)> {
+    let purity = PurityInfo::new(module);
     module
         .functions
         .iter()
-        .map(|f| (f.name.clone(), function_fingerprint(module, f)))
+        .map(|f| (f.name.clone(), function_fingerprint_with(module, &purity, f)))
         .collect()
 }
 
@@ -273,13 +283,50 @@ mod tests {
         );
     }
 
+    /// The fingerprint of the function named `name` in `src`.
+    fn fp_of(src: &str, name: &str) -> u64 {
+        let m = compile(src);
+        let f = m.functions.iter().find(|f| f.name == name).unwrap();
+        function_fingerprint(&m, f)
+    }
+
+    const CALLER: &str = "float f(float* a, int n) {
+        float s = 0.0;
+        for (int i = 0; i < n; i++) s += h(a[i]);
+        return s;
+    }";
+
     #[test]
-    fn gensym_stripping() {
-        assert_eq!(strip_gensym("__chunk_find_5"), "__chunk_find");
-        assert_eq!(strip_gensym("k"), "k");
-        assert_eq!(strip_gensym("k_"), "k_");
-        assert_eq!(strip_gensym("k_2x"), "k_2x");
-        assert_eq!(strip_gensym("a_12_34"), "a_12");
+    fn a_callee_turning_impure_changes_the_fingerprint() {
+        let pure = format!("float h(float x) {{ return x * 2.0; }}\n{CALLER}");
+        let impure =
+            format!("float g[4];\nfloat h(float x) {{ g[0] = x; return x * 2.0; }}\n{CALLER}");
+        assert_ne!(fp_of(&pure, "f"), fp_of(&impure, "f"));
+    }
+
+    #[test]
+    fn renaming_a_callee_keeps_the_fingerprint() {
+        let a = format!("float h(float x) {{ return x * 2.0; }}\n{CALLER}");
+        let b = a.replace("h(", "helper_7(");
+        assert_eq!(fp_of(&a, "f"), fp_of(&b, "f"));
+    }
+
+    #[test]
+    fn builtin_callees_hash_their_names() {
+        let call = |callee: &str| {
+            format!(
+                "float f(float* a, int n) {{
+                    float s = 0.0;
+                    for (int i = 0; i < n; i++) s = {callee}(s, a[i]);
+                    return s;
+                }}"
+            )
+        };
+        assert_ne!(fp_of(&call("fmin"), "f"), fp_of(&call("fmax"), "f"));
+        assert_ne!(fp_of(&call("fmin"), "f"), fp_of(&call("pow"), "f"));
+        // A pure user function in a built-in's place is a different key.
+        let user = format!("float mymin(float x, float y) {{ return x; }}\n{}", call("mymin"));
+        assert_ne!(fp_of(&call("fmin"), "f"), fp_of(&user, "f"));
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub use detect::{
     DetectionReport, DetectionStatus,
 };
 pub use error::{ErrorPhase, GrError};
-pub use fingerprint::{function_fingerprint, module_fingerprints};
+pub use fingerprint::{function_fingerprint, function_fingerprint_with, module_fingerprints};
 pub use report::{Reduction, ReductionKind, ReductionOp};
 pub use solver::{GenMemo, SearchPolicy};
 // `sese` is a free function in `spec`'s module root (not a submodule);

@@ -66,7 +66,7 @@ impl ReductionOp {
 
 impl ReductionOp {
     /// Parses the stable [`fmt::Display`] name back into the operator —
-    /// the round-trip the persistent `gr-cache/v1` format relies on.
+    /// the round-trip the persistent `gr-cache/v2` format relies on.
     #[must_use]
     pub fn from_name(name: &str) -> Option<ReductionOp> {
         Some(match name {
@@ -195,7 +195,7 @@ impl ReductionKind {
     }
 
     /// Parses the stable [`fmt::Display`] name back into the kind —
-    /// the round-trip the persistent `gr-cache/v1` format relies on.
+    /// the round-trip the persistent `gr-cache/v2` format relies on.
     #[must_use]
     pub fn from_name(name: &str) -> Option<ReductionKind> {
         Some(match name {

@@ -1,4 +1,4 @@
-//! The persistent cross-run detection cache (`gr-cache/v1`).
+//! The persistent cross-run detection cache (`gr-cache/v2`).
 //!
 //! Maps a structural function fingerprint
 //! ([`gr_core::fingerprint::function_fingerprint`]) to the function's
@@ -10,17 +10,28 @@
 //! Persistence follows the discipline of every persisted format (see
 //! `docs/formats.md`): a versioned schema tag, a hand-rendered
 //! byte-deterministic JSON layout, and a reader that rejects anything
-//! malformed with `None` rather than guessing. A rejected file is
-//! *poison*: [`ReportCache::load`] degrades to an empty cache (every
-//! function re-solves — slower, never wrong) and reports the discard as
-//! a `GR006` ledger entry.
+//! malformed rather than guessing. A rejected file is *poison*:
+//! [`ReportCache::load`] degrades to an empty cache (every function
+//! re-solves — slower, never wrong) and reports the discard as a `GR006`
+//! ledger entry.
 //!
-//! Each entry's line of the render is made once, when the entry is
-//! stored or parsed, so a persist orders and joins the stored lines
-//! instead of re-formatting every field of every entry, although a
-//! request changes only a few of them. [`ReportCache::save`]
-//! writes `<path>.tmp` and renames it over the artifact, so a process
-//! killed mid-persist never leaves a torn file behind.
+//! The file is a journal. A header line names the cache and key schemas;
+//! every later line is one record: a *store* carrying an entry's line, or
+//! a *touch* naming the fingerprint a hit moved to the most-recent end.
+//! [`ReportCache::persist`] appends only the records made since the
+//! previous persist, so its cost follows what a request stored or
+//! touched, not the size of the cache. The records are queued as
+//! fingerprints and rendered at persist time from the entries' lines,
+//! which are made once, when an entry is stored or replayed. Loading
+//! replays the records through the same store and touch code. A
+//! *compaction* rewrites the file as the live entries' store records,
+//! least-recently-used first — the bytes [`ReportCache::render`] returns
+//! — by writing `<path>.tmp` and renaming it over the file.
+//!
+//! A cache file has one writer. There is no fsync: the journal survives a
+//! killed process, not power loss. A kill mid-append leaves a *torn
+//! tail*, a last line without its `\n`, which load drops and counts; it
+//! is never a `GR006`.
 //!
 //! Three invariants keep cached results sound:
 //!
@@ -32,27 +43,28 @@
 //! 2. Entries store no function names: alpha-renamed twins share one
 //!    fingerprint and one entry, and the report is re-labelled with the
 //!    submitted function's name on every hit.
-//! 3. Eviction is LRU with a deterministic tie-break: entries carry a
-//!    logical touch clock (no wall time anywhere) with the fingerprint
-//!    as secondary key on clock ties, the render lists them
-//!    least-recently-used first under the same order, and reloading
-//!    renumbers in file order — so cache files are byte-for-byte
+//! 3. Eviction is LRU over a logical touch clock (no wall time anywhere).
+//!    The recency order is one ordered map keyed by `(touch, fp)` that
+//!    holds each entry's line, so the fingerprint breaks clock ties:
+//!    eviction pops its first element and the render walks it, copying
+//!    the lines in order. Cache files are therefore byte-for-byte
 //!    reproducible across machines and runs.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::Path;
 
 use gr_core::detect::{DetectionReport, DetectionStatus};
+use gr_core::fingerprint::FINGERPRINT_SCHEMA;
 use gr_core::report::{Reduction, ReductionKind, ReductionOp};
 use gr_core::GrError;
 use gr_ir::{BlockId, CmpPred, ValueId};
 use gr_trace::json::{lookup, JsonVal};
 use gr_trace::json_str;
 
-/// Schema tag of the on-disk render; the reader rejects anything else.
-pub const CACHE_SCHEMA: &str = "gr-cache/v1";
+/// Schema tag of the file's header line; the reader rejects anything else.
+pub const CACHE_SCHEMA: &str = "gr-cache/v2";
 
 /// Default capacity (entries) of a [`ReportCache`].
 pub const DEFAULT_CAPACITY: usize = 1 << 16;
@@ -80,59 +92,108 @@ fn pred_from_name(s: &str) -> Option<CmpPred> {
     })
 }
 
+/// The file's first line.
+fn header() -> String {
+    format!(
+        "{{\"schema\": {}, \"keys\": {}}}\n",
+        json_str(CACHE_SCHEMA),
+        json_str(FINGERPRINT_SCHEMA)
+    )
+}
+
+fn push_store(out: &mut String, line: &str) {
+    out.push_str("{\"store\": ");
+    out.push_str(line);
+    out.push_str("}\n");
+}
+
+fn push_touch(out: &mut String, fp: u64) {
+    let _ = writeln!(out, "{{\"touch\": \"{fp:016x}\"}}");
+}
+
+/// The body of the store record of `fp`, whose cold solve spent
+/// `solved_steps` (reporting only; a hit spends zero). It is made once,
+/// when the entry is created, and depends only on these inputs — never on
+/// the touch clock — so a persist or a render only copies stored lines.
+fn entry_line(fp: u64, solved_steps: usize, reductions: &[Reduction]) -> Box<str> {
+    let mut line = String::new();
+    let _ = write!(line, "{{\"fp\": \"{fp:016x}\", \"steps\": {solved_steps}, ");
+    line.push_str("\"reductions\": [");
+    for (j, r) in reductions.iter().enumerate() {
+        if j > 0 {
+            line.push_str(", ");
+        }
+        render_reduction(&mut line, r);
+    }
+    line.push_str("]}");
+    line.into_boxed_str()
+}
+
 struct CachedEntry {
     /// Reductions with `function` left empty; re-labelled on hit.
     reductions: Vec<Reduction>,
-    /// The entry's line of the `gr-cache/v1` render, made once when the
-    /// entry is created. It depends only on the fingerprint, the cold
-    /// solve's steps and the reductions — never on the touch clock — so
-    /// a render only orders and joins the stored lines.
-    line: Box<str>,
-    /// LRU recency: larger = more recently used.
+    /// LRU recency: larger = more recently used. The entry's key in
+    /// `ReportCache::order` is `(touch, fp)`.
     touch: u64,
 }
 
-impl CachedEntry {
-    /// An entry for `fp` whose cold solve spent `solved_steps` (reporting
-    /// only; a hit spends zero), with its line rendered.
-    fn new(fp: u64, solved_steps: usize, reductions: Vec<Reduction>, touch: u64) -> CachedEntry {
-        let mut line = String::new();
-        let _ = write!(line, "{{\"fp\": \"{fp:016x}\", \"steps\": {solved_steps}, ");
-        line.push_str("\"reductions\": [");
-        for (j, r) in reductions.iter().enumerate() {
-            if j > 0 {
-                line.push_str(", ");
-            }
-            render_reduction(&mut line, r);
-        }
-        line.push_str("]}");
-        CachedEntry { reductions, line: line.into_boxed_str(), touch }
-    }
+/// A record made since the last persist, kept as its fingerprint only:
+/// the store record's line is the live entry's own, copied at persist
+/// time.
+enum Record {
+    Store(u64),
+    Touch(u64),
+}
+
+/// What the next persist must write to bring the file up to date.
+struct Journal {
+    /// No append can bring the file up to date: it was missing, poisoned
+    /// or torn at load, or a write failed. The next persist writes a
+    /// compaction, and until then nothing is queued.
+    compact: bool,
+    /// Records made since the last persist, in order.
+    pending: Vec<Record>,
+    /// Size of the last compaction, in bytes.
+    compacted: u64,
+    /// Bytes appended since the last compaction.
+    appended: u64,
 }
 
 /// The in-memory face of the persistent cache. See the module docs for
-/// the soundness invariants.
+/// the file layout and the soundness invariants.
 pub struct ReportCache {
     entries: HashMap<u64, CachedEntry>,
+    /// Every entry's line under its `(touch, fp)`, least-recently-used
+    /// first: the LRU order, which a compaction copies as it walks it.
+    order: BTreeMap<(u64, u64), Box<str>>,
     capacity: usize,
     clock: u64,
+    journal: Journal,
 }
 
 impl ReportCache {
-    /// An empty cache evicting beyond `capacity` entries (minimum 1).
+    /// An empty cache evicting beyond `capacity` entries (minimum 1). Its
+    /// first persist writes a compaction.
     #[must_use]
     pub fn new(capacity: usize) -> ReportCache {
-        ReportCache { entries: HashMap::new(), capacity: capacity.max(1), clock: 0 }
+        ReportCache {
+            entries: HashMap::new(),
+            order: BTreeMap::new(),
+            capacity: capacity.max(1),
+            clock: 0,
+            journal: Journal { compact: true, pending: Vec::new(), compacted: 0, appended: 0 },
+        }
     }
 
     /// Loads `path`, degrading to an empty cache on any corruption.
     ///
     /// A missing file is a normal cold start (`None` error). An
-    /// unreadable, malformed or wrong-schema file is poison: the
-    /// returned `GR006` has already been [`GrError::emit`]ted (one
-    /// `error{GR006}` ledger entry plus a `cache.persistent.poisoned`
-    /// counter) and the cache starts empty — affected functions
-    /// re-solve, results are never derived from the corrupt artifact.
+    /// unreadable or corrupt file is poison: the returned `GR006` has
+    /// already been [`GrError::emit`]ted (one `error{GR006}` ledger entry
+    /// plus a `cache.persistent.poisoned` counter) and the cache starts
+    /// empty — affected functions re-solve, results are never derived
+    /// from the corrupt artifact. Loading never writes; the first persist
+    /// after a missing, poisoned or torn file writes a compaction.
     #[must_use]
     pub fn load(path: &Path, capacity: usize) -> (ReportCache, Option<GrError>) {
         let poison = |detail: String| {
@@ -156,94 +217,180 @@ impl ReportCache {
         }
     }
 
-    /// Parses a `gr-cache/v1` render. `None` on any malformation —
-    /// unknown schema, missing fields, a bad fingerprint, an
-    /// out-of-vocabulary kind/op/pred. Entries beyond `capacity` are
-    /// LRU-trimmed (the file lists least-recent first, so the tail is
-    /// kept).
+    /// Replays the bytes of a `gr-cache/v2` file. `None` on corruption: a
+    /// missing or wrong header (another cache or key schema), or a
+    /// complete line that is not a well-formed store or touch record. A
+    /// last line without its `\n` is a torn tail: it is dropped and
+    /// counted (`cache.persistent.torn_tails`), and the next persist
+    /// compacts it away. A touch of an absent fingerprint is a no-op.
+    ///
+    /// Every record is applied before the capacity rule, which then
+    /// evicts least-recently-used entries once; so a file reloaded at a
+    /// smaller capacity keeps exactly the most-recent tail of its
+    /// writer's cache, even where a touch names an entry that a smaller
+    /// cache would have evicted earlier in the replay.
     #[must_use]
     pub fn parse(text: &str, capacity: usize) -> Option<ReportCache> {
-        let root = JsonVal::parse(text)?;
-        let obj = root.as_obj()?;
-        if lookup(obj, "schema")?.as_str()? != CACHE_SCHEMA {
+        let (complete, torn) = match text.rfind('\n') {
+            Some(end) => text.split_at(end + 1),
+            None => ("", text),
+        };
+        let mut lines = complete.split_terminator('\n');
+        if lines.next()? != header().trim_end() {
             return None;
         }
-        let raw = lookup(obj, "entries")?.as_arr()?;
-        let mut cache = ReportCache::new(capacity);
-        let skip = raw.len().saturating_sub(cache.capacity);
-        for e in &raw[skip..] {
-            let e = e.as_obj()?;
-            let fp = u64::from_str_radix(lookup(e, "fp")?.as_str()?, 16).ok()?;
-            let solved_steps = usize::try_from(lookup(e, "steps")?.as_int()?).ok()?;
-            let mut reductions = Vec::new();
-            for r in lookup(e, "reductions")?.as_arr()? {
-                reductions.push(parse_reduction(r)?);
+        let mut cache = ReportCache::new(usize::MAX);
+        for line in lines {
+            let record = JsonVal::parse(line)?;
+            match record.as_obj()? {
+                [(kind, body)] if kind == "store" => {
+                    let (fp, reductions, line) = parse_entry(body)?;
+                    cache.insert(fp, reductions, line);
+                }
+                [(kind, fp)] if kind == "touch" => {
+                    cache.touch(parse_fp(fp)?);
+                }
+                _ => return None,
             }
-            cache.clock += 1;
-            let entry = CachedEntry::new(fp, solved_steps, reductions, cache.clock);
-            // Duplicate fingerprints would make the render ambiguous.
-            if cache.entries.insert(fp, entry).is_some() {
-                return None;
-            }
+        }
+        cache.capacity = capacity.max(1);
+        while cache.entries.len() > cache.capacity {
+            cache.pop_lru();
+        }
+        let compacted = cache.compaction_len();
+        cache.journal = Journal {
+            compact: !torn.is_empty(),
+            pending: Vec::new(),
+            compacted,
+            appended: (complete.len() as u64).saturating_sub(compacted),
+        };
+        if !torn.is_empty() && gr_trace::enabled() {
+            gr_trace::counter("cache.persistent.torn_tails", 1);
         }
         Some(cache)
     }
 
-    /// The deterministic on-disk render: entries least-recently-used
-    /// first, every field in a fixed order, fingerprints as zero-padded
-    /// hex. Rendering the same logical cache state always yields the
-    /// same bytes.
+    /// The compaction: the header line, then one store record per entry,
+    /// least-recently-used first. Rendering the same logical cache state
+    /// always yields the same bytes.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut order: Vec<(u64, u64, &str)> =
-            self.entries.iter().map(|(fp, e)| (e.touch, *fp, &*e.line)).collect();
-        // Secondary key on the fingerprint: entries whose touch clocks tie
-        // must still render in one canonical order, or the same logical
-        // cache state could produce different bytes across runs.
-        order.sort_unstable_by_key(|&(touch, fp, _)| (touch, fp));
-        let lines: usize = order.iter().map(|(_, _, line)| ",\n    ".len() + line.len()).sum();
-        let mut out = String::with_capacity(lines + 64);
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", json_str(CACHE_SCHEMA));
-        out.push_str("  \"entries\": [");
-        for (i, (_, _, line)) in order.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            out.push_str(line);
-        }
-        if order.is_empty() {
-            out.push_str("]\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
+        let mut out = String::with_capacity(self.compaction_len() as usize);
+        out.push_str(&header());
+        for line in self.order.values() {
+            push_store(&mut out, line);
         }
         out
     }
 
-    /// Writes the render to `path`, creating parent directories. The bytes
-    /// go to `<path>.tmp` in the same directory, which is then renamed over
-    /// `path`, so a process killed mid-write leaves the previous artifact
-    /// whole. There is no fsync: this guards against a killed process, not
-    /// against power loss.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
+    /// Length in bytes of [`ReportCache::render`].
+    fn compaction_len(&self) -> u64 {
+        let records: usize =
+            self.order.values().map(|line| "{\"store\": }\n".len() + line.len()).sum();
+        (header().len() + records) as u64
+    }
+
+    /// Brings the file at `path` up to date with the live cache.
+    ///
+    /// Appends the records made since the previous persist, and writes
+    /// nothing when there are none. It writes a compaction instead when
+    /// the file was missing, poisoned or torn at load, when an append
+    /// fails, and when the append would take the bytes appended since the
+    /// last compaction past that compaction's size, which keeps the file
+    /// under twice that size. A compaction goes to `<path>.tmp` in the
+    /// same directory, creating it, and is renamed over `path`; if it
+    /// fails, the error surfaces and the next persist compacts again.
+    pub fn persist(&mut self, path: &Path) -> io::Result<()> {
+        if !self.journal.compact {
+            let mut records = String::new();
+            for record in self.journal.pending.drain(..) {
+                // An entry evicted since its record was made is absent
+                // from the live cache, and replay needs no record of it.
+                match record {
+                    Record::Store(fp) => {
+                        if let Some(e) = self.entries.get(&fp) {
+                            push_store(&mut records, &self.order[&(e.touch, fp)]);
+                        }
+                    }
+                    Record::Touch(fp) => {
+                        if self.entries.contains_key(&fp) {
+                            push_touch(&mut records, fp);
+                        }
+                    }
+                }
+            }
+            if records.is_empty() {
+                return Ok(());
+            }
+            let appended = self.journal.appended + records.len() as u64;
+            if appended <= self.journal.compacted && append(path, &records).is_ok() {
+                self.journal.appended = appended;
+                if gr_trace::enabled() {
+                    gr_trace::counter("cache.persistent.appended_bytes", records.len() as i64);
+                }
+                return Ok(());
+            }
+        }
+        self.journal.compact = true;
+        let bytes = self.render();
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
-        std::fs::write(&tmp, self.render())?;
-        std::fs::rename(&tmp, path)
+        std::fs::write(&tmp, &bytes)?;
+        std::fs::rename(&tmp, path)?;
+        self.journal.compact = false;
+        self.journal.compacted = bytes.len() as u64;
+        self.journal.appended = 0;
+        if gr_trace::enabled() {
+            gr_trace::counter("cache.persistent.compactions", 1);
+        }
+        Ok(())
+    }
+
+    /// Queues `record` for the next persist, unless that persist compacts
+    /// anyway.
+    fn queue(&mut self, record: Record) {
+        if !self.journal.compact {
+            self.journal.pending.push(record);
+        }
+    }
+
+    /// Makes an entry for `fp` the most recent, replacing any entry under
+    /// `fp`.
+    fn insert(&mut self, fp: u64, reductions: Vec<Reduction>, line: Box<str>) {
+        self.clock += 1;
+        if let Some(old) = self.entries.insert(fp, CachedEntry { reductions, touch: self.clock }) {
+            self.order.remove(&(old.touch, fp));
+        }
+        self.order.insert((self.clock, fp), line);
+    }
+
+    /// Makes `fp`'s entry the most recent; `false` if there is none.
+    fn touch(&mut self, fp: u64) -> bool {
+        let Some(e) = self.entries.get_mut(&fp) else { return false };
+        let line = self.order.remove(&(e.touch, fp)).expect("every entry is ordered");
+        self.clock += 1;
+        e.touch = self.clock;
+        self.order.insert((self.clock, fp), line);
+        true
+    }
+
+    /// Removes the least-recently-used entry of a non-empty cache.
+    fn pop_lru(&mut self) {
+        let ((_, fp), _) = self.order.pop_first().expect("a non-empty cache has an LRU entry");
+        self.entries.remove(&fp);
     }
 
     /// Serves a cached report for fingerprint `fp`, re-labelled as
     /// `function`. `steps_used` is 0 — a hit spends no solver steps.
     pub fn hit(&mut self, fp: u64, function: &str) -> Option<DetectionReport> {
-        self.clock += 1;
-        let clock = self.clock;
-        let e = self.entries.get_mut(&fp)?;
-        e.touch = clock;
-        let mut reductions = e.reductions.clone();
+        if !self.touch(fp) {
+            return None;
+        }
+        self.queue(Record::Touch(fp));
+        let mut reductions = self.entries[&fp].reductions.clone();
         for r in &mut reductions {
             r.function = function.to_string();
         }
@@ -278,25 +425,15 @@ impl ReportCache {
         for r in &mut reductions {
             r.function = String::new();
         }
-        self.clock += 1;
-        let entry = CachedEntry::new(fp, report.steps_used, reductions, self.clock);
-        if self.entries.insert(fp, entry).is_none() && self.entries.len() > self.capacity {
-            // The victim is the oldest touch; on a clock tie the smallest
-            // fingerprint loses. Without the secondary key the choice
-            // would fall to `HashMap` iteration order — nondeterministic
-            // across runs, so two servers with identical logical state
-            // could evict different entries and render different bytes.
-            let lru = self
-                .entries
-                .iter()
-                .min_by_key(|(fp, e)| (e.touch, **fp))
-                .map(|(fp, _)| *fp)
-                .expect("cache over capacity implies at least one entry");
-            self.entries.remove(&lru);
+        let line = entry_line(fp, report.steps_used, &reductions);
+        self.insert(fp, reductions, line);
+        if self.entries.len() > self.capacity {
+            self.pop_lru();
             if gr_trace::enabled() {
                 gr_trace::counter("cache.persistent.evictions", 1);
             }
         }
+        self.queue(Record::Store(fp));
         if gr_trace::enabled() {
             gr_trace::counter("cache.persistent.stores", 1);
         }
@@ -314,6 +451,32 @@ impl ReportCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// Appends `records` to the existing file at `path`.
+fn append(path: &Path, records: &str) -> io::Result<()> {
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(path)?
+        .write_all(records.as_bytes())
+}
+
+fn parse_fp(v: &JsonVal) -> Option<u64> {
+    u64::from_str_radix(v.as_str()?, 16).ok()
+}
+
+/// A store record's body: the fingerprint, the reductions and the line
+/// they render to.
+fn parse_entry(v: &JsonVal) -> Option<(u64, Vec<Reduction>, Box<str>)> {
+    let e = v.as_obj()?;
+    let fp = parse_fp(lookup(e, "fp")?)?;
+    let solved_steps = usize::try_from(lookup(e, "steps")?.as_int()?).ok()?;
+    let mut reductions = Vec::new();
+    for r in lookup(e, "reductions")?.as_arr()? {
+        reductions.push(parse_reduction(r)?);
+    }
+    let line = entry_line(fp, solved_steps, &reductions);
+    Some((fp, reductions, line))
 }
 
 fn render_reduction(out: &mut String, r: &Reduction) {
@@ -388,6 +551,39 @@ fn parse_reduction(v: &JsonVal) -> Option<Reduction> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::{Read as _, Seek as _, SeekFrom};
+    use std::path::PathBuf;
+
+    /// A fresh directory for one test's cache files, removed on drop.
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(name: &str) -> TempDir {
+            let dir = std::env::temp_dir().join(format!("gr-cache-{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        fn file(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
+    /// The bytes of the file at `path` from offset `from` on.
+    fn tail(path: &Path, from: u64) -> String {
+        let mut f = std::fs::File::open(path).unwrap();
+        f.seek(SeekFrom::Start(from)).unwrap();
+        let mut out = String::new();
+        f.read_to_string(&mut out).unwrap();
+        out
+    }
 
     /// The field-by-field renderer that the stored lines replaced, kept as
     /// the oracle of the differential test: it formats every field of every
@@ -395,15 +591,14 @@ mod tests {
     /// least-recently-used first.
     fn render_fields(entries: &[(u64, usize, Vec<Reduction>)]) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": {},", json_str(CACHE_SCHEMA));
-        out.push_str("  \"entries\": [");
-        for (i, (fp, steps, reductions)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            let _ = write!(out, "{{\"fp\": \"{fp:016x}\", \"steps\": {steps}, ");
+        let _ = writeln!(
+            out,
+            "{{\"schema\": {}, \"keys\": {}}}",
+            json_str(CACHE_SCHEMA),
+            json_str(FINGERPRINT_SCHEMA)
+        );
+        for (fp, steps, reductions) in entries {
+            let _ = write!(out, "{{\"store\": {{\"fp\": \"{fp:016x}\", \"steps\": {steps}, ");
             out.push_str("\"reductions\": [");
             for (j, r) in reductions.iter().enumerate() {
                 if j > 0 {
@@ -411,12 +606,7 @@ mod tests {
                 }
                 render_reduction(&mut out, r);
             }
-            out.push_str("]}");
-        }
-        if entries.is_empty() {
-            out.push_str("]\n}\n");
-        } else {
-            out.push_str("\n  ]\n}\n");
+            out.push_str("]}}\n");
         }
         out
     }
@@ -476,18 +666,20 @@ mod tests {
 
     #[test]
     fn render_matches_the_field_by_field_oracle_over_a_seeded_run() {
-        const CAPACITY: usize = 24;
+        let mut capacity = 24;
         let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
         // More fingerprints than the capacity, so stores evict, re-store
         // evicted keys and overwrite live ones; small ones test the padding.
-        let fps: Vec<u64> = (0..3 * CAPACITY as u64)
+        let fps: Vec<u64> = (0..3 * capacity as u64)
             .map(|i| if i % 4 == 0 { i } else { rng.below(u64::MAX) })
             .collect();
-        let mut cache = ReportCache::new(CAPACITY);
+        let dir = TempDir::new("oracle");
+        let path = dir.file("gr-cache.json");
+        let mut cache = ReportCache::new(capacity);
         // The reference LRU: `(fp, steps, blanked reductions)`,
         // least-recently-used first.
         let mut model: Vec<(u64, usize, Vec<Reduction>)> = Vec::new();
-        let (mut evictions, mut hits) = (0, 0);
+        let (mut evictions, mut hits, mut reloads) = (0, 0, 0);
         for op in 0..6000 {
             let fp = rng.pick(&fps);
             let at = model.iter().position(|e| e.0 == fp);
@@ -505,7 +697,7 @@ mod tests {
                     let mut reductions = report.reductions;
                     reductions.iter_mut().for_each(|r| r.function.clear());
                     model.push((fp, report.steps_used, reductions));
-                    if model.len() > CAPACITY {
+                    if model.len() > capacity {
                         model.remove(0);
                         evictions += 1;
                     }
@@ -524,30 +716,73 @@ mod tests {
                 }
             }
             assert_eq!(cache.render(), render_fields(&model), "op {op}");
-            if op % 97 == 96 {
-                let bytes = cache.render();
-                cache = ReportCache::parse(&bytes, CAPACITY).expect("a render parses");
-                assert_eq!(cache.render(), bytes, "op {op}: parse → render round trip");
+            if op % 7 == 6 {
+                // Replay equals live: the journal reloads into a fresh
+                // cache that renders (compacts to) the live cache's bytes.
+                cache.persist(&path).unwrap();
+                let (reloaded, poison) = ReportCache::load(&path, capacity);
+                assert!(poison.is_none(), "op {op}: {poison:?}");
+                assert_eq!(reloaded.render(), cache.render(), "op {op}: replay ≠ live");
+                // A smaller cache keeps exactly the most-recent tail.
+                let small = capacity / 3;
+                let (trimmed, _) = ReportCache::load(&path, small);
+                assert_eq!(
+                    trimmed.render(),
+                    render_fields(&model[model.len().saturating_sub(small)..]),
+                    "op {op}: reload at capacity {small}"
+                );
+                reloads += 1;
+                // Now and then the reloaded cache takes over and goes on
+                // appending to the same file, as a restarted server does.
+                if op % 91 == 90 {
+                    cache = reloaded;
+                }
+            }
+            if op == 3000 {
+                // Restart at a smaller capacity and keep serving: the new
+                // cache holds the most-recent tail and continues the file.
+                capacity = 16;
+                cache.persist(&path).unwrap();
+                cache = ReportCache::load(&path, capacity).0;
+                model.drain(..model.len().saturating_sub(capacity));
+                assert_eq!(cache.render(), render_fields(&model), "restart at capacity 16");
             }
         }
         assert!(evictions > 100 && hits > 100, "{evictions} evictions, {hits} hits");
+        assert!(reloads > 800, "{reloads} reloads");
     }
 
     #[test]
-    fn render_keeps_the_gr_cache_v1_layout() {
+    fn render_keeps_the_gr_cache_v2_layout() {
+        let header = "{\"schema\": \"gr-cache/v2\", \"keys\": \"gr-fp/v2\"}\n";
         let mut c = ReportCache::new(4);
-        assert_eq!(c.render(), "{\n  \"schema\": \"gr-cache/v1\",\n  \"entries\": []\n}\n");
+        assert_eq!(c.render(), header);
         let mut r = report("f", 1, 19);
         r.reductions[0].bindings[0].0 = "q\"t\n".into();
         c.store(0xd635_76cc_d640_dd13, &r);
         c.store(1, &report("g", 0, 0));
-        let expected = "{\n  \"schema\": \"gr-cache/v1\",\n  \"entries\": [\n    \
-            {\"fp\": \"d63576ccd640dd13\", \"steps\": 19, \"reductions\": [\
-            {\"kind\": \"histogram\", \"op\": \"+\", \"header\": 2, \"depth\": 1, \
-            \"anchor\": 17, \"object\": 3, \"affine\": 1, \"pred\": \"lt\", \
-            \"bindings\": [[\"q\\\"t\\n\", 5], [\"acc\", 9]]}]},\n    \
-            {\"fp\": \"0000000000000001\", \"steps\": 0, \"reductions\": []}\n  ]\n}\n";
+        let expected = format!(
+            "{header}{{\"store\": {{\"fp\": \"d63576ccd640dd13\", \"steps\": 19, \"reductions\": [\
+             {{\"kind\": \"histogram\", \"op\": \"+\", \"header\": 2, \"depth\": 1, \
+             \"anchor\": 17, \"object\": 3, \"affine\": 1, \"pred\": \"lt\", \
+             \"bindings\": [[\"q\\\"t\\n\", 5], [\"acc\", 9]]}}]}}}}\n\
+             {{\"store\": {{\"fp\": \"0000000000000001\", \"steps\": 0, \"reductions\": []}}}}\n"
+        );
         assert_eq!(c.render(), expected);
+        // The first persist compacts; later ones append store and touch
+        // records, in the order they were made.
+        let dir = TempDir::new("layout");
+        let path = dir.file("gr-cache.json");
+        c.persist(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        c.hit(0xd635_76cc_d640_dd13, "f");
+        c.store(0x2a, &report("h", 0, 5));
+        c.persist(&path).unwrap();
+        assert_eq!(
+            tail(&path, expected.len() as u64),
+            "{\"touch\": \"d63576ccd640dd13\"}\n\
+             {\"store\": {\"fp\": \"000000000000002a\", \"steps\": 5, \"reductions\": []}}\n"
+        );
     }
 
     fn report(function: &str, n_reductions: usize, steps: usize) -> DetectionReport {
@@ -572,6 +807,78 @@ mod tests {
             steps_used: steps,
             truncated_idioms: Vec::new(),
         }
+    }
+
+    #[test]
+    fn each_persist_appends_exactly_the_records_its_request_made() {
+        let dir = TempDir::new("growth");
+        // A store record's bytes: a one-entry compaction minus its header.
+        let store_record = |fp: u64, r: &DetectionReport| {
+            let mut one = ReportCache::new(1);
+            one.store(fp, r);
+            one.render()[header().len()..].to_string()
+        };
+        let mut growth = Vec::new();
+        for held in [2048u64, 65536] {
+            let path = dir.file(&format!("{held}.json"));
+            let mut c = ReportCache::new(held as usize);
+            for fp in 0..held {
+                c.store(fp, &report("f", 0, 1));
+            }
+            c.persist(&path).unwrap();
+            let mut len = std::fs::metadata(&path).unwrap().len();
+            let mut per_request = Vec::new();
+            for req in 0..8u64 {
+                // Two stores of new functions, six hits on held ones (the
+                // two stores evict the two oldest, never a touched one).
+                let mut expected = String::new();
+                for k in 0..2 {
+                    let (fp, r) = (held + 2 * req + k, report("g", (req % 3) as usize, 7));
+                    assert!(c.store(fp, &r));
+                    expected.push_str(&store_record(fp, &r));
+                }
+                for k in 0..6 {
+                    let fp = 1024 + 6 * req + k;
+                    assert!(c.hit(fp, "h").is_some());
+                    let _ = writeln!(expected, "{{\"touch\": \"{fp:016x}\"}}");
+                }
+                c.persist(&path).unwrap();
+                assert_eq!(tail(&path, len), expected, "{held} entries, request {req}");
+                per_request.push(expected.len());
+                len += expected.len() as u64;
+                // Nothing new: nothing written.
+                c.persist(&path).unwrap();
+                assert_eq!(std::fs::metadata(&path).unwrap().len(), len);
+            }
+            assert_eq!(ReportCache::load(&path, held as usize).0.render(), c.render());
+            growth.push(per_request);
+        }
+        assert_eq!(growth[0], growth[1], "a persist's bytes follow its request, not the cache");
+    }
+
+    #[test]
+    fn the_journal_compacts_once_appends_outgrow_the_last_compaction() {
+        let dir = TempDir::new("ratio");
+        let path = dir.file("gr-cache.json");
+        let mut c = ReportCache::new(4);
+        for fp in 0..4 {
+            c.store(fp, &report("f", 1, 1));
+        }
+        c.persist(&path).unwrap();
+        let compacted = std::fs::metadata(&path).unwrap().len();
+        let mut compactions = 0;
+        for round in 0..200u64 {
+            c.hit(round % 4, "f");
+            let before = std::fs::metadata(&path).unwrap().len();
+            c.persist(&path).unwrap();
+            let after = std::fs::metadata(&path).unwrap().len();
+            assert!(after <= 2 * compacted, "round {round}: {after} > 2 × {compacted}");
+            if after < before {
+                compactions += 1;
+                assert_eq!(std::fs::read_to_string(&path).unwrap(), c.render());
+            }
+        }
+        assert!(compactions > 2, "{compactions} compactions");
     }
 
     #[test]
@@ -620,30 +927,37 @@ mod tests {
         assert_eq!(c.len(), 2);
     }
 
+    /// Collapses every entry's touch clock onto `clock`.
+    fn tie_clocks(c: &mut ReportCache, clock: u64) {
+        for e in c.entries.values_mut() {
+            e.touch = clock;
+        }
+        c.order = std::mem::take(&mut c.order)
+            .into_iter()
+            .map(|((_, fp), line)| ((clock, fp), line))
+            .collect();
+        c.clock = clock;
+    }
+
     #[test]
     fn tied_touch_clocks_evict_and_render_deterministically() {
-        // No public path produces two equal touch clocks today, but the
-        // eviction and render orders must not silently lean on `HashMap`
-        // iteration if one ever does (a future cache merge, a schema
-        // migration). Force a tie directly and round-trip a full cache
-        // through repeated evictions: the victim is always the smallest
-        // tied fingerprint and every render of the same logical state is
-        // byte-identical.
+        // No public path produces two equal touch clocks, but the eviction
+        // and render orders must stay canonical if one ever does (a future
+        // cache merge, a schema migration). Force a tie directly and
+        // round-trip a full cache through repeated evictions: the victim
+        // is always the smallest tied fingerprint and every render of the
+        // same logical state is byte-identical.
         let build = || {
             let mut c = ReportCache::new(3);
             for fp in [0x30u64, 0x10, 0x20] {
                 c.store(fp, &report("f", 1, 2));
             }
-            // Collapse all three touches onto one clock value.
-            for e in c.entries.values_mut() {
-                e.touch = 7;
-            }
-            c.clock = 7;
+            tie_clocks(&mut c, 7);
             c
         };
         let mut evolved = build().render();
         for round in 0..4u64 {
-            // Same logical state ⇒ same bytes, regardless of map order.
+            // Same logical state ⇒ same bytes.
             assert_eq!(build().render(), build().render());
             // Evict: the smallest tied fingerprint must lose each round.
             let mut c = ReportCache::parse(&evolved, 3).unwrap();
@@ -652,10 +966,7 @@ mod tests {
                 fps.sort_unstable();
                 fps
             };
-            for e in c.entries.values_mut() {
-                e.touch = 1;
-            }
-            c.clock = 1;
+            tie_clocks(&mut c, 1);
             let fresh = 0x100 + round;
             assert!(c.store(fresh, &report("g", 1, 3)));
             assert!(!c.contains(survivors[0]), "smallest tied fingerprint is the victim");
@@ -671,13 +982,34 @@ mod tests {
 
     #[test]
     fn wrong_schema_and_garbage_are_rejected() {
-        assert!(ReportCache::parse("{\"schema\": \"gr-cache/v2\", \"entries\": []}", 4).is_none());
-        assert!(ReportCache::parse("not json", 4).is_none());
-        assert!(ReportCache::parse("{\"entries\": []}", 4).is_none());
-        let dup = "{\"schema\": \"gr-cache/v1\", \"entries\": [\
-                   {\"fp\": \"01\", \"steps\": 1, \"reductions\": []},\
-                   {\"fp\": \"01\", \"steps\": 2, \"reductions\": []}]}";
-        assert!(ReportCache::parse(dup, 4).is_none(), "duplicate fingerprints are ambiguous");
+        let head = header();
+        let v1 = "{\n  \"schema\": \"gr-cache/v1\",\n  \"entries\": []\n}\n";
+        assert!(ReportCache::parse(v1, 4).is_none(), "a gr-cache/v1 file is another schema");
+        let old_keys = "{\"schema\": \"gr-cache/v2\", \"keys\": \"gr-fp/v1\"}\n";
+        assert!(ReportCache::parse(old_keys, 4).is_none(), "entries keyed by gr-fp/v1");
+        assert!(ReportCache::parse("", 4).is_none(), "no header");
+        assert!(ReportCache::parse("not json\n", 4).is_none());
+        assert!(ReportCache::parse(&head, 4).is_some_and(|c| c.is_empty()));
+        let store = "{\"store\": {\"fp\": \"01\", \"steps\": 1, \"reductions\": []}}\n";
+        for bad in [
+            "{\"evict\": \"01\"}\n",
+            "{\"touch\": \"01\", \"store\": \"01\"}\n",
+            "{\"touch\": \"xyz\"}\n",
+            "{\"store\": {\"fp\": \"01\", \"steps\": -1, \"reductions\": []}}\n",
+            "\n",
+        ] {
+            let text = format!("{head}{store}{bad}{store}");
+            assert!(ReportCache::parse(&text, 4).is_none(), "complete line {bad:?} is corrupt");
+        }
+        // A re-store replaces the entry, and a touch of an absent
+        // fingerprint changes nothing.
+        let restore = "{\"store\": {\"fp\": \"01\", \"steps\": 2, \"reductions\": []}}\n";
+        let text = format!("{head}{store}{{\"touch\": \"02\"}}\n{restore}");
+        let c = ReportCache::parse(&text, 4).unwrap();
+        assert_eq!(
+            c.render(),
+            format!("{head}{}", restore.replace("\"01\"", "\"0000000000000001\""))
+        );
     }
 
     #[test]
@@ -689,15 +1021,65 @@ mod tests {
     }
 
     #[test]
+    fn a_torn_tail_is_dropped_without_gr006_and_compacted_away() {
+        let dir = TempDir::new("torn");
+        let path = dir.file("gr-cache.json");
+        let mut c = ReportCache::new(8);
+        c.store(1, &report("f", 1, 2));
+        c.persist(&path).unwrap();
+        let compaction = std::fs::read_to_string(&path).unwrap();
+        c.store(2, &report("g", 1, 2));
+        c.persist(&path).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        for cut in [1, 5, 40] {
+            // A kill mid-append leaves the last record without its `\n`.
+            std::fs::write(&path, &full[..full.len() - cut]).unwrap();
+            let guard = gr_trace::start();
+            let (mut reloaded, err) = ReportCache::load(&path, 8);
+            let trace = guard.finish();
+            assert!(err.is_none(), "a torn tail is not corruption");
+            assert_eq!(trace.counter("cache.persistent.torn_tails"), 1);
+            assert_eq!(trace.counter("error{GR006}"), 0);
+            assert!(reloaded.contains(1) && !reloaded.contains(2));
+            // The next persist compacts, to the bytes the same logical
+            // state compacted to before.
+            let guard = gr_trace::start();
+            reloaded.persist(&path).unwrap();
+            assert_eq!(guard.finish().counter("cache.persistent.compactions"), 1);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), compaction, "cut {cut}");
+        }
+    }
+
+    #[test]
     fn poisoned_file_degrades_with_gr006() {
-        let path = std::env::temp_dir().join("gr-cache-test-poison.json");
-        std::fs::write(&path, "{\"schema\": \"gr-cache/v1\", \"entries\": [garbage").unwrap();
-        let (c, err) = ReportCache::load(&path, 4);
+        let dir = TempDir::new("poison");
+        let path = dir.file("gr-cache.json");
+        let mut c = ReportCache::new(4);
+        c.store(1, &report("f", 1, 2));
+        c.persist(&path).unwrap();
+        c.hit(1, "f");
+        c.store(2, &report("g", 0, 2));
+        c.persist(&path).unwrap();
+        // Flip a byte inside an earlier, complete record.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = header().len() + 3;
+        bytes[at] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+        let guard = gr_trace::start();
+        let (mut c, err) = ReportCache::load(&path, 4);
+        let trace = guard.finish();
         assert!(c.is_empty(), "poison degrades to an empty cache");
+        assert!(c.hit(1, "f").is_none(), "a poisoned file serves no hits");
         let err = err.expect("corruption must surface a ledger entry");
         assert_eq!(err.code(), "GR006");
         assert_eq!(err.phase().as_str(), "serve");
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(trace.counter("error{GR006}"), 1);
+        assert_eq!(trace.counter("cache.persistent.poisoned"), 1);
+        // Load never writes; the first persist rewrites the file whole.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        c.persist(&path).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), header());
+        assert!(ReportCache::load(&path, 4).1.is_none());
     }
 
     #[test]
@@ -709,5 +1091,23 @@ mod tests {
         let reloaded = ReportCache::parse(&c.render(), 2).unwrap();
         assert_eq!(reloaded.len(), 2);
         assert!(reloaded.contains(3) && reloaded.contains(4), "the LRU head is trimmed");
+        // A touch of an entry that a one-entry cache would have evicted
+        // mid-replay still counts: the tail is the writer's.
+        let dir = TempDir::new("trim");
+        let path = dir.file("gr-cache.json");
+        let mut c = ReportCache::new(8);
+        for fp in 10..14u64 {
+            c.store(fp, &report("f", 0, 1));
+        }
+        c.persist(&path).unwrap();
+        let compacted = std::fs::metadata(&path).unwrap().len();
+        c.store(1, &report("f", 0, 1));
+        c.store(2, &report("f", 0, 1));
+        c.hit(1, "f");
+        c.persist(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text[compacted as usize..].ends_with("{\"touch\": \"0000000000000001\"}\n"));
+        let (tail, _) = ReportCache::load(&path, 1);
+        assert!(tail.contains(1) && tail.len() == 1, "the most recent entry is 1");
     }
 }

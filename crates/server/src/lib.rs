@@ -7,13 +7,15 @@
 //! a [`PrefixCache`] shard (reset between functions — prefix solutions
 //! are assignments of one function's `ValueId`s), in front of a
 //! **persistent cross-run cache**
-//! ([`cache::ReportCache`], `gr-cache/v1` on disk) keyed by structural
-//! function fingerprints ([`gr_core::fingerprint`]).
+//! ([`cache::ReportCache`], a `gr-cache/v2` journal on disk) keyed by
+//! structural function fingerprints ([`gr_core::fingerprint`],
+//! `gr-fp/v2`).
 //!
 //! The data path of one [`DetectionServer::run_batch`]:
 //!
-//! 1. The coordinator walks the submitted modules in order,
-//!    fingerprints every function, and serves warm hits straight from
+//! 1. The coordinator walks the submitted modules in order, computes
+//!    each module's callee purity once, fingerprints every function
+//!    with it, and serves warm hits straight from
 //!    the persistent cache — **zero solver steps** for any function
 //!    whose structure is unchanged since an earlier run (incremental
 //!    re-detection: only changed fingerprints re-solve).
@@ -28,6 +30,10 @@
 //!    newly solved *complete* reports back into the cache, again in
 //!    submission order, so the persisted artifact is deterministic.
 //!
+//! [`DetectionServer::persist`] then appends to the cache file only the
+//! records the batch made: one store per new entry and one touch per
+//! hit ([`cache::ReportCache::persist`]).
+//!
 //! A corrupted cache file on disk never poisons results: loading
 //! degrades to an empty cache with a `GR006` ledger entry
 //! ([`cache::ReportCache::load`]) and every function simply re-solves.
@@ -35,7 +41,8 @@
 //! Everything observable lands on the gr-trace ledger: `server.*`
 //! counters for the pool (batches, functions, jobs dispatched) and
 //! `cache.persistent.*` for the cache (hits, misses, stores, evictions,
-//! poisoned loads).
+//! poisoned loads, torn tails dropped at load, bytes appended and
+//! compactions written).
 
 pub mod cache;
 
@@ -43,11 +50,12 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use gr_analysis::purity::PurityInfo;
 use gr_analysis::Analyses;
 use gr_core::atoms::MatchCtx;
 use gr_core::detect::PrefixCache;
 use gr_core::spec::registry::IdiomRegistry;
-use gr_core::{function_fingerprint, DetectBudget, DetectionReport, DetectionStatus, GrError};
+use gr_core::{function_fingerprint_with, DetectBudget, DetectionReport, DetectionStatus, GrError};
 use gr_ir::Module;
 use gr_parallel::sync::{BoundedQueue, Mutex};
 
@@ -58,8 +66,8 @@ pub use cache::{ReportCache, CACHE_SCHEMA, DEFAULT_CAPACITY};
 pub struct ServeConfig {
     /// Detection workers in the pool (minimum 1).
     pub jobs: usize,
-    /// Persistent cache file (`gr-cache/v1`); `None` serves from an
-    /// in-memory cache only.
+    /// Persistent cache file (`gr-cache/v2`), written by this server
+    /// alone; `None` serves from an in-memory cache only.
     pub cache_path: Option<PathBuf>,
     /// Persistent-cache capacity in entries (LRU beyond).
     pub capacity: usize,
@@ -190,8 +198,9 @@ impl DetectionServer {
         let mut meta: Vec<(usize, u64)> = Vec::new();
         let mut jobs: Vec<Job> = Vec::new();
         for (mi, module) in modules.iter().enumerate() {
+            let purity = PurityInfo::new(module);
             for (fi, func) in module.functions.iter().enumerate() {
-                let fp = function_fingerprint(module, func);
+                let fp = function_fingerprint_with(module, &purity, func);
                 let slot = results.len();
                 meta.push((mi, fp));
                 if let Some(report) = self.cache.hit(fp, &func.name) {
@@ -297,11 +306,12 @@ impl DetectionServer {
         batch
     }
 
-    /// Persists the cache to its configured path (no-op without one),
-    /// replacing the file atomically ([`ReportCache::save`]).
-    pub fn persist(&self) -> io::Result<()> {
+    /// Persists the cache to its configured path (no-op without one):
+    /// appends the records made since the last persist, or compacts the
+    /// file ([`ReportCache::persist`]).
+    pub fn persist(&mut self) -> io::Result<()> {
         match &self.config.cache_path {
-            Some(path) => self.cache.save(path),
+            Some(path) => self.cache.persist(path),
             None => Ok(()),
         }
     }
@@ -455,30 +465,45 @@ mod tests {
 
     #[test]
     fn failed_persist_leaves_the_previous_artifact_whole() {
-        let dir = std::env::temp_dir().join(format!("gr-server-persist-{}", std::process::id()));
-        let path = dir.join("gr-cache.json");
-        let config =
-            ServeConfig { jobs: 1, cache_path: Some(path.clone()), ..ServeConfig::default() };
-        let mut server = DetectionServer::new(config);
-        server.run_batch(&modules(&[SUM]));
-        server.persist().unwrap();
-        let before = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(before, server.cache().render(), "save writes exactly the render");
-        assert!(!dir.join("gr-cache.json.tmp").exists(), "the temp file is renamed away");
-        // A directory on the temp file's name makes the write fail before
-        // the artifact is touched.
-        std::fs::create_dir_all(dir.join("gr-cache.json.tmp")).unwrap();
-        server.run_batch(&modules(&["int one(int* a, int n) {
+        const ONE: &str = "int one(int* a, int n) {
             int s = 0;
             for (int i = 0; i < n; i++) s += a[i];
             return s;
-        }"]));
-        assert_eq!(server.cache().len(), 2);
+        }";
+        let dir = std::env::temp_dir().join(format!("gr-server-persist-{}", std::process::id()));
+        let path = dir.join("gr-cache.json");
+        let tmp = dir.join("gr-cache.json.tmp");
+        let config =
+            || ServeConfig { jobs: 1, cache_path: Some(path.clone()), ..ServeConfig::default() };
+        let mut server = DetectionServer::new(config());
+        server.run_batch(&modules(&[SUM]));
+        server.persist().unwrap();
+        let compaction = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(compaction, server.cache().render(), "the first persist compacts");
+        assert!(!tmp.exists(), "the temp file is renamed away");
+        server.run_batch(&modules(&[ONE]));
+        server.persist().unwrap();
+        // A kill mid-append tears the last record, so the next server's
+        // first persist must compact.
+        let full = std::fs::read(&path).unwrap();
+        let torn = &full[..full.len() - 3];
+        std::fs::write(&path, torn).unwrap();
+        let mut server = DetectionServer::new(config());
+        assert!(server.ledger().is_empty(), "a torn tail is not corruption");
+        let batch = server.run_batch(&modules(&[SUM, ONE]));
+        assert_eq!((batch.summary.warm_hits, batch.summary.cold_solves), (1, 1));
+        // A directory on the temp file's name makes the compaction fail
+        // before the artifact is touched.
+        std::fs::create_dir_all(&tmp).unwrap();
         assert!(server.persist().is_err(), "an unwritable temp file must surface");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+        assert_eq!(std::fs::read(&path).unwrap(), torn);
         let (reloaded, poison) = ReportCache::load(&path, DEFAULT_CAPACITY);
         assert!(poison.is_none(), "the previous artifact still loads");
-        assert_eq!(reloaded.render(), before);
+        assert_eq!(reloaded.render(), compaction);
+        // Once the temp name is free again, the next persist compacts.
+        std::fs::remove_dir(&tmp).unwrap();
+        server.persist().unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), server.cache().render());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

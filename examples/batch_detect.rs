@@ -44,8 +44,8 @@ fn main() {
     }
     server.persist().expect("cache persists");
 
-    // Warm: a *new* server (think: the next CI run) reloads the
-    // gr-cache/v1 artifact and serves the unchanged functions for free.
+    // Warm: a *new* server (think: the next CI run) replays the
+    // gr-cache/v2 journal and serves the unchanged functions for free.
     let mut server = DetectionServer::new(config);
     println!("warm batch (fresh server, same cache dir):");
     let warm = server.run_batch(&batch);

@@ -33,8 +33,8 @@
 //! * [`server`] — detection as a service: a bounded job queue feeding a
 //!   pool of detection workers (each owning a `PrefixCache` shard) behind
 //!   a persistent, fingerprint-keyed cross-run report cache
-//!   (`gr-cache/v1`) — re-submitting an unchanged function costs zero
-//!   solver steps,
+//!   (`gr-cache/v2`, an append-only journal) — re-submitting an unchanged
+//!   function costs zero solver steps,
 //! * [`benchsuite`] — the 40 NAS/Parboil/Rodinia miniatures, the idiom
 //!   micro-workloads, and the differential fuzzing harness
 //!   ([`benchsuite::fuzz`]) guarding detection soundness,
