@@ -1,7 +1,7 @@
 //! Runs every figure harness in sequence (EXPERIMENTS.md layout) and
 //! writes `BENCH_detection.json` — the machine-readable solver/detection
-//! ledger (solver steps, prefix steps, solutions, reductions, wall time
-//! per suite) that tracks the perf trajectory across PRs — plus the
+//! ledger (solver steps, prefix steps, solutions and reductions per suite)
+//! that tracks the solver-cost trajectory across PRs — plus the
 //! `BENCH_profile.collapsed` solver-step attribution.
 //!
 //! `--quick` skips the figure harnesses and only emits the JSON (the CI
@@ -9,8 +9,8 @@
 //! `--baseline <path>` compares against a checked-in baseline document
 //! and exits nonzero when **any suite's** solver steps regress by more
 //! than 20%, when a suite disappears, or when the total regresses — the
-//! CI guard against silent solver-cost creep (wall time is too noisy on
-//! shared runners; step counts are deterministic). The `"runtime"`
+//! CI guard against silent solver-cost creep (step counts are
+//! deterministic; wall time is perfbench's to measure). The `"runtime"`
 //! scheduler counters (chunk dispatches, token polls, …), the
 //! `"errors"` failure-ledger counters (deterministic fault probes, one
 //! per `GrError` class), the `"server"` block and the `"histograms"`
@@ -303,12 +303,12 @@ mod tests {
 
     /// A small integer-only document with every gated block.
     const DOC: &str = r#"{
-  "schema": "gr-bench/detection-stats/v1",
+  "schema": "gr-bench/detection-stats/v2",
   "suites": [
-    {"suite": "NAS", "programs": 10, "solver_steps": 100, "solver_steps_prefix": 8, "solutions": 38, "reductions": 38, "wall_us": 58476},
-    {"suite": "Micro", "programs": 9, "solver_steps": 6, "solver_steps_prefix": 2, "solutions": 11, "reductions": 10, "wall_us": 11230}
+    {"suite": "NAS", "programs": 10, "solver_steps": 100, "solver_steps_prefix": 8, "solutions": 38, "reductions": 38},
+    {"suite": "Micro", "programs": 9, "solver_steps": 6, "solver_steps_prefix": 2, "solutions": 11, "reductions": 10}
   ],
-  "total": {"solver_steps": 106, "wall_us": 69706},
+  "total": {"solver_steps": 106},
   "runtime": {"chunk_dispatch": 24, "token_polls": 24},
   "errors": {"GR004": 1},
   "server": {"cold_steps": 7432, "warm_steps": 0},

@@ -44,8 +44,6 @@ pub mod stats {
         pub solutions: usize,
         /// Reductions reported by detection.
         pub reductions: usize,
-        /// Wall time of one full `detect_reductions` sweep, microseconds.
-        pub wall_us: u128,
     }
 
     /// All suites of the detection bench corpus (the 40 paper programs
@@ -68,7 +66,6 @@ pub mod stats {
             steps_prefix: 0,
             solutions: 0,
             reductions: 0,
-            wall_us: 0,
         };
         for m in &modules {
             for func in &m.functions {
@@ -81,11 +78,9 @@ pub mod stats {
                 out.solutions += total.solutions;
             }
         }
-        let t0 = Instant::now();
         for m in &modules {
-            out.reductions += gr_core::detect_reductions(std::hint::black_box(m)).len();
+            out.reductions += gr_core::detect_reductions(m).len();
         }
-        out.wall_us = t0.elapsed().as_micros();
         out
     }
 
@@ -421,26 +416,24 @@ pub mod stats {
     ) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"schema\": \"gr-bench/detection-stats/v1\",");
+        let _ = writeln!(s, "  \"schema\": \"gr-bench/detection-stats/v2\",");
         let _ = writeln!(s, "  \"suites\": [");
         for (i, r) in rows.iter().enumerate() {
             let comma = if i + 1 < rows.len() { "," } else { "" };
             let _ = writeln!(
                 s,
-                "    {{\"suite\": \"{}\", \"programs\": {}, \"solver_steps\": {}, \"solver_steps_prefix\": {}, \"solutions\": {}, \"reductions\": {}, \"wall_us\": {}}}{comma}",
+                "    {{\"suite\": \"{}\", \"programs\": {}, \"solver_steps\": {}, \"solver_steps_prefix\": {}, \"solutions\": {}, \"reductions\": {}}}{comma}",
                 r.suite,
                 r.programs,
                 r.steps_shared,
                 r.steps_prefix,
                 r.solutions,
                 r.reductions,
-                r.wall_us,
             );
         }
         let _ = writeln!(s, "  ],");
         let shared: usize = rows.iter().map(|r| r.steps_shared).sum();
-        let wall: u128 = rows.iter().map(|r| r.wall_us).sum();
-        let _ = writeln!(s, "  \"total\": {{\"solver_steps\": {shared}, \"wall_us\": {wall}}},");
+        let _ = writeln!(s, "  \"total\": {{\"solver_steps\": {shared}}},");
         let _ = write!(s, "  \"runtime\": {{");
         for (i, (k, v)) in runtime.counters.iter().enumerate() {
             if i > 0 {

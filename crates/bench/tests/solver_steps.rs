@@ -280,12 +280,12 @@ fn shared_and_unshared_detection_reports_are_byte_identical() {
 
 #[test]
 fn trie_counters_fire_on_the_corpus() {
-    // The trie-backed cache must actually share work on real programs:
-    // prefix solutions interned as trie nodes, and at least some extension
-    // candidate lists served from the generator memo instead of being
-    // re-enumerated. Symmetry pruning stays at zero — the built-in specs
-    // have no interchangeable labels (asserted structurally in gr-core),
-    // so a nonzero count here would mean solutions are being dropped.
+    // The prefix cache must actually share work on real programs: at
+    // least some extension candidate lists are served from the generator
+    // memo instead of being re-enumerated. Symmetry pruning stays at
+    // zero — the built-in specs have no interchangeable labels (asserted
+    // structurally in gr-core), so a nonzero count here would mean
+    // solutions are being dropped.
     let registry = IdiomRegistry::with_default_idioms();
     let guard = gr_trace::start();
     for suite in corpus() {
@@ -299,7 +299,6 @@ fn trie_counters_fire_on_the_corpus() {
         }
     }
     let trace = guard.finish();
-    assert!(trace.counter("solver.trie.nodes") > 0, "prefix solutions must be interned");
     assert!(
         trace.counter("solver.trie.shared_gen") > 0,
         "the generator memo must serve at least one candidate list corpus-wide"

@@ -469,8 +469,7 @@ fn main() -> ExitCode {
                                 }
                             }
                             println!(
-                                "solver trie: {} node(s), {} shared generation(s), {} symmetry prune(s)",
-                                trace.counter("solver.trie.nodes"),
+                                "solver trie: {} shared generation(s), {} symmetry prune(s)",
                                 trace.counter("solver.trie.shared_gen"),
                                 trace.counter("solver.trie.pruned_sym")
                             );
@@ -500,9 +499,9 @@ fn main() -> ExitCode {
                     // the table prints (or silently in --json mode).
                     let mut json_funcs = String::new();
                     // One trace session around the detection sweep picks up
-                    // the trie counters (interned prefix nodes, memo-served
-                    // candidate lists, symmetry prunes); it is finished
-                    // before the exploitation pass opens its own session.
+                    // the trie counters (memo-served candidate lists,
+                    // symmetry prunes); it is finished before the
+                    // exploitation pass opens its own session.
                     let trie_guard = gr_trace::start();
                     for func in &module.functions {
                         let analyses = gr_analysis::Analyses::new(&module, func);
@@ -582,13 +581,12 @@ fn main() -> ExitCode {
                         total_shared += s.steps;
                     }
                     let trie_trace = trie_guard.finish();
-                    let trie_nodes = trie_trace.counter("solver.trie.nodes");
                     let trie_shared_gen = trie_trace.counter("solver.trie.shared_gen");
                     let trie_pruned_sym = trie_trace.counter("solver.trie.pruned_sym");
                     if !json_mode {
                         println!(
-                            "solver trie: {trie_nodes} node(s), {trie_shared_gen} shared \
-                             generation(s), {trie_pruned_sym} symmetry prune(s)"
+                            "solver trie: {trie_shared_gen} shared generation(s), \
+                             {trie_pruned_sym} symmetry prune(s)"
                         );
                     }
                     if !json_mode && module.functions.len() > 1 {
@@ -660,7 +658,7 @@ fn main() -> ExitCode {
                         // One deterministic document: key order is fixed,
                         // maps are emitted in collection order (functions
                         // and idioms in module order, refusals sorted).
-                        let mut out = String::from("{\n  \"schema\": \"greduce/stats/v2\",");
+                        let mut out = String::from("{\n  \"schema\": \"greduce/stats/v3\",");
                         out.push_str("\n  \"functions\": [");
                         out.push_str(&json_funcs);
                         if !json_funcs.is_empty() {
@@ -670,7 +668,7 @@ fn main() -> ExitCode {
                             "],\n  \"module\": {{\"shared_steps\": {total_shared}}},"
                         ));
                         out.push_str(&format!(
-                            "\n  \"trie\": {{\"nodes\": {trie_nodes}, \"shared_gen\": {trie_shared_gen}, \"pruned_sym\": {trie_pruned_sym}}},"
+                            "\n  \"trie\": {{\"shared_gen\": {trie_shared_gen}, \"pruned_sym\": {trie_pruned_sym}}},"
                         ));
                         out.push_str("\n  \"idiom_steps\": {");
                         for (i, (name, steps)) in idiom_steps.iter().enumerate() {

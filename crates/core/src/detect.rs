@@ -62,88 +62,11 @@ pub struct SolvedPrefix {
     /// triggered the solve, e.g. `histogram-reduction::prefix`).
     pub name: String,
     /// Every assignment of the prefix labels satisfying the prefix spec,
-    /// stored as a trie keyed by (label, value).
-    pub solutions: SolutionTrie,
+    /// in the lexicographic order the solver yields them — the order every
+    /// extension resumes from.
+    pub solutions: Vec<Assignment>,
     /// Cost of the one prefix solve.
     pub stats: SolveStats,
-}
-
-/// Prefix solutions stored as a trie over (label, value) edges: solutions
-/// sharing a leading run of assignments share the nodes spelling it, so
-/// the cache holds the set in its path-compressed shape and every idiom
-/// extending the same loop walks the same spine. Built from the solver's
-/// lexicographically sorted output; [`SolutionTrie::solutions`]
-/// materializes the same sorted list back.
-#[derive(Default)]
-pub struct SolutionTrie {
-    len: usize,
-    nodes: usize,
-    roots: Vec<TrieNode>,
-}
-
-struct TrieNode {
-    value: ValueId,
-    children: Vec<TrieNode>,
-}
-
-impl SolutionTrie {
-    /// Builds the trie from lexicographically sorted assignments (the
-    /// order [`solve`] yields). Equal prefixes are adjacent in sorted
-    /// order, so a single sequential pass shares every common spine.
-    #[must_use]
-    pub fn from_sorted(solutions: &[Assignment]) -> SolutionTrie {
-        let mut trie = SolutionTrie::default();
-        for sol in solutions {
-            let mut level = &mut trie.roots;
-            for &v in sol {
-                if level.last().map(|n| n.value) != Some(v) {
-                    level.push(TrieNode { value: v, children: Vec::new() });
-                    trie.nodes += 1;
-                }
-                level = &mut level.last_mut().expect("just ensured a node").children;
-            }
-            trie.len += 1;
-        }
-        trie
-    }
-
-    /// Number of stored solutions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the trie stores no solution.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of trie nodes — the path-compressed size of the solution
-    /// set. `nodes < len * arity` exactly when sharing occurred.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
-    /// Materializes the stored assignments in lexicographic order.
-    #[must_use]
-    pub fn solutions(&self) -> Vec<Assignment> {
-        fn walk(nodes: &[TrieNode], path: &mut Assignment, out: &mut Vec<Assignment>) {
-            for n in nodes {
-                path.push(n.value);
-                if n.children.is_empty() {
-                    out.push(path.clone());
-                } else {
-                    walk(&n.children, path, out);
-                }
-                path.pop();
-            }
-        }
-        let mut out = Vec::with_capacity(self.len);
-        walk(&self.roots, &mut Vec::new(), &mut out);
-        out
-    }
 }
 
 /// Per-prefix cache accounting: one row per distinct fingerprint (see
@@ -196,8 +119,6 @@ impl PrefixCache {
             gr_trace::counter_keyed("prefix_cache.solves", &name, 1);
             gr_trace::counter_keyed("prefix_cache.solutions", &name, solutions.len() as i64);
         }
-        let solutions = SolutionTrie::from_sorted(&solutions);
-        gr_trace::counter("solver.trie.nodes", solutions.node_count() as i64);
         let e = Arc::new(SolvedPrefix { name, solutions, stats });
         self.entries
             .insert(p.fingerprint, CacheEntry { solved: Arc::clone(&e), hits: 0 });
@@ -260,9 +181,8 @@ pub fn solve_with_cache(
 ) -> (Vec<Assignment>, SolveStats, Option<SolveStats>) {
     if let Some(cache) = cache {
         if let Some((prefix, fresh)) = cache.lookup(spec, ctx, opts) {
-            let prefix_solutions = prefix.solutions.solutions();
             let (sols, mut stats) =
-                solve_extend_with_memo(spec, ctx, &prefix_solutions, opts, Some(&mut cache.memo));
+                solve_extend_with_memo(spec, ctx, &prefix.solutions, opts, Some(&mut cache.memo));
             // A truncated prefix solve means the cached solution list is
             // incomplete: surface that on every resume, not just the
             // fresh one.

@@ -43,15 +43,15 @@
 //! backtracking search from previously computed prefix assignments,
 //! visiting exactly the nodes a full [`solve`] would visit *below* the
 //! prefix — same solutions, a fraction of the steps. The detection driver
-//! caches for-loop solutions per function as a
-//! [`SolutionTrie`](crate::detect::SolutionTrie) inside a
-//! [`PrefixCache`](crate::detect::PrefixCache), and a [`GenMemo`] shares
-//! the per-(atom, bound-operands) candidate lists across every idiom
-//! extending the same cached prefix (`solver.trie.shared_gen`). Specs
-//! stacking several prefix instances (map-reduce fusion) resume via a
-//! *trie product*: prefix digits are assigned one instance at a time and
-//! the cross-instance residual conjuncts prune a whole subtree of tuples
-//! as soon as the deciding digit is bound, instead of filtering the flat
+//! caches each function's for-loop solutions, as the sorted assignment
+//! list [`solve`] returns, in a [`PrefixCache`](crate::detect::PrefixCache),
+//! and a [`GenMemo`] shares the per-(atom, bound-operands) candidate lists
+//! across every idiom extending the same cached prefix
+//! (`solver.trie.shared_gen`). Specs stacking several prefix instances
+//! (map-reduce fusion) resume from a *product* of that list with itself:
+//! prefix digits are assigned one instance at a time and the
+//! cross-instance residual conjuncts prune a whole subtree of tuples as
+//! soon as the deciding digit is bound, instead of filtering the flat
 //! cartesian product tuple by tuple.
 //!
 //! [`solve_naive`] is the exponential baseline (filter the full cartesian
@@ -67,9 +67,8 @@ use std::collections::HashMap;
 pub type Assignment = Vec<ValueId>;
 
 /// Search-shaping knobs: which of the solver's pruning layers are active.
-/// Both default on; the ablation benches and the idiom registry's
-/// [`with_policy`](crate::spec::IdiomRegistry::with_policy) hook switch
-/// them individually.
+/// Both default on, and detection always solves with the default; only the
+/// solver's unit tests switch them individually.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchPolicy {
     /// Order labels by static generator selectivity (cheapest candidate
@@ -146,7 +145,7 @@ impl SolveStats {
 /// non-target labels — exactly the inputs [`Atom::enumerate`] reads — so a
 /// hit returns the byte-identical candidate list the atom would have
 /// produced. Sibling idioms extending the same cached prefix re-derive the
-/// same `(atom, bound values)` pairs at the same trie nodes; each re-use is
+/// same `(atom, bound values)` pairs at the same search nodes; each re-use is
 /// counted under `solver.trie.shared_gen`.
 ///
 /// Like the [`PrefixCache`](crate::detect::PrefixCache) that owns one, a
@@ -610,7 +609,7 @@ pub fn solve(spec: &Spec, ctx: &MatchCtx<'_>, opts: SolveOptions) -> (Vec<Assign
 ///
 /// Specs stacking several prefix **instances** (see
 /// [`PrefixInfo::instances`](crate::constraint::PrefixInfo)) resume from
-/// every ordered tuple of prefix solutions via a *trie product*: instance
+/// every ordered tuple of prefix solutions via a *product* search: instance
 /// digits are assigned outermost-first, and the residual conjuncts
 /// confined to the first `d` instances are checked as soon as digit `d` is
 /// bound — a failing producer loop prunes every consumer pairing at once
@@ -686,7 +685,7 @@ pub fn solve_extend_with_memo(
     (solutions, stats)
 }
 
-/// One level of the prefix trie product: bind instance `depth`'s labels
+/// One level of the prefix product: bind instance `depth`'s labels
 /// from each cached prefix solution, check the residual conjuncts decided
 /// by that digit, and recurse; a full tuple launches the extension search.
 #[allow(clippy::too_many_arguments)]
@@ -1218,17 +1217,20 @@ mod tests {
 
     #[test]
     fn builtin_specs_have_no_symmetric_labels() {
-        // The shipped idioms all have structurally distinct labels: the
-        // canonicalization is provably a no-op on them, which is what the
-        // shared/unshared byte-equality sweep in the bench suite relies on.
-        let specs = [
-            crate::spec::scalar_reduction_spec().0,
-            crate::spec::scan_spec().0,
-            crate::spec::for_loop_spec().0,
-        ];
-        for spec in specs {
+        // Every shipped idiom, and the prefix spec it is resumed from, has
+        // structurally distinct labels, so symmetry breaking is provably a
+        // no-op on the default registry: with or without it, the search
+        // visits the same assignments and reports the same solutions.
+        let registry = crate::spec::IdiomRegistry::with_default_idioms();
+        assert_eq!(registry.len(), 10);
+        for entry in registry.entries() {
+            let spec = &entry.spec;
             let pin = spec.prefix.map_or(0, |p| p.total_labels());
-            assert_eq!(symmetric_pairs(&spec, pin), Vec::new(), "{}", spec.name);
+            for from in [0, pin] {
+                assert_eq!(symmetric_pairs(spec, from), Vec::new(), "{} from {from}", spec.name);
+            }
+            let prefix = spec.prefix_spec().expect("every built-in idiom has a marked prefix");
+            assert_eq!(symmetric_pairs(&prefix, 0), Vec::new(), "{}", prefix.name);
         }
     }
 

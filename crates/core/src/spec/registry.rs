@@ -67,7 +67,7 @@ use crate::detect::{
 };
 use crate::error::GrError;
 use crate::report::{Reduction, ReductionOp};
-use crate::solver::{SearchPolicy, SolveOptions, SolveStats};
+use crate::solver::{SolveOptions, SolveStats};
 use gr_ir::ValueId;
 use std::collections::HashSet;
 use std::fmt;
@@ -160,29 +160,13 @@ impl std::error::Error for RegistryError {}
 #[derive(Debug, Default)]
 pub struct IdiomRegistry {
     entries: Vec<IdiomEntry>,
-    policy: SearchPolicy,
 }
 
 impl IdiomRegistry {
     /// An empty registry (build custom detector sets on top).
     #[must_use]
     pub fn empty() -> IdiomRegistry {
-        IdiomRegistry { entries: Vec::new(), policy: SearchPolicy::default() }
-    }
-
-    /// Overrides the search-shaping policy every solve issued by this
-    /// registry runs under: the ordering/symmetry hook the ablation
-    /// benches flip to measure each layer in isolation.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SearchPolicy) -> IdiomRegistry {
-        self.policy = policy;
-        self
-    }
-
-    /// The search-shaping policy this registry solves under.
-    #[must_use]
-    pub fn policy(&self) -> SearchPolicy {
-        self.policy
+        IdiomRegistry { entries: Vec::new() }
     }
 
     /// The default registry: histogram, scalar, scan, argmin/argmax on the
@@ -310,7 +294,7 @@ impl IdiomRegistry {
         for entry in &self.entries {
             let _isp = gr_trace::enabled()
                 .then(|| gr_trace::span_with("idiom", vec![("idiom", entry.name.into())]));
-            let defaults = SolveOptions { policy: self.policy, ..SolveOptions::default() };
+            let defaults = SolveOptions::default();
             let remaining = budget.per_function_steps.saturating_sub(steps_used);
             let opts = SolveOptions {
                 max_steps: defaults.max_steps.min(budget.per_call_steps).min(remaining),
@@ -388,8 +372,8 @@ impl IdiomRegistry {
         let mut cache = PrefixCache::new();
         let mut report = RegistryStats::default();
         for entry in &self.entries {
-            let opts = SolveOptions { policy: self.policy, ..SolveOptions::default() };
-            let (_, stats, prefix) = solve_with_cache(&entry.spec, ctx, Some(&mut cache), opts);
+            let (_, stats, prefix) =
+                solve_with_cache(&entry.spec, ctx, Some(&mut cache), SolveOptions::default());
             if let Some(p) = prefix {
                 report.prefix.absorb(p);
             }

@@ -36,7 +36,10 @@ pub fn lower(program: &Program) -> Result<Module, CompileError> {
     let mut signatures = HashMap::new();
     for f in &program.functions {
         let params: Vec<Type> = f.params.iter().map(|(_, t)| ctype_to_ir(*t)).collect();
-        signatures.insert(f.name.clone(), (params, ctype_to_ir(f.ret)));
+        if signatures.insert(f.name.clone(), (params, ctype_to_ir(f.ret))).is_some() {
+            let message = format!("function `{}` is defined twice", f.name);
+            return Err(CompileError::at(message, f.span.line, f.span.col));
+        }
     }
     for (name, arity) in crate::BUILTINS {
         let is_int = name.starts_with('i');
@@ -1053,6 +1056,14 @@ mod tests {
         )
         .unwrap();
         assert!(m.function("f").is_some());
+    }
+
+    #[test]
+    fn a_redefinition_is_refused() {
+        let err = compile("int f(int n) { return n; }\nint f(int n) { return n + 1; }")
+            .expect_err("two definitions of `f`");
+        assert_eq!(err.message, "function `f` is defined twice");
+        assert_eq!(err.line, 2);
     }
 
     #[test]

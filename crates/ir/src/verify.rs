@@ -31,12 +31,20 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Verifies every function in a module.
+/// Verifies every function in a module, and that no two share a name
+/// (calls and the runtime resolve functions by name).
 ///
 /// # Errors
 /// Returns the first [`VerifyError`] encountered.
 pub fn verify_module(m: &Module) -> Result<(), VerifyError> {
+    let mut names = HashSet::new();
     for f in &m.functions {
+        if !names.insert(f.name.as_str()) {
+            return Err(VerifyError {
+                function: f.name.clone(),
+                message: "another function has the same name".into(),
+            });
+        }
         verify_function(f)?;
     }
     Ok(())
@@ -422,6 +430,17 @@ mod tests {
         f.append_inst(e, Opcode::Ret, vec![], Type::Void);
         let err = verify_function(&f).unwrap_err();
         assert!(err.message.contains("before its definition"), "{err}");
+    }
+
+    #[test]
+    fn two_functions_with_one_name_rejected() {
+        let mut m = Module::new();
+        m.push_function(loop_fn());
+        assert!(verify_module(&m).is_ok());
+        m.push_function(loop_fn());
+        let err = verify_module(&m).unwrap_err();
+        assert_eq!(err.function, "l");
+        assert!(err.message.contains("same name"), "{err}");
     }
 
     #[test]

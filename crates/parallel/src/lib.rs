@@ -24,11 +24,11 @@
 //! * [`runtime`] — the recursive-bisection executor with identity-seeded
 //!   privatized accumulators, element-wise merging and dynamic histogram
 //!   growth, plus the **cancellable speculative** path for early-exit
-//!   loops: chunked execution (geometric front-ramp via
-//!   [`plan::ChunkPolicy`]) polling an [`sync::EarlyExitToken`], merged
-//!   by lowest hit with fold partials replayed up to it (sequential
-//!   semantics on every thread count), and a bounds-aware sequential
-//!   fallback for trapping speculation.
+//!   loops: chunked execution (a geometric front-ramp of
+//!   [`runtime::SPECULATIVE_CHUNKS_PER_WORKER`] chunks per worker) polling
+//!   an [`sync::EarlyExitToken`], merged by lowest hit with fold partials
+//!   replayed up to it (sequential semantics on every thread count), and
+//!   a bounds-aware sequential fallback for trapping speculation.
 //!
 //! # Example
 //!
@@ -61,9 +61,7 @@ pub mod runtime;
 pub mod sync;
 
 pub use outline::parallelize;
-pub use plan::{
-    AccSlot, ChunkPolicy, FoldSlot, HistSlot, ReductionPlan, SearchSlot, WrittenPolicy,
-};
+pub use plan::{AccSlot, FoldSlot, HistSlot, ReductionPlan, SearchSlot, WrittenPolicy};
 
 /// Thread counts the sequential-equivalence tests sweep: `{1, 2, 4, 8}`
 /// by default, overridable with a comma-separated `GR_THREADS`

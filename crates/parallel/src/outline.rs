@@ -20,22 +20,32 @@
 //! * all uses of the carried values after the loop are rewired to the
 //!   reloaded values.
 //!
+//! Three templates share this shape: the deterministic folds (scalars,
+//! histograms, scans, argmin/argmax), map-reduce fusion and the
+//! speculative early-exit loops. Each one checks its own loop shape, then
+//! drives the same steps: closure discovery (`Closure`), the chunk
+//! skeleton and two-phase body clone (`ChunkBuilder`), and the call-site
+//! rewrite (`call_site`, `patch_exit_phis`, `stub_blocks`,
+//! `rewire_uses`). A template adds only its own cells and phis, and
+//! passes in the rules where it differs.
+//!
 //! The names depend only on the module being rewritten: a module that
-//! already holds `__chunk_f` gets `__chunk_f_1` and `__parrun_f_1` (the
-//! smallest free suffix) instead.
+//! already holds `__chunk_f` (or its value-only variant `__chunk_f_vo`)
+//! gets `__chunk_f_1` and `__parrun_f_1` (the smallest free suffix)
+//! instead.
 //!
 //! The runtime (see [`crate::runtime`]) intercepts the intrinsic, bisects
 //! the iteration space over threads, runs the chunk on privatized memory
 //! overlays and merges the partials.
 
 use crate::plan::{
-    AccSlot, ArgSlot, ChunkPolicy, ExitSlot, FoldSlot, HistSlot, ReductionPlan, ScanSlot,
-    SearchSlot, WrittenPolicy, WrittenSlot,
+    AccSlot, ArgSlot, ExitSlot, FoldSlot, HistSlot, ReductionPlan, ScanSlot, SearchSlot,
+    WrittenPolicy, WrittenSlot, ARG_IDX_SENTINEL, SEARCH_NO_HIT,
 };
 use gr_analysis::dataflow::root_object;
 use gr_analysis::Analyses;
-use gr_core::{Reduction, ReductionKind};
-use gr_ir::{BlockId, Function, Module, Opcode, Type, ValueId, ValueKind};
+use gr_core::{Reduction, ReductionKind, ReductionOp};
+use gr_ir::{BlockId, CmpPred, Function, Module, Opcode, Type, ValueId, ValueKind};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -142,16 +152,18 @@ impl std::error::Error for OutlineError {}
 
 /// The chunk and intrinsic names for outlining `func_name` in `module`:
 /// `__chunk_<f>` and `__parrun_<f>`, suffixed `_<k>` with the smallest
-/// free `k` only when the module already holds that chunk name. They
-/// depend on the module alone, so rewriting one module twice names its
-/// chunks the same.
+/// `k` for which the chunk, its value-only variant `<chunk>_vo` and the
+/// intrinsic are all free names. They depend on the module alone, so
+/// rewriting one module twice names its chunks the same.
 fn chunk_names(module: &Module, func_name: &str) -> (String, String) {
-    let base = format!("__chunk_{func_name}");
-    let suffix = (0..)
+    let free = |name: &str| module.function(name).is_none();
+    (0..)
         .map(|k| if k == 0 { String::new() } else { format!("_{k}") })
-        .find(|suffix| module.function(&format!("{base}{suffix}")).is_none())
-        .expect("some suffix is free");
-    (format!("{base}{suffix}"), format!("__parrun_{func_name}{suffix}"))
+        .map(|suffix| {
+            (format!("__chunk_{func_name}{suffix}"), format!("__parrun_{func_name}{suffix}"))
+        })
+        .find(|(chunk, intrinsic)| free(chunk) && free(&format!("{chunk}_vo")) && free(intrinsic))
+        .expect("some suffix is free")
 }
 
 /// Rewrites `func_name` in (a clone of) `module` to execute its detected
@@ -264,12 +276,20 @@ fn parallelize_inner(
         }
         return outline_speculative(module, func_name, &rs);
     }
-    let fi = module
-        .functions
-        .iter()
-        .position(|f| f.name == func_name)
-        .ok_or_else(|| OutlineError::NoSuchFunction(func_name.to_string()))?;
+    outline_folds(module, func_name, &rs)
+}
 
+/// Outlines the deterministic folds of one loop — scalar accumulators,
+/// histograms, prefix scans and argmin/argmax pairs — onto the
+/// privatize-and-merge schedule. With scans present it also emits the
+/// value-only chunk variant for the partials pass.
+fn outline_folds(
+    module: &Module,
+    func_name: &str,
+    rs: &[&Reduction],
+) -> Result<(Module, ReductionPlan), OutlineError> {
+    let header = rs[0].header;
+    let fi = function_index(module, func_name)?;
     let func = &module.functions[fi];
     let analyses = Analyses::new(module, func);
     let lid = analyses
@@ -279,139 +299,55 @@ fn parallelize_inner(
     let l = analyses.loops.get(lid).clone();
 
     // --- gather loop anatomy from the solver bindings -------------------
-    let b0 = &rs[0].bindings;
-    let get = |name: &str| -> ValueId {
-        b0.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .expect("for-loop binding present")
-    };
+    let get = |name: &str| rs[0].binding(name);
     let iterator = get("iterator");
-    let iter_begin = get("iter_begin");
-    let iter_end = get("iter_end");
-    let iter_step = get("iter_step");
-    let test = get("test");
-    let jump = get("jump");
     let exit_block = func.block_of_label(get("exit"));
     let preheader = func.block_of_label(get("preheader"));
-
-    let pred = continue_pred(func, iterator, test, jump, exit_block)?;
+    let pred = continue_pred(func, iterator, get("test"), get("jump"), exit_block)?;
 
     // Header shape: phis, then exactly test + jump.
-    let header_insts = func.block(header).insts.clone();
-    let phis: Vec<ValueId> = header_insts
-        .iter()
-        .copied()
-        .take_while(|&v| func.value(v).kind.opcode() == Some(&Opcode::Phi))
-        .collect();
-    let rest: Vec<ValueId> = header_insts[phis.len()..].to_vec();
-    if rest != vec![test, jump] {
+    let phis = leading_phis(func, header);
+    if func.block(header).insts[phis.len()..] != [get("test"), get("jump")] {
         return Err(OutlineError::UnsupportedHeaderShape);
     }
 
     // Every carried phi must be the iterator or a detected carried value:
     // a scalar accumulator, a scan accumulator, or an argmin/argmax
     // value/index pair.
-    let scalar_rs: Vec<&Reduction> =
-        rs.iter().copied().filter(|r| r.kind == ReductionKind::Scalar).collect();
-    let hist_rs: Vec<&Reduction> =
-        rs.iter().copied().filter(|r| r.kind == ReductionKind::Histogram).collect();
-    let scan_rs: Vec<&Reduction> =
-        rs.iter().copied().filter(|r| r.kind == ReductionKind::Scan).collect();
+    let of_kind = |kind: ReductionKind| -> Vec<&Reduction> {
+        rs.iter().copied().filter(|r| r.kind == kind).collect()
+    };
+    let scalar_rs = of_kind(ReductionKind::Scalar);
+    let hist_rs = of_kind(ReductionKind::Histogram);
+    let scan_rs = of_kind(ReductionKind::Scan);
     let arg_rs: Vec<&Reduction> = rs.iter().copied().filter(|r| r.kind.is_arg()).collect();
-    let arg_idx_phis: Vec<ValueId> = arg_rs.iter().map(|r| r.binding("idx")).collect();
     let mut acc_phis: Vec<ValueId> = scalar_rs.iter().map(|r| r.anchor).collect();
     acc_phis.extend(scan_rs.iter().map(|r| r.anchor));
     acc_phis.extend(arg_rs.iter().map(|r| r.anchor));
-    acc_phis.extend(arg_idx_phis.iter().copied());
-    for &p in &phis {
-        if p != iterator && !acc_phis.contains(&p) {
-            return Err(OutlineError::UnknownCarriedState);
-        }
+    acc_phis.extend(arg_rs.iter().map(|r| r.binding("idx")));
+    if phis.iter().any(|&p| p != iterator && !acc_phis.contains(&p)) {
+        return Err(OutlineError::UnknownCarriedState);
     }
-    // The iterator must not be live past the loop.
-    for b in func.block_ids() {
-        if l.contains(b) {
-            continue;
-        }
-        for &inst in &func.block(b).insts {
-            if func.value(inst).kind.operands().contains(&iterator) {
-                return Err(OutlineError::IteratorLiveOut);
-            }
-        }
+    if used_outside(func, &|b| l.contains(b), iterator) {
+        return Err(OutlineError::IteratorLiveOut);
     }
-    // Exit phis no longer stop fold outlining (mirroring what the search
-    // path did for its two exits): a loop nested in control flow merges
-    // its carried values with the other paths' values at the exit block.
-    // Each exit phi's loop-edge arm must be a detected carried phi (it is
-    // patched to the reloaded final) or a value available before the loop.
-    let exit_phis: Vec<ValueId> = func
-        .block(exit_block)
-        .insts
-        .iter()
-        .copied()
-        .take_while(|&v| func.value(v).kind.opcode() == Some(&Opcode::Phi))
-        .collect();
-    let mut exit_patches: Vec<(ValueId, ValueId)> = Vec::new(); // (phi, loop-edge value)
-    for &phi in &exit_phis {
-        let hv = func
-            .phi_incoming(phi)
-            .iter()
-            .find(|(_, b)| *b == header)
-            .map(|(v, _)| *v)
-            .ok_or(OutlineError::ExitHasPhis)?;
-        let in_loop = func.block_of_inst(hv).is_some_and(|b| l.contains(b));
-        if in_loop && !acc_phis.contains(&hv) {
-            return Err(OutlineError::ExitHasPhis);
-        }
-        exit_patches.push((phi, hv));
-    }
+    // Exit phis do not stop fold outlining: a loop nested in control flow
+    // merges its carried values with the other paths' values at the exit
+    // block. Each exit phi's loop-edge arm must be a detected carried phi
+    // (it is patched to the reloaded final) or a value available before
+    // the loop.
+    let exit_phis = leading_phis(func, exit_block);
+    let exit_patches = exit_patches(func, &exit_phis, header, &|b| l.contains(b), &acc_phis)?;
 
     // --- closure discovery ----------------------------------------------
     let body_blocks: Vec<BlockId> =
         func.block_ids().filter(|&b| l.contains(b) && b != header).collect();
-    let inside: HashSet<ValueId> = body_blocks
-        .iter()
-        .flat_map(|&b| func.block(b).insts.iter().copied())
-        .chain(phis.iter().copied())
-        .collect();
-    let mut closure: Vec<ValueId> = Vec::new();
-    let is_closure = |v: ValueId, func: &Function, closure: &mut Vec<ValueId>| {
-        push_closure_value(v, func, &inside, closure);
-    };
-    for &b in &body_blocks {
-        for &inst in &func.block(b).insts {
-            let data = func.value(inst);
-            let ops: Vec<ValueId> = match data.kind.opcode() {
-                Some(Opcode::Phi) => data.kind.operands().chunks(2).map(|c| c[0]).collect(),
-                _ => data.kind.operands().to_vec(),
-            };
-            for op in ops {
-                if op == iterator || acc_phis.contains(&op) {
-                    continue;
-                }
-                // Note: iter_begin/iter_end/iter_step are NOT special here;
-                // if the body uses them as ordinary values they travel as
-                // closure values (or are re-interned as constants).
-                is_closure(op, func, &mut closure);
-            }
-        }
-    }
+    let mut closure = Closure::discover(func, &body_blocks, &phis, &[]);
 
     // --- classify written objects ----------------------------------------
-    let hist_bases: Vec<ValueId> = hist_rs
+    let hist_roots: Vec<ValueId> = hist_rs
         .iter()
-        .map(|r| {
-            r.bindings
-                .iter()
-                .find(|(n, _)| n == "base")
-                .map(|(_, v)| *v)
-                .expect("histogram base binding")
-        })
-        .collect();
-    let hist_roots: Vec<ValueId> = hist_bases
-        .iter()
-        .map(|&b| root_object(func, b).expect("histogram root"))
+        .map(|r| root_object(func, r.binding("base")).expect("histogram root"))
         .collect();
     // Scan outputs are reduction targets with their own slot: the runtime
     // privatizes them in the partials pass and shares them (disjoint
@@ -462,383 +398,87 @@ fn parallelize_inner(
     // Written and scan-output roots must be reachable through the closure
     // (they are used by geps inside the loop, so they were discovered
     // above).
-    for (root, _) in &written_roots {
-        if !closure.contains(root) {
-            closure.push(*root);
+    for &root in written_roots.iter().map(|(r, _)| r).chain(&scan_out_roots) {
+        if !closure.values.contains(&root) {
+            closure.values.push(root);
         }
     }
-    for root in &scan_out_roots {
-        if !closure.contains(root) {
-            closure.push(*root);
-        }
-    }
+    let closure = closure.values;
 
     // --- build the chunk function -----------------------------------------
     let (chunk_name, intrinsic) = chunk_names(module, func_name);
-
-    let mut params: Vec<(String, Type)> = vec![
-        ("lo".to_string(), Type::Int),
-        ("hi".to_string(), Type::Int),
-        ("step".to_string(), Type::Int),
-    ];
-    for (i, &cv) in closure.iter().enumerate() {
-        params.push((format!("c{i}"), func.value(cv).ty));
-    }
     // Out-cell layout (mirrored by the intrinsic argument list): scalar
     // cells, scan cells, then one (value, index) cell pair per arg slot.
-    let ptr_ty = |ty: Type| match ty {
-        Type::Int | Type::Bool => Type::PtrInt,
-        _ => Type::PtrFloat,
-    };
-    let acc_out_base = params.len();
+    let ty_of = |v: ValueId| func.value(v).ty;
+    let mut cells: Vec<(String, Type)> = Vec::new();
     for (i, r) in scalar_rs.iter().enumerate() {
-        params.push((format!("out{i}"), ptr_ty(func.value(r.anchor).ty)));
+        cells.push((format!("out{i}"), cell_ty(ty_of(r.anchor))));
     }
-    let scan_out_base = params.len();
     for (i, r) in scan_rs.iter().enumerate() {
-        params.push((format!("scan{i}"), ptr_ty(func.value(r.anchor).ty)));
+        cells.push((format!("scan{i}"), cell_ty(ty_of(r.anchor))));
     }
-    let arg_out_base = params.len();
     for (i, r) in arg_rs.iter().enumerate() {
-        params.push((format!("argv{i}"), ptr_ty(func.value(r.anchor).ty)));
-        params.push((format!("argi{i}"), Type::PtrInt));
+        cells.push((format!("argv{i}"), cell_ty(ty_of(r.anchor))));
+        cells.push((format!("argi{i}"), Type::PtrInt));
     }
-    let param_refs: Vec<(&str, Type)> = params.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let mut chunk = Function::new(&chunk_name, &param_refs, Type::Void);
-
-    let c_entry = chunk.add_block("entry");
-    let c_header = chunk.add_block("header");
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    block_map.insert(header, c_header);
-    for &b in &body_blocks {
-        let nb = chunk.add_block(&func.block(b).name);
-        block_map.insert(b, nb);
-    }
-    let c_exit = chunk.add_block("exit");
-    block_map.insert(exit_block, c_exit);
-
-    // Value map seeded with params. `iter_begin`/`iter_end`/`iter_step`
-    // must NOT be mapped globally: they are often interned constants (0,
-    // 1, n) that the loop body reuses with entirely different meaning
-    // (e.g. tpacf's binary-search `lo = 0`). Their structural uses — the
-    // induction phi, the loop test, the increment — are rebuilt or patched
-    // explicitly below.
-    let mut val_map: HashMap<ValueId, ValueId> = HashMap::new();
-    for (i, &cv) in closure.iter().enumerate() {
-        val_map.insert(cv, chunk.arg_values[3 + i]);
-    }
-
-    // Header: iterator phi, acc phis, test, jump.
-    let c_entry_label = chunk.block(c_entry).label;
-    let c_header_label = chunk.block(c_header).label;
-    let c_latch = block_map[&func.block_of_label(get("latch"))];
-    let c_latch_label = chunk.block(c_latch).label;
-    let c_iter = chunk.add_value(
-        ValueKind::Inst { opcode: Opcode::Phi, operands: vec![] },
-        Type::Int,
-        Some("i".to_string()),
+    let acc_out_base = 3 + closure.len();
+    let scan_out_base = acc_out_base + scalar_rs.len();
+    let arg_out_base = scan_out_base + scan_rs.len();
+    let mut ck = ChunkBuilder::new(
+        func,
+        &chunk_name,
+        &closure,
+        &cells,
+        &Region {
+            headers: &[header],
+            body: &body_blocks,
+            exit: exit_block,
+            latch: func.block_of_label(get("latch")),
+            next_iter: get("next_iter"),
+            iterators: &[iterator],
+        },
     );
-    chunk.blocks[c_header.index()].insts.push(c_iter);
-    val_map.insert(iterator, c_iter);
-    let mut header_phi = |chunk: &mut Function, anchor: ValueId, name: &str| {
-        let ty = func.value(anchor).ty;
-        let phi = chunk.add_value(
-            ValueKind::Inst { opcode: Opcode::Phi, operands: vec![] },
-            ty,
-            Some(name.to_string()),
-        );
-        chunk.blocks[c_header.index()].insts.push(phi);
-        val_map.insert(anchor, phi);
-        (phi, ty)
-    };
-    let mut c_acc_phis = Vec::new();
-    for r in &scalar_rs {
-        let (c_acc, ty) = header_phi(&mut chunk, r.anchor, "acc");
-        c_acc_phis.push((c_acc, r.op, ty));
-    }
-    let mut c_scan_phis = Vec::new();
-    for r in &scan_rs {
-        let (c_acc, ty) = header_phi(&mut chunk, r.anchor, "scan_acc");
-        c_scan_phis.push((c_acc, ty));
-    }
-    let mut c_arg_phis = Vec::new();
-    for r in &arg_rs {
-        let (c_val, ty) = header_phi(&mut chunk, r.anchor, "arg_val");
-        let (c_idx, _) = header_phi(&mut chunk, r.binding("idx"), "arg_idx");
-        c_arg_phis.push((c_val, c_idx, r.op, ty));
-    }
-    let c_test = chunk.append_inst(
-        c_header,
-        Opcode::Cmp(pred),
-        vec![c_iter, chunk.arg_values[1]],
-        Type::Bool,
-    );
-    let body_entry = func.block_of_label(get("body"));
-    let c_body_label = chunk.block(block_map[&body_entry]).label;
-    let c_exit_label = chunk.block(c_exit).label;
-    chunk.append_inst(
-        c_header,
-        Opcode::CondBr,
-        vec![c_test, c_body_label, c_exit_label],
-        Type::Void,
-    );
-
-    // entry: load each scan seed from its cell (the runtime stores the
-    // identity or the block offset there before invoking the chunk), then
-    // branch to the header.
-    let mut c_scan_seeds = Vec::new();
-    for (si, _) in scan_rs.iter().enumerate() {
-        let (_, ty) = c_scan_phis[si];
-        let cell = chunk.arg_values[scan_out_base + si];
-        let seed = chunk.append_inst(c_entry, Opcode::Load, vec![cell], ty);
-        c_scan_seeds.push(seed);
-    }
-    chunk.append_inst(c_entry, Opcode::Br, vec![c_header_label], Type::Void);
-
-    // Clone body instructions: phase 1 shells, phase 2 operands.
-    let mut cloned: Vec<(ValueId, ValueId)> = Vec::new(); // (orig, clone)
-    for &b in &body_blocks {
-        for &inst in &func.block(b).insts.clone() {
-            let data = func.value(inst).clone();
-            let ValueKind::Inst { opcode, .. } = data.kind else { unreachable!() };
-            let c =
-                chunk.add_value(ValueKind::Inst { opcode, operands: vec![] }, data.ty, data.name);
-            chunk.blocks[block_map[&b].index()].insts.push(c);
-            val_map.insert(inst, c);
-            cloned.push((inst, c));
-        }
-    }
-    // Phase 2: map operands.
-    for (orig, clone) in &cloned {
-        let ops = func.value(*orig).kind.operands().to_vec();
-        let mapped: Vec<ValueId> = ops
-            .iter()
-            .map(|&op| map_operand(func, &mut chunk, &val_map, &block_map, op))
-            .collect();
-        if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(*clone).kind {
-            *operands = mapped;
-        }
-    }
-    // Complete the header phis.
-    let next_iter_clone = val_map[&get("next_iter")];
-    let lo_arg = chunk.arg_values[0];
-    if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(c_iter).kind {
-        operands.extend([lo_arg, c_entry_label, next_iter_clone, c_latch_label]);
-    }
-    let identity_of = |chunk: &mut Function, op: gr_core::ReductionOp, ty: Type| match ty {
-        Type::Int | Type::Bool => chunk.const_int(op.identity_int()),
-        _ => chunk.const_float(op.identity_float()),
-    };
-    for (ri, r) in scalar_rs.iter().enumerate() {
-        let (c_acc, op, ty) = c_acc_phis[ri];
-        let identity = identity_of(&mut chunk, op, ty);
-        let next_clone = val_map[&r.binding("acc_next")];
-        if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(c_acc).kind {
-            operands.extend([identity, c_entry_label, next_clone, c_latch_label]);
-        }
+    let c_accs: Vec<ValueId> = scalar_rs.iter().map(|r| ck.header_phi(r.anchor, "acc")).collect();
+    let c_scans: Vec<ValueId> =
+        scan_rs.iter().map(|r| ck.header_phi(r.anchor, "scan_acc")).collect();
+    let c_args: Vec<(ValueId, ValueId)> = arg_rs
+        .iter()
+        .map(|r| (ck.header_phi(r.anchor, "arg_val"), ck.header_phi(r.binding("idx"), "arg_idx")))
+        .collect();
+    // The entry loads each scan seed from its cell: the runtime stores the
+    // identity or the block offset there before invoking the chunk.
+    let seed_cells: Vec<(usize, Type)> = scan_rs
+        .iter()
+        .enumerate()
+        .map(|(si, r)| (scan_out_base + si, ty_of(r.anchor)))
+        .collect();
+    let seeds = ck.close_header(pred, func.block_of_label(get("body")), &seed_cells);
+    ck.clone_body(&[], &[]);
+    for (r, &c_acc) in scalar_rs.iter().zip(&c_accs) {
+        let identity = identity_of(&mut ck.chunk, r.op, ty_of(r.anchor));
+        ck.complete_phi(c_acc, identity, r.binding("acc_next"));
     }
     // Scan accumulators are seeded from their cell, not a constant.
-    for (si, r) in scan_rs.iter().enumerate() {
-        let (c_acc, _) = c_scan_phis[si];
-        let seed = c_scan_seeds[si];
-        let next_clone = val_map[&r.binding("acc_next")];
-        if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(c_acc).kind {
-            operands.extend([seed, c_entry_label, next_clone, c_latch_label]);
-        }
+    for ((r, &c_acc), &seed) in scan_rs.iter().zip(&c_scans).zip(&seeds) {
+        ck.complete_phi(c_acc, seed, r.binding("acc_next"));
     }
     // Argmin/argmax pairs start from (identity, sentinel).
-    for (ai, r) in arg_rs.iter().enumerate() {
-        let (c_val, c_idx, op, ty) = c_arg_phis[ai];
-        let identity = identity_of(&mut chunk, op, ty);
-        let sentinel = chunk.const_int(crate::plan::ARG_IDX_SENTINEL);
-        let val_next_clone = val_map[&r.binding("val_next")];
-        let idx_next_clone = val_map[&r.binding("idx_next")];
-        if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(c_val).kind {
-            operands.extend([identity, c_entry_label, val_next_clone, c_latch_label]);
-        }
-        if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(c_idx).kind {
-            operands.extend([sentinel, c_entry_label, idx_next_clone, c_latch_label]);
-        }
+    for (r, &(c_val, c_idx)) in arg_rs.iter().zip(&c_args) {
+        let identity = identity_of(&mut ck.chunk, r.op, ty_of(r.anchor));
+        let sentinel = ck.chunk.const_int(ARG_IDX_SENTINEL);
+        ck.complete_phi(c_val, identity, r.binding("val_next"));
+        ck.complete_phi(c_idx, sentinel, r.binding("idx_next"));
     }
-    // exit: store partials, ret.
-    for (ri, _) in scalar_rs.iter().enumerate() {
-        let (c_acc, _, _) = c_acc_phis[ri];
-        let out = chunk.arg_values[acc_out_base + ri];
-        chunk.append_inst(c_exit, Opcode::Store, vec![c_acc, out], Type::Void);
+    for (i, &c_acc) in c_accs.iter().enumerate() {
+        ck.store(c_acc, acc_out_base + i);
     }
-    for (si, _) in scan_rs.iter().enumerate() {
-        let (c_acc, _) = c_scan_phis[si];
-        let out = chunk.arg_values[scan_out_base + si];
-        chunk.append_inst(c_exit, Opcode::Store, vec![c_acc, out], Type::Void);
+    for (i, &c_acc) in c_scans.iter().enumerate() {
+        ck.store(c_acc, scan_out_base + i);
     }
-    for (ai, _) in arg_rs.iter().enumerate() {
-        let (c_val, c_idx, _, _) = c_arg_phis[ai];
-        let val_out = chunk.arg_values[arg_out_base + 2 * ai];
-        let idx_out = chunk.arg_values[arg_out_base + 2 * ai + 1];
-        chunk.append_inst(c_exit, Opcode::Store, vec![c_val, val_out], Type::Void);
-        chunk.append_inst(c_exit, Opcode::Store, vec![c_idx, idx_out], Type::Void);
+    for (i, &(c_val, c_idx)) in c_args.iter().enumerate() {
+        ck.store(c_val, arg_out_base + 2 * i);
+        ck.store(c_idx, arg_out_base + 2 * i + 1);
     }
-    chunk.append_inst(c_exit, Opcode::Ret, vec![], Type::Void);
-
-    // --- rewrite the original function ------------------------------------
-    let mut out = module.clone();
-    let f = &mut out.functions[fi];
-
-    // Remove the preheader's terminator.
-    let term = f.blocks[preheader.index()].insts.pop().expect("preheader has a terminator");
-    debug_assert_eq!(f.value(term).kind.opcode(), Some(&Opcode::Br));
-
-    // Cells for the carried values, mirroring the chunk's out-cell layout:
-    // scalar cells, scan cells, then (value, index) pairs per arg slot.
-    // Each cell is seeded with the loop's original initial value.
-    let mut cells = Vec::new();
-    let mut carried: Vec<(ValueId, ValueId)> = Vec::new(); // (phi, init)
-    for r in &scalar_rs {
-        carried.push((r.anchor, r.binding("acc_init")));
-    }
-    for r in &scan_rs {
-        carried.push((r.anchor, r.binding("acc_init")));
-    }
-    for r in &arg_rs {
-        carried.push((r.anchor, r.binding("val_init")));
-        carried.push((r.binding("idx"), r.binding("idx_init")));
-    }
-    for &(phi, init) in &carried {
-        let ty = f.value(phi).ty;
-        let one = f.const_int(1);
-        let pty = match ty {
-            Type::Int | Type::Bool => Type::PtrInt,
-            _ => Type::PtrFloat,
-        };
-        let cell = f.append_inst(preheader, Opcode::Alloca, vec![one], pty);
-        f.append_inst(preheader, Opcode::Store, vec![init, cell], Type::Void);
-        cells.push(cell);
-    }
-    // Intrinsic call: [lo, hi, step, closure…, cells…].
-    let mut call_args = vec![iter_begin, iter_end, iter_step];
-    call_args.extend(closure.iter().copied());
-    call_args.extend(cells.iter().copied());
-    let arg_count = call_args.len();
-    f.append_inst(preheader, Opcode::Call(intrinsic.clone()), call_args, Type::Void);
-    // Reload finals and rewire post-loop uses.
-    let mut finals = Vec::new();
-    for (ci, &(phi, _)) in carried.iter().enumerate() {
-        let ty = f.value(phi).ty;
-        let final_v = f.append_inst(preheader, Opcode::Load, vec![cells[ci]], ty);
-        finals.push((phi, final_v));
-    }
-    let exit_label = f.block(exit_block).label;
-    f.append_inst(preheader, Opcode::Br, vec![exit_label], Type::Void);
-    // Patch the exit phis: the loop edge becomes the preheader edge,
-    // carrying the reloaded final for carried values (the other arms —
-    // paths around the loop — stay untouched).
-    let header_label = f.block(header).label;
-    let preheader_label = f.block(preheader).label;
-    for &(phi, hv) in &exit_patches {
-        let new_v = finals.iter().find(|(acc, _)| *acc == hv).map_or(hv, |(_, nv)| *nv);
-        if let ValueKind::Inst { operands, .. } = &mut f.values[phi.index()].kind {
-            for c in operands.chunks_mut(2) {
-                if c[1] == header_label {
-                    c[0] = new_v;
-                    c[1] = preheader_label;
-                }
-            }
-        }
-    }
-    // Stub out the loop blocks. With exit phis present the stubs must
-    // not create stray predecessors of the exit block (phi incoming
-    // edges are checked against predecessors exactly), so the now
-    // unreachable blocks branch to themselves instead.
-    for b in f.block_ids().collect::<Vec<_>>() {
-        if l.contains(b) {
-            f.blocks[b.index()].insts.clear();
-            let target = if exit_phis.is_empty() { exit_label } else { f.block(b).label };
-            let stub = f.add_value(
-                ValueKind::Inst { opcode: Opcode::Br, operands: vec![target] },
-                Type::Void,
-                None,
-            );
-            f.blocks[b.index()].insts.push(stub);
-        }
-    }
-    // Rewire accumulator uses outside the loop.
-    for b in f.block_ids().collect::<Vec<_>>() {
-        if l.contains(b) {
-            continue;
-        }
-        for inst in f.blocks[b.index()].insts.clone() {
-            if exit_phis.contains(&inst) {
-                continue; // already patched edge-precisely above
-            }
-            let kind = &mut f.values[inst.index()].kind;
-            if let ValueKind::Inst { operands, .. } = kind {
-                for op in operands.iter_mut() {
-                    if let Some((_, nv)) = finals.iter().find(|(acc, _)| acc == op) {
-                        *op = *nv;
-                    }
-                }
-            }
-        }
-    }
-
-    // --- assemble the plan --------------------------------------------------
-    let accs: Vec<AccSlot> = scalar_rs
-        .iter()
-        .enumerate()
-        .map(|(ri, r)| AccSlot {
-            arg_index: 3 + closure.len() + ri,
-            ty: func.value(r.anchor).ty,
-            op: r.op,
-        })
-        .collect();
-    let hists: Vec<HistSlot> = hist_rs
-        .iter()
-        .zip(&hist_roots)
-        .map(|(r, root)| {
-            let pos = closure
-                .iter()
-                .position(|c| c == root)
-                .expect("histogram root is a closure value");
-            HistSlot {
-                arg_index: 3 + pos,
-                elem: func.value(*root).ty.elem().unwrap_or(Type::Float),
-                op: r.op,
-                growable: false,
-            }
-        })
-        .collect();
-    let written: Vec<WrittenSlot> = written_roots
-        .iter()
-        .map(|(root, policy)| WrittenSlot {
-            arg_index: 3 + closure.iter().position(|c| c == root).expect("written root in closure"),
-            policy: *policy,
-        })
-        .collect();
-    let scans: Vec<ScanSlot> = scan_rs
-        .iter()
-        .zip(&scan_out_roots)
-        .enumerate()
-        .map(|(si, (r, root))| ScanSlot {
-            cell_arg_index: scan_out_base + si,
-            out_arg_index: 3 + closure
-                .iter()
-                .position(|c| c == root)
-                .expect("scan output root in closure"),
-            ty: func.value(r.anchor).ty,
-            op: r.op,
-        })
-        .collect();
-    let args: Vec<ArgSlot> = arg_rs
-        .iter()
-        .enumerate()
-        .map(|(ai, r)| ArgSlot {
-            val_arg_index: arg_out_base + 2 * ai,
-            idx_arg_index: arg_out_base + 2 * ai + 1,
-            ty: func.value(r.anchor).ty,
-            op: r.op,
-            pred: r.arg_pred.expect("argmin/argmax report carries its predicate"),
-        })
-        .collect();
 
     // Value-only chunk for the scan partials pass: pass one of the
     // two-pass block scan only needs each block's final running value, so
@@ -848,62 +488,113 @@ fn parallelize_inner(
     // the address chains feeding nothing else. This cuts the 2n work
     // bound of scan exploitation toward n + n/blocks: the replay pass does
     // the full body, the partials pass the value computation only.
-    let chunk_value_only_fn = if scan_rs.is_empty() {
-        None
-    } else {
-        let vo_name = format!("{chunk_name}_vo");
-        let mut dead_stores: Vec<ValueId> =
-            scan_rs.iter().map(|r| val_map[&r.binding("store")]).collect();
+    let dead_stores: Option<Vec<ValueId>> = (!scan_rs.is_empty()).then(|| {
+        let mut dead: Vec<ValueId> = scan_rs.iter().map(|r| r.binding("store")).collect();
         // Histogram load-modify-stores are privatized-and-discarded in
         // pass one; detection confines the old value to its own update, so
         // dropping the store leaves the loads dead for the sweep.
-        dead_stores.extend(hist_rs.iter().map(|r| val_map[&r.binding("store")]));
+        dead.extend(hist_rs.iter().map(|r| r.binding("store")));
         // Same for written objects, as long as nothing in the loop reads
         // them back (a read-back would observe the stripped stores).
-        let read_roots: HashSet<ValueId> = body_blocks
-            .iter()
-            .flat_map(|&b| func.block(b).insts.iter())
-            .filter_map(|&inst| {
-                let data = func.value(inst);
-                (data.kind.opcode() == Some(&Opcode::Load))
-                    .then(|| root_object(func, data.kind.operands()[0]))
-                    .flatten()
+        let body_insts = || body_blocks.iter().flat_map(|&b| func.block(b).insts.iter().copied());
+        let root_of = |inst: ValueId, opcode: Opcode, operand: usize| {
+            let data = func.value(inst);
+            (data.kind.opcode() == Some(&opcode))
+                .then(|| root_object(func, data.kind.operands()[operand]))
+                .flatten()
+        };
+        let read_roots: HashSet<ValueId> =
+            body_insts().filter_map(|inst| root_of(inst, Opcode::Load, 0)).collect();
+        dead.extend(body_insts().filter(|&inst| {
+            root_of(inst, Opcode::Store, 1).is_some_and(|root| {
+                written_roots.iter().any(|(r, _)| *r == root) && !read_roots.contains(&root)
             })
-            .collect();
-        for &b in &body_blocks {
-            for &inst in &func.block(b).insts {
-                let data = func.value(inst);
-                if data.kind.opcode() != Some(&Opcode::Store) {
-                    continue;
-                }
-                let Some(root) = root_object(func, data.kind.operands()[1]) else { continue };
-                if written_roots.iter().any(|(r, _)| *r == root) && !read_roots.contains(&root) {
-                    dead_stores.push(val_map[&inst]);
-                }
-            }
-        }
-        out.push_function(value_only_variant(&chunk, &vo_name, &dead_stores));
-        Some(vo_name)
-    };
-    out.push_function(chunk);
-    gr_ir::verify::verify_module(&out).expect("outlined module must verify");
+        }));
+        dead.iter().map(|v| ck.val_map[v]).collect()
+    });
+    let chunk = ck.finish();
+    let value_only =
+        dead_stores.map(|dead| value_only_variant(&chunk, &format!("{chunk_name}_vo"), &dead));
 
-    let plan = ReductionPlan {
-        function: func_name.to_string(),
-        chunk_fn: chunk_name,
-        chunk_value_only_fn,
-        intrinsic,
-        pred,
-        accs,
-        hists,
-        scans,
-        args,
-        search: None,
-        written,
-        arg_count,
-        chunking: ChunkPolicy::default(),
+    // --- rewrite the original function ------------------------------------
+    let mut out = module.clone();
+    let f = &mut out.functions[fi];
+    // Cells for the carried values, mirroring the chunk's out-cell layout,
+    // each seeded with the loop's original initial value.
+    let mut carried: Vec<(ValueId, ValueId)> = Vec::new(); // (phi, init)
+    for r in scalar_rs.iter().chain(&scan_rs) {
+        carried.push((r.anchor, r.binding("acc_init")));
+    }
+    for r in &arg_rs {
+        carried.push((r.anchor, r.binding("val_init")));
+        carried.push((r.binding("idx"), r.binding("idx_init")));
+    }
+    let cell_inits: Vec<(Type, ValueId)> =
+        carried.iter().map(|&(phi, init)| (ty_of(phi), init)).collect();
+    let mut args = vec![get("iter_begin"), get("iter_end"), get("iter_step")];
+    args.extend(&closure);
+    let (reloads, arg_count) =
+        call_site(f, preheader, exit_block, &intrinsic, args, &cell_inits, 0);
+    let finals: Vec<(ValueId, ValueId)> =
+        carried.iter().map(|&(phi, _)| phi).zip(reloads).collect();
+    patch_exit_phis(f, &exit_patches, &finals, header, preheader);
+    // With exit phis present the stubs must not create stray predecessors
+    // of the exit block (phi incoming edges are checked against
+    // predecessors exactly), so the now unreachable blocks branch to
+    // themselves instead.
+    stub_blocks(f, &|b| l.contains(b), &|b| if exit_phis.is_empty() { exit_block } else { b });
+    rewire_uses(f, &|b| l.contains(b), &exit_phis, &finals);
+
+    // --- assemble the plan --------------------------------------------------
+    let closure_slot = |root: &ValueId| {
+        3 + closure.iter().position(|c| c == root).expect("object root is a closure value")
     };
-    Ok((out, plan))
+    let plan = ReductionPlan {
+        chunk_value_only_fn: value_only.as_ref().map(|vo| vo.name.clone()),
+        accs: scalar_rs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| AccSlot { arg_index: acc_out_base + i, ty: ty_of(r.anchor), op: r.op })
+            .collect(),
+        hists: hist_rs
+            .iter()
+            .zip(&hist_roots)
+            .map(|(r, root)| HistSlot {
+                arg_index: closure_slot(root),
+                elem: ty_of(*root).elem().unwrap_or(Type::Float),
+                op: r.op,
+                growable: false,
+            })
+            .collect(),
+        scans: scan_rs
+            .iter()
+            .zip(&scan_out_roots)
+            .enumerate()
+            .map(|(i, (r, root))| ScanSlot {
+                cell_arg_index: scan_out_base + i,
+                out_arg_index: closure_slot(root),
+                ty: ty_of(r.anchor),
+                op: r.op,
+            })
+            .collect(),
+        args: arg_rs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| ArgSlot {
+                val_arg_index: arg_out_base + 2 * i,
+                idx_arg_index: arg_out_base + 2 * i + 1,
+                ty: ty_of(r.anchor),
+                op: r.op,
+                pred: r.arg_pred.expect("argmin/argmax report carries its predicate"),
+            })
+            .collect(),
+        written: written_roots
+            .iter()
+            .map(|(root, policy)| WrittenSlot { arg_index: closure_slot(root), policy: *policy })
+            .collect(),
+        ..bare_plan(func_name, chunk_name, intrinsic, pred, arg_count)
+    };
+    Ok((assemble(out, value_only.into_iter().chain([chunk])), plan))
 }
 
 /// Outlines a detected **map-reduce fusion** into a single chunked
@@ -930,11 +621,7 @@ fn outline_fused(
     func_name: &str,
     fusion: &Reduction,
 ) -> Result<(Module, ReductionPlan), OutlineError> {
-    let fi = module
-        .functions
-        .iter()
-        .position(|f| f.name == func_name)
-        .ok_or_else(|| OutlineError::NoSuchFunction(func_name.to_string()))?;
+    let fi = function_index(module, func_name)?;
     let func = &module.functions[fi];
     let analyses = Analyses::new(module, func);
 
@@ -944,24 +631,15 @@ fn outline_fused(
     let p_iterator = get("iterator");
     let p_header = func.block_of_label(get("header"));
     let p_exit = func.block_of_label(get("exit"));
-    let p_test = get("test");
-    let p_jump = get("jump");
     // Consumer (prefix instance 1, `_r` names).
     let c_iterator = get("iterator_r");
     let c_header = func.block_of_label(get("header_r"));
     let c_exit = func.block_of_label(get("exit_r"));
     let c_preheader = func.block_of_label(get("preheader_r"));
-    let c_test = get("test_r");
-    let c_jump = get("jump_r");
     // The intermediate's chain and the carried accumulator.
-    let p_store = get("p_store");
-    let p_addr = get("p_addr");
     let p_val = get("p_val");
     let c_load = get("c_load");
-    let c_addr = get("c_addr");
     let acc = get("acc");
-    let acc_init = get("acc_init");
-    let acc_next = get("acc_next");
 
     let p_lid = analyses.loops.loop_with_header(p_header).expect("producer loop exists");
     let c_lid = analyses.loops.loop_with_header(c_header).expect("consumer loop exists");
@@ -971,32 +649,22 @@ fn outline_fused(
         return Err(OutlineError::UnsupportedHeaderShape);
     }
 
-    let pred = continue_pred(func, c_iterator, c_test, c_jump, c_exit)?;
+    let pred = continue_pred(func, c_iterator, get("test_r"), get("jump_r"), c_exit)?;
 
     // Header shapes: producer carries only its induction variable, the
     // consumer only the induction variable and the accumulator.
-    let header_phis = |header: BlockId| -> Vec<ValueId> {
-        func.block(header)
-            .insts
-            .iter()
-            .copied()
-            .take_while(|&v| func.value(v).kind.opcode() == Some(&Opcode::Phi))
-            .collect()
-    };
-    let p_phis = header_phis(p_header);
+    let p_phis = leading_phis(func, p_header);
     if p_phis != [p_iterator] {
         return Err(OutlineError::UnknownCarriedState);
     }
-    if func.block(p_header).insts[p_phis.len()..] != [p_test, p_jump] {
+    if func.block(p_header).insts[p_phis.len()..] != [get("test"), get("jump")] {
         return Err(OutlineError::UnsupportedHeaderShape);
     }
-    let c_phis = header_phis(c_header);
-    for &p in &c_phis {
-        if p != c_iterator && p != acc {
-            return Err(OutlineError::UnknownCarriedState);
-        }
+    let c_phis = leading_phis(func, c_header);
+    if c_phis.iter().any(|&p| p != c_iterator && p != acc) {
+        return Err(OutlineError::UnknownCarriedState);
     }
-    if func.block(c_header).insts[c_phis.len()..] != [c_test, c_jump] {
+    if func.block(c_header).insts[c_phis.len()..] != [get("test_r"), get("jump_r")] {
         return Err(OutlineError::UnsupportedHeaderShape);
     }
 
@@ -1004,6 +672,7 @@ fn outline_fused(
     // consumer's load + address gep. Each address gep must feed nothing
     // but its access, and the load's only consumers sit in the consumer
     // body (the clone substitutes them).
+    let (p_store, p_addr, c_addr) = (get("p_store"), get("p_addr"), get("c_addr"));
     let dead: Vec<ValueId> = vec![p_store, p_addr, c_load, c_addr];
     for b in func.block_ids() {
         for &inst in &func.block(b).insts {
@@ -1034,97 +703,35 @@ fn outline_fused(
         }
     }
     // The consumer's iterator must not escape either.
-    for b in func.block_ids() {
-        if cl.contains(b) {
-            continue;
-        }
-        for &inst in &func.block(b).insts {
-            if func.value(inst).kind.operands().contains(&c_iterator) {
-                return Err(OutlineError::IteratorLiveOut);
-            }
-        }
+    if used_outside(func, &|b| cl.contains(b), c_iterator) {
+        return Err(OutlineError::IteratorLiveOut);
     }
     // The producer's exit must merge nothing (its loop carries nothing).
-    if func
-        .block(p_exit)
-        .insts
-        .first()
-        .is_some_and(|&v| func.value(v).kind.opcode() == Some(&Opcode::Phi))
-    {
+    if !leading_phis(func, p_exit).is_empty() {
         return Err(OutlineError::ExitHasPhis);
     }
     // Consumer exit phis: the loop edge must carry the accumulator or an
     // out-of-loop value (patched to the reloaded final below).
-    let c_exit_phis: Vec<ValueId> = func
-        .block(c_exit)
-        .insts
-        .iter()
-        .copied()
-        .take_while(|&v| func.value(v).kind.opcode() == Some(&Opcode::Phi))
-        .collect();
-    let mut exit_patches: Vec<(ValueId, ValueId)> = Vec::new();
-    for &phi in &c_exit_phis {
-        let hv = func
-            .phi_incoming(phi)
-            .iter()
-            .find(|(_, b)| *b == c_header)
-            .map(|(v, _)| *v)
-            .ok_or(OutlineError::ExitHasPhis)?;
-        let in_loop = func.block_of_inst(hv).is_some_and(|b| cl.contains(b));
-        if in_loop && hv != acc {
-            return Err(OutlineError::ExitHasPhis);
-        }
-        exit_patches.push((phi, hv));
-    }
+    let c_exit_phis = leading_phis(func, c_exit);
+    let exit_patches = exit_patches(func, &c_exit_phis, c_header, &|b| cl.contains(b), &[acc])?;
 
     // --- closure discovery over BOTH bodies -----------------------------
-    let p_body_blocks: Vec<BlockId> =
-        func.block_ids().filter(|&b| pl.contains(b) && b != p_header).collect();
-    let c_body_blocks: Vec<BlockId> =
-        func.block_ids().filter(|&b| cl.contains(b) && b != c_header).collect();
+    let p_body_blocks = func.block_ids().filter(|&b| pl.contains(b) && b != p_header);
+    let c_body_blocks = func.block_ids().filter(|&b| cl.contains(b) && b != c_header);
+    let body_blocks: Vec<BlockId> = p_body_blocks.chain(c_body_blocks).collect();
     // The consumer's body entry must be phi-free: its predecessor changes
     // from the fused header to the producer's latch in the chunk.
     let c_body_entry = func.block_of_label(get("body_r"));
-    if func
-        .block(c_body_entry)
-        .insts
-        .first()
-        .is_some_and(|&v| func.value(v).kind.opcode() == Some(&Opcode::Phi))
-    {
+    if !leading_phis(func, c_body_entry).is_empty() {
         return Err(OutlineError::UnsupportedHeaderShape);
     }
-    let inside: HashSet<ValueId> = p_body_blocks
-        .iter()
-        .chain(&c_body_blocks)
-        .flat_map(|&b| func.block(b).insts.iter().copied())
-        .chain([p_iterator, c_iterator, acc])
-        .collect();
-    let mut closure: Vec<ValueId> = Vec::new();
-    for &b in p_body_blocks.iter().chain(&c_body_blocks) {
-        for &inst in &func.block(b).insts {
-            if dead.contains(&inst) {
-                continue;
-            }
-            let data = func.value(inst);
-            let ops: Vec<ValueId> = match data.kind.opcode() {
-                Some(Opcode::Phi) => data.kind.operands().chunks(2).map(|c| c[0]).collect(),
-                _ => data.kind.operands().to_vec(),
-            };
-            for op in ops {
-                if op == p_iterator || op == c_iterator || op == acc || dead.contains(&op) {
-                    continue;
-                }
-                push_closure_value(op, func, &inside, &mut closure);
-            }
-        }
-    }
+    let mut closure = Closure::discover(func, &body_blocks, &[p_iterator, c_iterator, acc], &dead);
     // The produced value itself may live entirely outside both bodies (a
     // loop-invariant broadcast, `tmp[i] = x`): its only user is the elided
     // store, so the body scan above never sees it — yet the consumer's
     // load is rewired to it, so it must still travel to the chunk.
-    if p_val != p_iterator && !dead.contains(&p_val) {
-        push_closure_value(p_val, func, &inside, &mut closure);
-    }
+    closure.add(p_val);
+    let closure = closure.values;
     // Every closure value must be available at the rewritten call site.
     for &cv in &closure {
         if let ValueKind::Inst { .. } = &func.value(cv).kind {
@@ -1139,144 +746,50 @@ fn outline_fused(
 
     // --- build the fused chunk ------------------------------------------
     let (chunk_name, intrinsic) = chunk_names(module, func_name);
-
     let acc_ty = func.value(acc).ty;
-    let ptr_ty = |ty: Type| match ty {
-        Type::Int | Type::Bool => Type::PtrInt,
-        _ => Type::PtrFloat,
-    };
-    let mut params: Vec<(String, Type)> = vec![
-        ("lo".to_string(), Type::Int),
-        ("hi".to_string(), Type::Int),
-        ("step".to_string(), Type::Int),
-    ];
-    for (i, &cv) in closure.iter().enumerate() {
-        params.push((format!("c{i}"), func.value(cv).ty));
-    }
-    let acc_out_index = params.len();
-    params.push(("out0".to_string(), ptr_ty(acc_ty)));
-    let param_refs: Vec<(&str, Type)> = params.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let mut chunk = Function::new(&chunk_name, &param_refs, Type::Void);
-
-    let ch_entry = chunk.add_block("entry");
-    let ch_header = chunk.add_block("header");
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    // Both original headers collapse onto the fused header.
-    block_map.insert(p_header, ch_header);
-    block_map.insert(c_header, ch_header);
-    for &b in p_body_blocks.iter().chain(&c_body_blocks) {
-        let nb = chunk.add_block(&func.block(b).name);
-        block_map.insert(b, nb);
-    }
-    let ch_exit = chunk.add_block("exit");
-    block_map.insert(c_exit, ch_exit);
-
-    let mut val_map: HashMap<ValueId, ValueId> = HashMap::new();
-    for (i, &cv) in closure.iter().enumerate() {
-        val_map.insert(cv, chunk.arg_values[3 + i]);
-    }
-
-    // Fused header: one iterator phi standing in for both loops'
-    // induction variables, the identity-seeded accumulator, the consumer's
-    // continue test.
-    let ch_entry_label = chunk.block(ch_entry).label;
-    let ch_header_label = chunk.block(ch_header).label;
-    let ch_iter = chunk.add_value(
-        ValueKind::Inst { opcode: Opcode::Phi, operands: vec![] },
-        Type::Int,
-        Some("i".to_string()),
+    let acc_out_index = 3 + closure.len();
+    // Both original headers collapse onto the fused header, whose one
+    // iterator phi stands in for both loops' induction variables and
+    // advances by the *consumer's* increment (SameTripCount guarantees it
+    // equals the producer's).
+    let mut ck = ChunkBuilder::new(
+        func,
+        &chunk_name,
+        &closure,
+        &[("out0".to_string(), cell_ty(acc_ty))],
+        &Region {
+            headers: &[p_header, c_header],
+            body: &body_blocks,
+            exit: c_exit,
+            latch: func.block_of_label(get("latch_r")),
+            next_iter: get("next_iter_r"),
+            iterators: &[p_iterator, c_iterator],
+        },
     );
-    chunk.blocks[ch_header.index()].insts.push(ch_iter);
-    val_map.insert(p_iterator, ch_iter);
-    val_map.insert(c_iterator, ch_iter);
-    let ch_acc = chunk.add_value(
-        ValueKind::Inst { opcode: Opcode::Phi, operands: vec![] },
-        acc_ty,
-        Some("acc".to_string()),
-    );
-    chunk.blocks[ch_header.index()].insts.push(ch_acc);
-    val_map.insert(acc, ch_acc);
-    let ch_test = chunk.append_inst(
-        ch_header,
-        Opcode::Cmp(pred),
-        vec![ch_iter, chunk.arg_values[1]],
-        Type::Bool,
-    );
-    let p_body_entry = func.block_of_label(get("body"));
-    let ch_p_body_label = chunk.block(block_map[&p_body_entry]).label;
-    let ch_c_body_label = chunk.block(block_map[&c_body_entry]).label;
-    let ch_exit_label = chunk.block(ch_exit).label;
-    chunk.append_inst(
-        ch_header,
-        Opcode::CondBr,
-        vec![ch_test, ch_p_body_label, ch_exit_label],
-        Type::Void,
-    );
-    chunk.append_inst(ch_entry, Opcode::Br, vec![ch_header_label], Type::Void);
-
-    // Clone both bodies, skipping the elided tmp chain.
-    let mut cloned: Vec<(ValueId, ValueId)> = Vec::new();
-    for &b in p_body_blocks.iter().chain(&c_body_blocks) {
-        for &inst in &func.block(b).insts.clone() {
-            if dead.contains(&inst) {
-                continue;
-            }
-            let data = func.value(inst).clone();
-            let ValueKind::Inst { opcode, .. } = data.kind else { unreachable!() };
-            let c =
-                chunk.add_value(ValueKind::Inst { opcode, operands: vec![] }, data.ty, data.name);
-            chunk.blocks[block_map[&b].index()].insts.push(c);
-            val_map.insert(inst, c);
-            cloned.push((inst, c));
-        }
-    }
-    // The fusion itself: the consumer's `tmp[j]` load *is* the producer's
-    // per-iteration value.
-    let fused_val = map_operand(func, &mut chunk, &val_map, &block_map, p_val);
-    val_map.insert(c_load, fused_val);
-    for (orig, clone) in &cloned {
-        let ops = func.value(*orig).kind.operands().to_vec();
-        let mapped: Vec<ValueId> = ops
-            .iter()
-            .map(|&op| map_operand(func, &mut chunk, &val_map, &block_map, op))
-            .collect();
-        if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(*clone).kind {
-            *operands = mapped;
-        }
-    }
+    let ch_acc = ck.header_phi(acc, "acc");
+    ck.close_header(pred, func.block_of_label(get("body")), &[]);
+    // Clone both bodies, skipping the elided tmp chain. The fusion itself:
+    // the consumer's `tmp[j]` load *is* the producer's per-iteration value.
+    ck.clone_body(&dead, &[(c_load, p_val)]);
     // Splice the bodies: the producer's back edge now falls through into
     // the consumer body instead of the (collapsed) header.
-    let ch_p_latch = block_map[&func.block_of_label(get("latch"))];
-    let p_term = *chunk.blocks[ch_p_latch.index()].insts.last().expect("latch has a terminator");
-    if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(p_term).kind {
+    let ch_p_latch = ck.block_map[&func.block_of_label(get("latch"))];
+    let (ch_header_label, ch_c_body_label) = (ck.label(c_header), ck.label(c_body_entry));
+    let p_term = *ck.chunk.blocks[ch_p_latch.index()]
+        .insts
+        .last()
+        .expect("latch has a terminator");
+    if let ValueKind::Inst { operands, .. } = &mut ck.chunk.value_mut(p_term).kind {
         for op in operands.iter_mut() {
             if *op == ch_header_label {
                 *op = ch_c_body_label;
             }
         }
     }
-    // Complete the fused header phis: the iterator advances by the
-    // *consumer's* increment (SameTripCount guarantees it equals the
-    // producer's), the accumulator by the cloned update.
-    let ch_c_latch = block_map[&func.block_of_label(get("latch_r"))];
-    let ch_c_latch_label = chunk.block(ch_c_latch).label;
-    let next_iter_clone = val_map[&get("next_iter_r")];
-    let lo_arg = chunk.arg_values[0];
-    if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(ch_iter).kind {
-        operands.extend([lo_arg, ch_entry_label, next_iter_clone, ch_c_latch_label]);
-    }
-    let identity = match acc_ty {
-        Type::Int | Type::Bool => chunk.const_int(fusion.op.identity_int()),
-        _ => chunk.const_float(fusion.op.identity_float()),
-    };
-    let acc_next_clone = val_map[&acc_next];
-    if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(ch_acc).kind {
-        operands.extend([identity, ch_entry_label, acc_next_clone, ch_c_latch_label]);
-    }
-    // exit: store the partial, ret.
-    let out_cell = chunk.arg_values[acc_out_index];
-    chunk.append_inst(ch_exit, Opcode::Store, vec![ch_acc, out_cell], Type::Void);
-    chunk.append_inst(ch_exit, Opcode::Ret, vec![], Type::Void);
+    let identity = identity_of(&mut ck.chunk, fusion.op, acc_ty);
+    ck.complete_phi(ch_acc, identity, get("acc_next"));
+    ck.store(ch_acc, acc_out_index);
+    let mut chunk = ck.finish();
     // The producer's own increment (and any other computation feeding only
     // the elided chain) is now dead: sweep it.
     sweep_unused_pure(&mut chunk);
@@ -1284,99 +797,23 @@ fn outline_fused(
     // --- rewrite the original function ----------------------------------
     let mut out = module.clone();
     let f = &mut out.functions[fi];
-    let term = f.blocks[c_preheader.index()].insts.pop().expect("preheader has a terminator");
-    debug_assert_eq!(f.value(term).kind.opcode(), Some(&Opcode::Br));
-    let one = f.const_int(1);
-    let cell = f.append_inst(c_preheader, Opcode::Alloca, vec![one], ptr_ty(acc_ty));
-    f.append_inst(c_preheader, Opcode::Store, vec![acc_init, cell], Type::Void);
-    let mut call_args = vec![get("iter_begin_r"), get("iter_end_r"), get("iter_step_r")];
-    call_args.extend(closure.iter().copied());
-    call_args.push(cell);
-    let arg_count = call_args.len();
-    f.append_inst(c_preheader, Opcode::Call(intrinsic.clone()), call_args, Type::Void);
-    let final_v = f.append_inst(c_preheader, Opcode::Load, vec![cell], acc_ty);
-    let c_exit_label_orig = f.block(c_exit).label;
-    f.append_inst(c_preheader, Opcode::Br, vec![c_exit_label_orig], Type::Void);
-    // Patch the consumer's exit phis onto the preheader edge.
-    let c_header_label_orig = f.block(c_header).label;
-    let c_preheader_label = f.block(c_preheader).label;
-    for &(phi, hv) in &exit_patches {
-        let new_v = if hv == acc { final_v } else { hv };
-        if let ValueKind::Inst { operands, .. } = &mut f.values[phi.index()].kind {
-            for ch in operands.chunks_mut(2) {
-                if ch[1] == c_header_label_orig {
-                    ch[0] = new_v;
-                    ch[1] = c_preheader_label;
-                }
-            }
-        }
-    }
-    // Stub the consumer loop.
-    for b in f.block_ids().collect::<Vec<_>>() {
-        if cl.contains(b) {
-            f.blocks[b.index()].insts.clear();
-            let target = if c_exit_phis.is_empty() { c_exit_label_orig } else { f.block(b).label };
-            let stub = f.add_value(
-                ValueKind::Inst { opcode: Opcode::Br, operands: vec![target] },
-                Type::Void,
-                None,
-            );
-            f.blocks[b.index()].insts.push(stub);
-        }
-    }
+    let mut args = vec![get("iter_begin_r"), get("iter_end_r"), get("iter_step_r")];
+    args.extend(&closure);
+    let (reloads, arg_count) =
+        call_site(f, c_preheader, c_exit, &intrinsic, args, &[(acc_ty, get("acc_init"))], 0);
+    let finals = [(acc, reloads[0])];
+    patch_exit_phis(f, &exit_patches, &finals, c_header, c_preheader);
+    stub_blocks(f, &|b| cl.contains(b), &|b| if c_exit_phis.is_empty() { c_exit } else { b });
     // Stub the producer loop outright: its only effect was materializing
     // `tmp`, which detection proved unobservable.
-    let p_exit_label = f.block(p_exit).label;
-    for b in f.block_ids().collect::<Vec<_>>() {
-        if pl.contains(b) {
-            f.blocks[b.index()].insts.clear();
-            let target = if b == p_header { p_exit_label } else { f.block(b).label };
-            let stub = f.add_value(
-                ValueKind::Inst { opcode: Opcode::Br, operands: vec![target] },
-                Type::Void,
-                None,
-            );
-            f.blocks[b.index()].insts.push(stub);
-        }
-    }
-    // Rewire the accumulator's post-loop uses to the reloaded final.
-    for b in f.block_ids().collect::<Vec<_>>() {
-        if cl.contains(b) {
-            continue;
-        }
-        for inst in f.blocks[b.index()].insts.clone() {
-            if c_exit_phis.contains(&inst) {
-                continue;
-            }
-            if let ValueKind::Inst { operands, .. } = &mut f.values[inst.index()].kind {
-                for op in operands.iter_mut() {
-                    if *op == acc {
-                        *op = final_v;
-                    }
-                }
-            }
-        }
-    }
-
-    out.push_function(chunk);
-    gr_ir::verify::verify_module(&out).expect("fused module must verify");
+    stub_blocks(f, &|b| pl.contains(b), &|b| if b == p_header { p_exit } else { b });
+    rewire_uses(f, &|b| cl.contains(b), &c_exit_phis, &finals);
 
     let plan = ReductionPlan {
-        function: func_name.to_string(),
-        chunk_fn: chunk_name,
-        chunk_value_only_fn: None,
-        intrinsic,
-        pred,
         accs: vec![AccSlot { arg_index: acc_out_index, ty: acc_ty, op: fusion.op }],
-        hists: vec![],
-        scans: vec![],
-        args: vec![],
-        search: None,
-        written: vec![],
-        arg_count,
-        chunking: ChunkPolicy::default(),
+        ..bare_plan(func_name, chunk_name, intrinsic, pred, arg_count)
     };
-    Ok((out, plan))
+    Ok((assemble(out, [chunk]), plan))
 }
 
 /// Outlines an early-exit loop onto the speculative schedule: the
@@ -1391,9 +828,9 @@ fn outline_fused(
 ///   the loop over `[lo, hi)` with the guarded break intact and every
 ///   fold accumulator seeded with its operator's identity. Its exit block
 ///   merges a **hit phi** — the iterator from the break edge,
-///   [`SEARCH_NO_HIT`](crate::plan::SEARCH_NO_HIT) from the induction
-///   exit — plus one clone of every original exit phi and one **partial
-///   phi** per fold (the identity-seeded accumulator, which on a break
+///   [`SEARCH_NO_HIT`] from the induction exit — plus one clone of every
+///   original exit phi and one **partial phi** per fold (the
+///   identity-seeded accumulator, which on a break
 ///   holds exactly the fold over the chunk's pre-hit iterations), and
 ///   stores them all to cells;
 /// * the original loop is replaced by cells seeded with the not-found
@@ -1410,11 +847,7 @@ fn outline_speculative(
     func_name: &str,
     rs: &[&Reduction],
 ) -> Result<(Module, ReductionPlan), OutlineError> {
-    let fi = module
-        .functions
-        .iter()
-        .position(|f| f.name == func_name)
-        .ok_or_else(|| OutlineError::NoSuchFunction(func_name.to_string()))?;
+    let fi = function_index(module, func_name)?;
     let func = &module.functions[fi];
     let analyses = Analyses::new(module, func);
     let header = rs[0].header;
@@ -1425,24 +858,13 @@ fn outline_speculative(
     let l = analyses.loops.get(lid).clone();
 
     // --- gather loop anatomy from the solver bindings -------------------
-    let b0 = &rs[0].bindings;
-    let get = |name: &str| -> ValueId {
-        b0.iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .expect("early-exit binding present")
-    };
+    let get = |name: &str| rs[0].binding(name);
     let iterator = get("iterator");
-    let iter_begin = get("iter_begin");
-    let iter_end = get("iter_end");
-    let iter_step = get("iter_step");
-    let test = get("test");
-    let jump = get("jump");
     let exit_block = func.block_of_label(get("exit"));
     let preheader = func.block_of_label(get("preheader"));
     let break_bb = func.block_of_label(get("break_blk"));
 
-    let pred = continue_pred(func, iterator, test, jump, exit_block)?;
+    let pred = continue_pred(func, iterator, get("test"), get("jump"), exit_block)?;
 
     // The speculative folds riding on this loop, if any: their carried
     // accumulator phis are the only header state allowed beside the
@@ -1453,21 +875,14 @@ fn outline_speculative(
 
     // Header shape: the induction phi plus the detected fold
     // accumulators, then test + jump.
-    let header_insts = func.block(header).insts.clone();
-    let phis: Vec<ValueId> = header_insts
-        .iter()
-        .copied()
-        .take_while(|&v| func.value(v).kind.opcode() == Some(&Opcode::Phi))
-        .collect();
+    let phis = leading_phis(func, header);
     if !phis.contains(&iterator) {
         return Err(OutlineError::UnsupportedHeaderShape);
     }
-    for &p in &phis {
-        if p != iterator && !fold_accs.contains(&p) {
-            return Err(OutlineError::UnknownCarriedState);
-        }
+    if phis.iter().any(|&p| p != iterator && !fold_accs.contains(&p)) {
+        return Err(OutlineError::UnknownCarriedState);
     }
-    if header_insts[phis.len()..] != [test, jump] {
+    if func.block(header).insts[phis.len()..] != [get("test"), get("jump")] {
         return Err(OutlineError::UnsupportedHeaderShape);
     }
 
@@ -1476,13 +891,7 @@ fn outline_speculative(
     // loop-edge arm is the carried phi, seeded from the accumulator's
     // initial value rather than an invariant default); every other phi's
     // default must be available before the loop.
-    let exit_phis: Vec<ValueId> = func
-        .block(exit_block)
-        .insts
-        .iter()
-        .copied()
-        .take_while(|&v| func.value(v).kind.opcode() == Some(&Opcode::Phi))
-        .collect();
+    let exit_phis = leading_phis(func, exit_block);
     let mut exit_merges: Vec<(ValueId, ValueId, ValueId)> = Vec::new(); // (phi, default, break value)
     for &phi in &exit_phis {
         if fold_res.contains(&phi) {
@@ -1504,8 +913,7 @@ fn outline_speculative(
     // SSA then folds the trivial exit phi away, so `res == acc`) or its
     // update (post-update break, through a surviving exit phi).
     let mut fold_breaks: Vec<ValueId> = Vec::new();
-    for (r, &acc) in fold_rs.iter().zip(&fold_accs) {
-        let res = r.binding("res");
+    for (&res, &acc) in fold_res.iter().zip(&fold_accs) {
         if res == acc {
             fold_breaks.push(acc);
         } else {
@@ -1522,10 +930,8 @@ fn outline_speculative(
     // exit phis being replaced; a fold accumulator whose result is an
     // exit phi must not escape directly either (such uses would observe
     // the pre-break value, which the cells do not reproduce).
-    for b in func.block_ids() {
-        if l.contains(b) || b == break_bb {
-            continue;
-        }
+    let in_loop = |b: BlockId| l.contains(b) || b == break_bb;
+    for b in func.block_ids().filter(|&b| !in_loop(b)) {
         for &inst in &func.block(b).insts {
             if exit_phis.contains(&inst) {
                 continue;
@@ -1534,8 +940,8 @@ fn outline_speculative(
             if ops.contains(&iterator) {
                 return Err(OutlineError::IteratorLiveOut);
             }
-            for (r, &acc) in fold_rs.iter().zip(&fold_accs) {
-                if r.binding("res") != acc && ops.contains(&acc) {
+            for (&res, &acc) in fold_res.iter().zip(&fold_accs) {
+                if res != acc && ops.contains(&acc) {
                     return Err(OutlineError::CarriedValueLiveOut);
                 }
             }
@@ -1545,328 +951,134 @@ fn outline_speculative(
     // --- closure discovery ----------------------------------------------
     // Cloned blocks: the loop body plus the break trampoline (outside the
     // natural loop, since it cannot reach the latch).
-    let body_blocks: Vec<BlockId> = func
-        .block_ids()
-        .filter(|&b| (l.contains(b) && b != header) || b == break_bb)
-        .collect();
-    let inside: HashSet<ValueId> = body_blocks
-        .iter()
-        .flat_map(|&b| func.block(b).insts.iter().copied())
-        .chain(phis.iter().copied())
-        .collect();
-    let mut closure: Vec<ValueId> = Vec::new();
-    let is_closure = |v: ValueId, func: &Function, closure: &mut Vec<ValueId>| {
-        push_closure_value(v, func, &inside, closure);
-    };
-    for &b in &body_blocks {
-        for &inst in &func.block(b).insts {
-            let data = func.value(inst);
-            let ops: Vec<ValueId> = match data.kind.opcode() {
-                Some(Opcode::Phi) => data.kind.operands().chunks(2).map(|c| c[0]).collect(),
-                _ => data.kind.operands().to_vec(),
-            };
-            for op in ops {
-                if op == iterator {
-                    continue;
-                }
-                is_closure(op, func, &mut closure);
-            }
-        }
-    }
+    let body_blocks: Vec<BlockId> =
+        func.block_ids().filter(|&b| in_loop(b) && b != header).collect();
+    let mut closure = Closure::discover(func, &body_blocks, &phis, &[]);
     // The exit-phi arms travel to the chunk as well: defaults are always
     // out-of-loop values, break values may be (invariants forwarded by the
     // trampoline).
     for &(_, dv, bv) in &exit_merges {
-        is_closure(dv, func, &mut closure);
-        if bv != iterator {
-            is_closure(bv, func, &mut closure);
-        }
+        closure.add(dv);
+        closure.add(bv);
     }
+    let closure = closure.values;
 
     // --- build the chunk function ----------------------------------------
     let (chunk_name, intrinsic) = chunk_names(module, func_name);
-
-    let ptr_ty = |ty: Type| match ty {
-        Type::Int | Type::Bool => Type::PtrInt,
-        _ => Type::PtrFloat,
-    };
-    let mut params: Vec<(String, Type)> = vec![
-        ("lo".to_string(), Type::Int),
-        ("hi".to_string(), Type::Int),
-        ("step".to_string(), Type::Int),
-    ];
-    for (i, &cv) in closure.iter().enumerate() {
-        params.push((format!("c{i}"), func.value(cv).ty));
-    }
-    let hit_arg_index = params.len();
-    params.push(("hit".to_string(), Type::PtrInt));
-    let exit_out_base = params.len();
+    let ty_of = |v: ValueId| func.value(v).ty;
+    let mut cells: Vec<(String, Type)> = vec![("hit".to_string(), Type::PtrInt)];
     for (i, &(phi, _, _)) in exit_merges.iter().enumerate() {
-        params.push((format!("exit{i}"), ptr_ty(func.value(phi).ty)));
+        cells.push((format!("exit{i}"), cell_ty(ty_of(phi))));
     }
-    let fold_out_base = params.len();
     for (i, &acc) in fold_accs.iter().enumerate() {
-        params.push((format!("fold{i}"), ptr_ty(func.value(acc).ty)));
+        cells.push((format!("fold{i}"), cell_ty(ty_of(acc))));
     }
-    let param_refs: Vec<(&str, Type)> = params.iter().map(|(n, t)| (n.as_str(), *t)).collect();
-    let mut chunk = Function::new(&chunk_name, &param_refs, Type::Void);
-
-    let c_entry = chunk.add_block("entry");
-    let c_header = chunk.add_block("header");
-    let mut block_map: HashMap<BlockId, BlockId> = HashMap::new();
-    block_map.insert(header, c_header);
-    for &b in &body_blocks {
-        let nb = chunk.add_block(&func.block(b).name);
-        block_map.insert(b, nb);
-    }
-    let c_exit = chunk.add_block("exit");
-    block_map.insert(exit_block, c_exit);
-
-    let mut val_map: HashMap<ValueId, ValueId> = HashMap::new();
-    for (i, &cv) in closure.iter().enumerate() {
-        val_map.insert(cv, chunk.arg_values[3 + i]);
-    }
-
-    // Header: iterator phi, test, jump.
-    let c_entry_label = chunk.block(c_entry).label;
-    let c_header_label = chunk.block(c_header).label;
-    let c_latch = block_map[&func.block_of_label(get("latch"))];
-    let c_latch_label = chunk.block(c_latch).label;
-    let c_iter = chunk.add_value(
-        ValueKind::Inst { opcode: Opcode::Phi, operands: vec![] },
-        Type::Int,
-        Some("i".to_string()),
+    let hit_arg_index = 3 + closure.len();
+    let exit_out_base = hit_arg_index + 1;
+    let fold_out_base = exit_out_base + exit_merges.len();
+    let mut ck = ChunkBuilder::new(
+        func,
+        &chunk_name,
+        &closure,
+        &cells,
+        &Region {
+            headers: &[header],
+            body: &body_blocks,
+            exit: exit_block,
+            latch: func.block_of_label(get("latch")),
+            next_iter: get("next_iter"),
+            iterators: &[iterator],
+        },
     );
-    chunk.blocks[c_header.index()].insts.push(c_iter);
-    val_map.insert(iterator, c_iter);
     // Fold accumulators: identity-seeded carried phis, exactly like the
     // deterministic fold template's (the merge re-applies the initial
     // value once, in the rewritten preheader's cell).
-    let mut c_fold_accs: Vec<(ValueId, Type)> = Vec::new();
-    for &acc in &fold_accs {
-        let ty = func.value(acc).ty;
-        let c_acc = chunk.add_value(
-            ValueKind::Inst { opcode: Opcode::Phi, operands: vec![] },
-            ty,
-            Some("acc".to_string()),
-        );
-        chunk.blocks[c_header.index()].insts.push(c_acc);
-        val_map.insert(acc, c_acc);
-        c_fold_accs.push((c_acc, ty));
-    }
-    let c_test = chunk.append_inst(
-        c_header,
-        Opcode::Cmp(pred),
-        vec![c_iter, chunk.arg_values[1]],
-        Type::Bool,
-    );
-    let body_entry = func.block_of_label(get("body"));
-    let c_body_label = chunk.block(block_map[&body_entry]).label;
-    let c_exit_label = chunk.block(c_exit).label;
-    chunk.append_inst(
-        c_header,
-        Opcode::CondBr,
-        vec![c_test, c_body_label, c_exit_label],
-        Type::Void,
-    );
-    chunk.append_inst(c_entry, Opcode::Br, vec![c_header_label], Type::Void);
-
-    // Clone body + trampoline instructions: shells, then operands.
-    let mut cloned: Vec<(ValueId, ValueId)> = Vec::new();
-    for &b in &body_blocks {
-        for &inst in &func.block(b).insts.clone() {
-            let data = func.value(inst).clone();
-            let ValueKind::Inst { opcode, .. } = data.kind else { unreachable!() };
-            let c =
-                chunk.add_value(ValueKind::Inst { opcode, operands: vec![] }, data.ty, data.name);
-            chunk.blocks[block_map[&b].index()].insts.push(c);
-            val_map.insert(inst, c);
-            cloned.push((inst, c));
-        }
-    }
-    for (orig, clone) in &cloned {
-        let ops = func.value(*orig).kind.operands().to_vec();
-        let mapped: Vec<ValueId> = ops
-            .iter()
-            .map(|&op| map_operand(func, &mut chunk, &val_map, &block_map, op))
-            .collect();
-        if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(*clone).kind {
-            *operands = mapped;
-        }
-    }
-    // Complete the iterator phi.
-    let next_iter_clone = val_map[&get("next_iter")];
-    let lo_arg = chunk.arg_values[0];
-    if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(c_iter).kind {
-        operands.extend([lo_arg, c_entry_label, next_iter_clone, c_latch_label]);
-    }
-    // Complete the fold accumulator phis: identity from entry, the
-    // cloned update from the latch.
-    for (r, &(c_acc, ty)) in fold_rs.iter().zip(&c_fold_accs) {
-        let identity = match ty {
-            Type::Int | Type::Bool => chunk.const_int(r.op.identity_int()),
-            _ => chunk.const_float(r.op.identity_float()),
-        };
-        let next_clone = val_map[&r.binding("acc_next")];
-        if let ValueKind::Inst { operands, .. } = &mut chunk.value_mut(c_acc).kind {
-            operands.extend([identity, c_entry_label, next_clone, c_latch_label]);
-        }
+    let c_fold_accs: Vec<ValueId> =
+        fold_accs.iter().map(|&acc| ck.header_phi(acc, "acc")).collect();
+    ck.close_header(pred, func.block_of_label(get("body")), &[]);
+    ck.clone_body(&[], &[]);
+    for ((r, &acc), &c_acc) in fold_rs.iter().zip(&fold_accs).zip(&c_fold_accs) {
+        let identity = identity_of(&mut ck.chunk, r.op, ty_of(acc));
+        ck.complete_phi(c_acc, identity, r.binding("acc_next"));
     }
 
     // Chunk exit: the hit phi plus one clone of every original exit phi,
     // merging the induction edge (header) with the break edge.
-    let c_break_label = chunk.block(block_map[&break_bb]).label;
-    let no_hit = chunk.const_int(crate::plan::SEARCH_NO_HIT);
-    let c_hit = chunk.add_value(
-        ValueKind::Inst {
-            opcode: Opcode::Phi,
-            operands: vec![no_hit, c_header_label, c_iter, c_break_label],
-        },
+    let (c_header_label, c_break_label) = (ck.label(header), ck.label(break_bb));
+    let no_hit = ck.chunk.const_int(SEARCH_NO_HIT);
+    let c_hit = ck.exit_phi(
+        vec![no_hit, c_header_label, ck.iter, c_break_label],
         Type::Int,
         Some("hit".to_string()),
     );
-    chunk.blocks[c_exit.index()].insts.push(c_hit);
     let mut c_exit_phis = Vec::new();
     for &(phi, dv, bv) in &exit_merges {
-        let c_dv = map_operand(func, &mut chunk, &val_map, &block_map, dv);
-        let c_bv = map_operand(func, &mut chunk, &val_map, &block_map, bv);
-        let c_phi = chunk.add_value(
-            ValueKind::Inst {
-                opcode: Opcode::Phi,
-                operands: vec![c_dv, c_header_label, c_bv, c_break_label],
-            },
-            func.value(phi).ty,
-            func.value(phi).name.clone(),
-        );
-        chunk.blocks[c_exit.index()].insts.push(c_phi);
-        c_exit_phis.push(c_phi);
+        let c_dv = ck.operand(dv);
+        let c_bv = ck.operand(bv);
+        let name = func.value(phi).name.clone();
+        c_exit_phis.push(ck.exit_phi(
+            vec![c_dv, c_header_label, c_bv, c_break_label],
+            ty_of(phi),
+            name,
+        ));
     }
     // One partial phi per fold: the identity-seeded accumulator on the
     // induction exit, its break-arm value on the break edge. On a break
     // this is exactly the fold over the chunk's pre-hit (or, post-update,
     // through-hit) iterations — the value the merge replays in order.
-    let mut c_fold_phis = Vec::new();
-    for (&(c_acc, ty), &bv) in c_fold_accs.iter().zip(&fold_breaks) {
-        let c_bv = map_operand(func, &mut chunk, &val_map, &block_map, bv);
-        let c_phi = chunk.add_value(
-            ValueKind::Inst {
-                opcode: Opcode::Phi,
-                operands: vec![c_acc, c_header_label, c_bv, c_break_label],
-            },
-            ty,
-            Some("partial".to_string()),
-        );
-        chunk.blocks[c_exit.index()].insts.push(c_phi);
-        c_fold_phis.push(c_phi);
+    let mut c_partials = Vec::new();
+    for ((&acc, &c_acc), &bv) in fold_accs.iter().zip(&c_fold_accs).zip(&fold_breaks) {
+        let c_bv = ck.operand(bv);
+        let operands = vec![c_acc, c_header_label, c_bv, c_break_label];
+        c_partials.push(ck.exit_phi(operands, ty_of(acc), Some("partial".to_string())));
     }
-    chunk.append_inst(
-        c_exit,
-        Opcode::Store,
-        vec![c_hit, chunk.arg_values[hit_arg_index]],
-        Type::Void,
-    );
+    ck.store(c_hit, hit_arg_index);
     for (i, &c_phi) in c_exit_phis.iter().enumerate() {
-        let out = chunk.arg_values[exit_out_base + i];
-        chunk.append_inst(c_exit, Opcode::Store, vec![c_phi, out], Type::Void);
+        ck.store(c_phi, exit_out_base + i);
     }
-    for (i, &c_phi) in c_fold_phis.iter().enumerate() {
-        let out = chunk.arg_values[fold_out_base + i];
-        chunk.append_inst(c_exit, Opcode::Store, vec![c_phi, out], Type::Void);
+    for (i, &c_phi) in c_partials.iter().enumerate() {
+        ck.store(c_phi, fold_out_base + i);
     }
-    chunk.append_inst(c_exit, Opcode::Ret, vec![], Type::Void);
+    let chunk = ck.finish();
 
     // --- rewrite the original function ------------------------------------
     let mut out = module.clone();
     let f = &mut out.functions[fi];
-    let term = f.blocks[preheader.index()].insts.pop().expect("preheader has a terminator");
-    debug_assert_eq!(f.value(term).kind.opcode(), Some(&Opcode::Br));
-
-    // Cells: the hit marker plus one cell per exit phi, seeded with the
-    // not-found defaults (the values the phis take on the induction edge).
-    let one = f.const_int(1);
-    let no_hit_orig = f.const_int(crate::plan::SEARCH_NO_HIT);
-    let hit_cell = f.append_inst(preheader, Opcode::Alloca, vec![one], Type::PtrInt);
-    f.append_inst(preheader, Opcode::Store, vec![no_hit_orig, hit_cell], Type::Void);
-    let mut cells = Vec::new();
-    for &(phi, dv, _) in &exit_merges {
-        let cell = f.append_inst(preheader, Opcode::Alloca, vec![one], ptr_ty(f.value(phi).ty));
-        f.append_inst(preheader, Opcode::Store, vec![dv, cell], Type::Void);
-        cells.push(cell);
-    }
-    // Fold cells are seeded with the accumulator's original initial
-    // value: the merge folds `init ⊕ partial_0 ⊕ … ⊕ partial_w` into
-    // them, so a loop the runtime never enters keeps `init` — the
-    // sequential result of an empty iteration space.
-    let mut fold_cells = Vec::new();
-    for (r, &acc) in fold_rs.iter().zip(&fold_accs) {
-        let cell = f.append_inst(preheader, Opcode::Alloca, vec![one], ptr_ty(f.value(acc).ty));
-        f.append_inst(preheader, Opcode::Store, vec![r.binding("acc_init"), cell], Type::Void);
-        fold_cells.push(cell);
-    }
-    let mut call_args = vec![iter_begin, iter_end, iter_step];
-    call_args.extend(closure.iter().copied());
-    call_args.push(hit_cell);
-    call_args.extend(cells.iter().copied());
-    call_args.extend(fold_cells.iter().copied());
-    let arg_count = call_args.len();
-    f.append_inst(preheader, Opcode::Call(intrinsic.clone()), call_args, Type::Void);
-    let mut finals = Vec::new();
-    for (ci, &(phi, _, _)) in exit_merges.iter().enumerate() {
-        let ty = f.value(phi).ty;
-        let final_v = f.append_inst(preheader, Opcode::Load, vec![cells[ci]], ty);
-        finals.push((phi, final_v));
-    }
-    // Fold results: rewire whatever carried the fold out of the loop —
-    // the surviving exit phi, or (pre-update break) the accumulator phi
-    // itself — to the merged cell value.
-    for (ri, r) in fold_rs.iter().enumerate() {
-        let res = r.binding("res");
-        let ty = f.value(res).ty;
-        let final_v = f.append_inst(preheader, Opcode::Load, vec![fold_cells[ri]], ty);
-        finals.push((res, final_v));
-    }
-    let exit_label = f.block(exit_block).label;
-    f.append_inst(preheader, Opcode::Br, vec![exit_label], Type::Void);
+    // Cells: the hit marker, one cell per exit phi seeded with its
+    // not-found default (the value the phi takes on the induction edge),
+    // and one per fold seeded with the accumulator's original initial
+    // value: the merge folds `init ⊕ partial_0 ⊕ … ⊕ partial_w` into it,
+    // so a loop the runtime never enters keeps `init` — the sequential
+    // result of an empty iteration space.
+    let mut cell_inits = vec![(Type::Int, f.const_int(SEARCH_NO_HIT))];
+    cell_inits.extend(exit_merges.iter().map(|&(phi, dv, _)| (ty_of(phi), dv)));
+    cell_inits.extend(fold_rs.iter().map(|r| (ty_of(r.binding("acc")), r.binding("acc_init"))));
+    let mut args = vec![get("iter_begin"), get("iter_end"), get("iter_step")];
+    args.extend(&closure);
+    // Every cell but the hit marker is reloaded: the exit phis' values,
+    // then the folds', rewired over whatever carried the fold out of the
+    // loop — the surviving exit phi, or (pre-update break) the
+    // accumulator phi itself.
+    let (reloads, arg_count) =
+        call_site(f, preheader, exit_block, &intrinsic, args, &cell_inits, 1);
+    let finals: Vec<(ValueId, ValueId)> = exit_merges
+        .iter()
+        .map(|&(phi, _, _)| phi)
+        .chain(fold_res)
+        .zip(reloads)
+        .collect();
     // Drop the exit phis (replaced by the reloads), then stub out the loop
     // blocks and the trampoline.
     f.blocks[exit_block.index()].insts.retain(|v| !exit_phis.contains(v));
-    for b in f.block_ids().collect::<Vec<_>>() {
-        if l.contains(b) || b == break_bb {
-            f.blocks[b.index()].insts.clear();
-            let stub = f.add_value(
-                ValueKind::Inst { opcode: Opcode::Br, operands: vec![exit_label] },
-                Type::Void,
-                None,
-            );
-            f.blocks[b.index()].insts.push(stub);
-        }
-    }
-    // Rewire exit-phi uses outside the loop to the reloaded values.
-    for b in f.block_ids().collect::<Vec<_>>() {
-        if l.contains(b) || b == break_bb {
-            continue;
-        }
-        for inst in f.blocks[b.index()].insts.clone() {
-            let kind = &mut f.values[inst.index()].kind;
-            if let ValueKind::Inst { operands, .. } = kind {
-                for op in operands.iter_mut() {
-                    if let Some((_, nv)) = finals.iter().find(|(phi, _)| phi == op) {
-                        *op = *nv;
-                    }
-                }
-            }
-        }
-    }
+    stub_blocks(f, &in_loop, &|_| exit_block);
+    rewire_uses(f, &in_loop, &[], &finals);
 
     let search = SearchSlot {
         hit_arg_index,
         exits: exit_merges
             .iter()
             .enumerate()
-            .map(|(i, &(phi, _, _))| ExitSlot {
-                arg_index: exit_out_base + i,
-                ty: func.value(phi).ty,
-            })
+            .map(|(i, &(phi, _, _))| ExitSlot { arg_index: exit_out_base + i, ty: ty_of(phi) })
             .collect(),
         folds: fold_rs
             .iter()
@@ -1874,42 +1086,36 @@ fn outline_speculative(
             .enumerate()
             .map(|(i, (r, &acc))| FoldSlot {
                 arg_index: fold_out_base + i,
-                ty: func.value(acc).ty,
+                ty: ty_of(acc),
                 op: r.op,
             })
             .collect(),
     };
-    out.push_function(chunk);
-    gr_ir::verify::verify_module(&out).expect("outlined module must verify");
-
     let plan = ReductionPlan {
-        function: func_name.to_string(),
-        chunk_fn: chunk_name,
-        chunk_value_only_fn: None,
-        intrinsic,
-        pred,
-        accs: vec![],
-        hists: vec![],
-        scans: vec![],
-        args: vec![],
         search: Some(search),
-        written: vec![],
-        arg_count,
-        chunking: ChunkPolicy::default(),
+        ..bare_plan(func_name, chunk_name, intrinsic, pred, arg_count)
     };
-    Ok((out, plan))
+    Ok((assemble(out, [chunk]), plan))
+}
+
+/// Index of `func_name` in `module`.
+fn function_index(module: &Module, func_name: &str) -> Result<usize, OutlineError> {
+    module
+        .functions
+        .iter()
+        .position(|f| f.name == func_name)
+        .ok_or_else(|| OutlineError::NoSuchFunction(func_name.to_string()))
 }
 
 /// Normalizes the loop test into a continue-predicate with the iterator
-/// on the left (negated when the jump's then-arm leaves the loop) — shared
-/// by the fold and search outline paths.
+/// on the left (negated when the jump's then-arm leaves the loop).
 fn continue_pred(
     func: &Function,
     iterator: ValueId,
     test: ValueId,
     jump: ValueId,
     exit_block: BlockId,
-) -> Result<gr_ir::CmpPred, OutlineError> {
+) -> Result<CmpPred, OutlineError> {
     let Some(&Opcode::Cmp(raw_pred)) = func.value(test).kind.opcode() else {
         return Err(OutlineError::UnsupportedHeaderShape);
     };
@@ -1922,48 +1128,493 @@ fn continue_pred(
     Ok(pred)
 }
 
-/// Closure-discovery step shared by both outline paths: arguments,
-/// globals, and instructions defined outside the cloned region travel as
-/// chunk parameters.
-fn push_closure_value(
-    v: ValueId,
+/// The phis at the start of `block`.
+fn leading_phis(func: &Function, block: BlockId) -> Vec<ValueId> {
+    func.block(block)
+        .insts
+        .iter()
+        .copied()
+        .take_while(|&v| func.value(v).kind.opcode() == Some(&Opcode::Phi))
+        .collect()
+}
+
+/// Whether an instruction outside `region` uses `v`.
+fn used_outside(func: &Function, region: &dyn Fn(BlockId) -> bool, v: ValueId) -> bool {
+    func.block_ids()
+        .filter(|&b| !region(b))
+        .flat_map(|b| func.block(b).insts.iter())
+        .any(|&inst| func.value(inst).kind.operands().contains(&v))
+}
+
+/// Pairs each of `exit_phis` with its arm on the loop edge from `header`.
+/// That arm must be one of the `carried` values (patched to its reloaded
+/// final) or defined outside the loop.
+fn exit_patches(
     func: &Function,
-    inside: &HashSet<ValueId>,
-    closure: &mut Vec<ValueId>,
-) {
-    match &func.value(v).kind {
-        ValueKind::Argument(_) | ValueKind::GlobalRef(_) if !closure.contains(&v) => {
-            closure.push(v);
-        }
-        ValueKind::Inst { .. } if !inside.contains(&v) && !closure.contains(&v) => {
-            closure.push(v);
-        }
-        _ => {}
+    exit_phis: &[ValueId],
+    header: BlockId,
+    in_loop: &dyn Fn(BlockId) -> bool,
+    carried: &[ValueId],
+) -> Result<Vec<(ValueId, ValueId)>, OutlineError> {
+    exit_phis
+        .iter()
+        .map(|&phi| {
+            let hv = func
+                .phi_incoming(phi)
+                .iter()
+                .find(|(_, b)| *b == header)
+                .map(|(v, _)| *v)
+                .ok_or(OutlineError::ExitHasPhis)?;
+            if func.block_of_inst(hv).is_some_and(in_loop) && !carried.contains(&hv) {
+                return Err(OutlineError::ExitHasPhis);
+            }
+            Ok((phi, hv))
+        })
+        .collect()
+}
+
+/// The pointer type of a cell holding a `ty` value.
+fn cell_ty(ty: Type) -> Type {
+    match ty {
+        Type::Int | Type::Bool => Type::PtrInt,
+        _ => Type::PtrFloat,
     }
 }
 
-fn map_operand(
-    func: &Function,
-    chunk: &mut Function,
-    val_map: &HashMap<ValueId, ValueId>,
-    block_map: &HashMap<BlockId, BlockId>,
-    op: ValueId,
-) -> ValueId {
-    if let Some(&m) = val_map.get(&op) {
-        return m;
+/// The identity of `op` as a `ty` constant of `chunk`.
+fn identity_of(chunk: &mut Function, op: ReductionOp, ty: Type) -> ValueId {
+    match ty {
+        Type::Int | Type::Bool => chunk.const_int(op.identity_int()),
+        _ => chunk.const_float(op.identity_float()),
     }
-    match &func.value(op).kind {
-        ValueKind::Block(b) => {
-            let nb = block_map
-                .get(b)
-                .unwrap_or_else(|| panic!("branch target {b} not in loop clone"));
-            chunk.block(*nb).label
+}
+
+/// Closure discovery: the arguments, globals and instructions defined
+/// outside the cloned region that the chunk reads, in first-use order.
+/// They travel to the chunk as its `c…` parameters.
+struct Closure<'f> {
+    func: &'f Function,
+    /// Every value the chunk defines itself.
+    inside: HashSet<ValueId>,
+    values: Vec<ValueId>,
+}
+
+impl<'f> Closure<'f> {
+    /// Scans the operands of every `body` instruction except those in
+    /// `skip` (which are not cloned); `carried` are the header phis the
+    /// chunk redefines.
+    fn discover(
+        func: &'f Function,
+        body: &[BlockId],
+        carried: &[ValueId],
+        skip: &[ValueId],
+    ) -> Closure<'f> {
+        let body_insts = || body.iter().flat_map(|&b| func.block(b).insts.iter().copied());
+        let inside = body_insts().chain(carried.iter().copied()).collect();
+        let mut closure = Closure { func, inside, values: Vec::new() };
+        for inst in body_insts().filter(|inst| !skip.contains(inst)) {
+            for &op in func.value(inst).kind.operands() {
+                closure.add(op);
+            }
         }
-        ValueKind::ConstInt(c) => chunk.const_int(*c),
-        ValueKind::ConstFloat(c) => chunk.const_float(*c),
-        ValueKind::ConstBool(c) => chunk.const_bool(*c),
-        other => panic!("unmapped operand {op}: {other:?}"),
+        closure
     }
+
+    /// Adds `v` if it is an argument, a global or an outside instruction.
+    fn add(&mut self, v: ValueId) {
+        let outside = match &self.func.value(v).kind {
+            ValueKind::Argument(_) | ValueKind::GlobalRef(_) => true,
+            ValueKind::Inst { .. } => !self.inside.contains(&v),
+            _ => false,
+        };
+        if outside && !self.values.contains(&v) {
+            self.values.push(v);
+        }
+    }
+}
+
+/// The part of the original function a chunk clones.
+struct Region<'r> {
+    /// Loop headers, all collapsed onto the chunk's one header.
+    headers: &'r [BlockId],
+    /// Blocks cloned into the chunk, in order.
+    body: &'r [BlockId],
+    /// The block the chunk's exit stands in for.
+    exit: BlockId,
+    /// The latch whose back edge feeds the header phis.
+    latch: BlockId,
+    /// The iterator's increment.
+    next_iter: ValueId,
+    /// Induction variables, all mapped to the chunk's one iterator phi.
+    iterators: &'r [ValueId],
+}
+
+/// A chunk function under construction: parameters `lo, hi, step,
+/// closure…, cells…`; blocks `entry → header ⇄ body… → exit`, with the
+/// iterator phi `i` first in the header; and the block and value maps from
+/// the original function into it.
+struct ChunkBuilder<'f> {
+    func: &'f Function,
+    chunk: Function,
+    block_map: HashMap<BlockId, BlockId>,
+    /// Original values to their chunk counterparts. `iter_begin`,
+    /// `iter_end` and `iter_step` are deliberately absent: they are often
+    /// interned constants (0, 1, n) that the loop body reuses with an
+    /// entirely different meaning (e.g. tpacf's binary-search `lo = 0`).
+    /// Their structural uses — the iterator phi, the loop test, the
+    /// increment — are rebuilt explicitly.
+    val_map: HashMap<ValueId, ValueId>,
+    body: Vec<BlockId>,
+    entry: BlockId,
+    header: BlockId,
+    exit: BlockId,
+    latch: BlockId,
+    next_iter: ValueId,
+    /// The iterator phi.
+    iter: ValueId,
+}
+
+impl<'f> ChunkBuilder<'f> {
+    fn new(
+        func: &'f Function,
+        name: &str,
+        closure: &[ValueId],
+        cells: &[(String, Type)],
+        region: &Region,
+    ) -> ChunkBuilder<'f> {
+        let mut params: Vec<(String, Type)> =
+            ["lo", "hi", "step"].iter().map(|p| ((*p).to_string(), Type::Int)).collect();
+        params.extend(
+            closure.iter().enumerate().map(|(i, &cv)| (format!("c{i}"), func.value(cv).ty)),
+        );
+        params.extend(cells.iter().cloned());
+        let param_refs: Vec<(&str, Type)> = params.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+        let mut chunk = Function::new(name, &param_refs, Type::Void);
+
+        let entry = chunk.add_block("entry");
+        let header = chunk.add_block("header");
+        let mut block_map: HashMap<BlockId, BlockId> =
+            region.headers.iter().map(|&h| (h, header)).collect();
+        for &b in region.body {
+            block_map.insert(b, chunk.add_block(&func.block(b).name));
+        }
+        let exit = chunk.add_block("exit");
+        block_map.insert(region.exit, exit);
+
+        let mut val_map: HashMap<ValueId, ValueId> = closure
+            .iter()
+            .enumerate()
+            .map(|(i, &cv)| (cv, chunk.arg_values[3 + i]))
+            .collect();
+        let iter = chunk.add_value(
+            ValueKind::Inst { opcode: Opcode::Phi, operands: vec![] },
+            Type::Int,
+            Some("i".to_string()),
+        );
+        chunk.blocks[header.index()].insts.push(iter);
+        val_map.extend(region.iterators.iter().map(|&it| (it, iter)));
+        ChunkBuilder {
+            func,
+            latch: block_map[&region.latch],
+            chunk,
+            block_map,
+            val_map,
+            body: region.body.to_vec(),
+            entry,
+            header,
+            exit,
+            next_iter: region.next_iter,
+            iter,
+        }
+    }
+
+    /// The chunk label of original block `b`.
+    fn label(&self, b: BlockId) -> ValueId {
+        self.chunk.block(self.block_map[&b]).label
+    }
+
+    /// A header phi standing in for `anchor`, completed later by
+    /// [`ChunkBuilder::complete_phi`].
+    fn header_phi(&mut self, anchor: ValueId, name: &str) -> ValueId {
+        let phi = self.chunk.add_value(
+            ValueKind::Inst { opcode: Opcode::Phi, operands: vec![] },
+            self.func.value(anchor).ty,
+            Some(name.to_string()),
+        );
+        self.chunk.blocks[self.header.index()].insts.push(phi);
+        self.val_map.insert(anchor, phi);
+        phi
+    }
+
+    /// Ends the header with the continue test `i <pred> hi`, into the
+    /// clone of `body_entry` or out to the exit. The entry then loads each
+    /// `(parameter, type)` cell of `seeds` and falls into the header;
+    /// returns the loaded seeds.
+    fn close_header(
+        &mut self,
+        pred: CmpPred,
+        body_entry: BlockId,
+        seeds: &[(usize, Type)],
+    ) -> Vec<ValueId> {
+        let hi = self.chunk.arg_values[1];
+        let test =
+            self.chunk
+                .append_inst(self.header, Opcode::Cmp(pred), vec![self.iter, hi], Type::Bool);
+        let targets = vec![test, self.label(body_entry), self.chunk.block(self.exit).label];
+        self.chunk.append_inst(self.header, Opcode::CondBr, targets, Type::Void);
+        let loaded = seeds
+            .iter()
+            .map(|&(param, ty)| {
+                let cell = self.chunk.arg_values[param];
+                self.chunk.append_inst(self.entry, Opcode::Load, vec![cell], ty)
+            })
+            .collect();
+        let header_label = self.chunk.block(self.header).label;
+        self.chunk.append_inst(self.entry, Opcode::Br, vec![header_label], Type::Void);
+        loaded
+    }
+
+    /// Clones the body in two phases — instruction shells first, so
+    /// operands may refer forward, then operands — and completes the
+    /// iterator phi. Instructions in `skip` are not cloned; each
+    /// `(from, to)` of `aliases` makes uses of `from` read the clone of
+    /// `to`.
+    fn clone_body(&mut self, skip: &[ValueId], aliases: &[(ValueId, ValueId)]) {
+        let func = self.func;
+        let mut cloned: Vec<(ValueId, ValueId)> = Vec::new(); // (orig, clone)
+        for &b in &self.body {
+            for &inst in func.block(b).insts.iter().filter(|inst| !skip.contains(inst)) {
+                let data = func.value(inst);
+                let Some(opcode) = data.kind.opcode() else { unreachable!() };
+                let c = self.chunk.add_value(
+                    ValueKind::Inst { opcode: opcode.clone(), operands: vec![] },
+                    data.ty,
+                    data.name.clone(),
+                );
+                self.chunk.blocks[self.block_map[&b].index()].insts.push(c);
+                self.val_map.insert(inst, c);
+                cloned.push((inst, c));
+            }
+        }
+        for &(from, to) in aliases {
+            let v = self.operand(to);
+            self.val_map.insert(from, v);
+        }
+        for (orig, clone) in cloned {
+            let mapped: Vec<ValueId> =
+                func.value(orig).kind.operands().iter().map(|&op| self.operand(op)).collect();
+            if let ValueKind::Inst { operands, .. } = &mut self.chunk.value_mut(clone).kind {
+                *operands = mapped;
+            }
+        }
+        let lo = self.chunk.arg_values[0];
+        self.complete_phi(self.iter, lo, self.next_iter);
+    }
+
+    /// Completes header phi `phi`: `init` from the entry, the clone of
+    /// `next` from the latch.
+    fn complete_phi(&mut self, phi: ValueId, init: ValueId, next: ValueId) {
+        let incoming = [
+            init,
+            self.chunk.block(self.entry).label,
+            self.val_map[&next],
+            self.chunk.block(self.latch).label,
+        ];
+        if let ValueKind::Inst { operands, .. } = &mut self.chunk.value_mut(phi).kind {
+            operands.extend(incoming);
+        }
+    }
+
+    /// The chunk counterpart of original operand `op`: its clone or
+    /// closure parameter, a cloned block's label, or a re-interned
+    /// constant.
+    fn operand(&mut self, op: ValueId) -> ValueId {
+        if let Some(&m) = self.val_map.get(&op) {
+            return m;
+        }
+        match &self.func.value(op).kind {
+            ValueKind::Block(b) => {
+                let nb = self
+                    .block_map
+                    .get(b)
+                    .unwrap_or_else(|| panic!("branch target {b} not in loop clone"));
+                self.chunk.block(*nb).label
+            }
+            ValueKind::ConstInt(c) => self.chunk.const_int(*c),
+            ValueKind::ConstFloat(c) => self.chunk.const_float(*c),
+            ValueKind::ConstBool(c) => self.chunk.const_bool(*c),
+            other => panic!("unmapped operand {op}: {other:?}"),
+        }
+    }
+
+    /// A phi in the exit block.
+    fn exit_phi(&mut self, operands: Vec<ValueId>, ty: Type, name: Option<String>) -> ValueId {
+        let phi = self
+            .chunk
+            .add_value(ValueKind::Inst { opcode: Opcode::Phi, operands }, ty, name);
+        self.chunk.blocks[self.exit.index()].insts.push(phi);
+        phi
+    }
+
+    /// Stores `v` on exit to the cell passed as parameter `param`.
+    fn store(&mut self, v: ValueId, param: usize) {
+        let cell = self.chunk.arg_values[param];
+        self.chunk.append_inst(self.exit, Opcode::Store, vec![v, cell], Type::Void);
+    }
+
+    /// Returns from the exit and yields the chunk.
+    fn finish(mut self) -> Function {
+        self.chunk.append_inst(self.exit, Opcode::Ret, vec![], Type::Void);
+        self.chunk
+    }
+}
+
+/// Replaces the branch ending `preheader` with the intrinsic call site:
+/// one cell per `cells` entry (the carried value's type and the value the
+/// cell is seeded with), the call `intrinsic(args…, cells…)`, a reload of
+/// every cell from index `reload_from` on, and a branch to `exit`. Returns
+/// the reloads and the call's argument count.
+fn call_site(
+    f: &mut Function,
+    preheader: BlockId,
+    exit: BlockId,
+    intrinsic: &str,
+    mut args: Vec<ValueId>,
+    cells: &[(Type, ValueId)],
+    reload_from: usize,
+) -> (Vec<ValueId>, usize) {
+    let term = f.blocks[preheader.index()].insts.pop().expect("preheader has a terminator");
+    debug_assert_eq!(f.value(term).kind.opcode(), Some(&Opcode::Br));
+    let mut ptrs = Vec::new();
+    for &(ty, init) in cells {
+        let one = f.const_int(1);
+        let cell = f.append_inst(preheader, Opcode::Alloca, vec![one], cell_ty(ty));
+        f.append_inst(preheader, Opcode::Store, vec![init, cell], Type::Void);
+        ptrs.push(cell);
+    }
+    args.extend(&ptrs);
+    let arg_count = args.len();
+    f.append_inst(preheader, Opcode::Call(intrinsic.to_string()), args, Type::Void);
+    let reloads = cells
+        .iter()
+        .zip(ptrs)
+        .skip(reload_from)
+        .map(|(&(ty, _), cell)| f.append_inst(preheader, Opcode::Load, vec![cell], ty))
+        .collect();
+    let exit_label = f.block(exit).label;
+    f.append_inst(preheader, Opcode::Br, vec![exit_label], Type::Void);
+    (reloads, arg_count)
+}
+
+/// The reloaded final standing in for `v`, if `v` is carried.
+fn final_of(finals: &[(ValueId, ValueId)], v: ValueId) -> Option<ValueId> {
+    finals.iter().find(|(carried, _)| *carried == v).map(|&(_, reload)| reload)
+}
+
+/// Moves each exit phi's loop edge (from `header`) onto the preheader
+/// edge, carrying the reloaded final for a carried value; the other arms —
+/// paths around the loop — stay untouched.
+fn patch_exit_phis(
+    f: &mut Function,
+    patches: &[(ValueId, ValueId)],
+    finals: &[(ValueId, ValueId)],
+    header: BlockId,
+    preheader: BlockId,
+) {
+    let header_label = f.block(header).label;
+    let preheader_label = f.block(preheader).label;
+    for &(phi, hv) in patches {
+        let new_v = final_of(finals, hv).unwrap_or(hv);
+        if let ValueKind::Inst { operands, .. } = &mut f.values[phi.index()].kind {
+            for arm in operands.chunks_mut(2) {
+                if arm[1] == header_label {
+                    arm[0] = new_v;
+                    arm[1] = preheader_label;
+                }
+            }
+        }
+    }
+}
+
+/// Empties every block `stubbed` selects down to a branch to `target(b)`.
+fn stub_blocks(
+    f: &mut Function,
+    stubbed: &dyn Fn(BlockId) -> bool,
+    target: &dyn Fn(BlockId) -> BlockId,
+) {
+    for b in f.block_ids().collect::<Vec<_>>() {
+        if stubbed(b) {
+            f.blocks[b.index()].insts.clear();
+            let label = f.block(target(b)).label;
+            let stub = f.add_value(
+                ValueKind::Inst { opcode: Opcode::Br, operands: vec![label] },
+                Type::Void,
+                None,
+            );
+            f.blocks[b.index()].insts.push(stub);
+        }
+    }
+}
+
+/// Rewires every use of a carried value outside `region` to its reloaded
+/// final, except in the `skip` instructions (exit phis already patched
+/// edge-precisely).
+fn rewire_uses(
+    f: &mut Function,
+    region: &dyn Fn(BlockId) -> bool,
+    skip: &[ValueId],
+    finals: &[(ValueId, ValueId)],
+) {
+    for b in f.block_ids().collect::<Vec<_>>() {
+        if region(b) {
+            continue;
+        }
+        for inst in f.blocks[b.index()].insts.clone() {
+            if skip.contains(&inst) {
+                continue;
+            }
+            if let ValueKind::Inst { operands, .. } = &mut f.values[inst.index()].kind {
+                for op in operands.iter_mut() {
+                    if let Some(reload) = final_of(finals, *op) {
+                        *op = reload;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A plan with no slots, for a template to fill in.
+fn bare_plan(
+    function: &str,
+    chunk_fn: String,
+    intrinsic: String,
+    pred: CmpPred,
+    arg_count: usize,
+) -> ReductionPlan {
+    ReductionPlan {
+        function: function.to_string(),
+        chunk_fn,
+        chunk_value_only_fn: None,
+        intrinsic,
+        pred,
+        accs: vec![],
+        hists: vec![],
+        scans: vec![],
+        args: vec![],
+        search: None,
+        written: vec![],
+        arg_count,
+    }
+}
+
+/// Adds the generated chunks to the rewritten module, which must verify.
+fn assemble(mut out: Module, chunks: impl IntoIterator<Item = Function>) -> Module {
+    for chunk in chunks {
+        out.push_function(chunk);
+    }
+    gr_ir::verify::verify_module(&out).expect("outlined module must verify");
+    out
 }
 
 /// Clones `chunk` into its "value-only" variant: `dead_stores` (the scan
@@ -2093,6 +1744,45 @@ mod tests {
         assert_eq!(names(&compile(&taken).unwrap()), suffixed);
         let both = format!("float __chunk_sum_1(float x) {{ return x; }}\n{taken}");
         assert_eq!(names(&compile(&both).unwrap()).0, "__chunk_sum_2", "the smallest free suffix");
+    }
+
+    #[test]
+    fn chained_outlines_keep_chunk_names_unique() {
+        // `f`'s value-only chunk would be `__chunk_f_vo`, the name `f_vo`'s
+        // own chunk already holds once `f_vo` is outlined first.
+        const SCANS: &str = "void f_vo(int* a, int* out, int n) {
+                 int s = 0;
+                 for (int i = 0; i < n; i++) { s = s + a[i]; out[i] = s; }
+             }
+             void f(int* a, int* out, int n) {
+                 int s = 0;
+                 for (int i = 0; i < n; i++) { s = s + a[i]; out[i] = s; }
+             }";
+        let m = compile(SCANS).unwrap();
+        let rs = detect_reductions(&m);
+        let (m1, plan_vo) = parallelize(&m, "f_vo", &rs).unwrap();
+        let (m2, plan_f) = parallelize(&m1, "f", &rs).unwrap();
+        let data: Vec<i64> = (0..5000).map(|i| i % 13 - 3).collect();
+        let run = |module: &Module, plan: Option<&ReductionPlan>, threads: usize| {
+            let mut mem = gr_interp::Memory::new(module);
+            let a = mem.alloc_int(&data);
+            let out = mem.alloc_int(&vec![0; data.len()]);
+            let mut machine = gr_interp::Machine::new(module, mem);
+            if let Some(plan) = plan {
+                machine.set_handler(crate::runtime::handler(module, plan.clone(), threads));
+            }
+            let args =
+                [gr_interp::RtVal::ptr(a), gr_interp::RtVal::ptr(out), gr_interp::RtVal::I(5000)];
+            machine.call("f_vo", &args).unwrap();
+            machine.mem.ints(out).to_vec()
+        };
+        let expect = run(&m, None, 1);
+        for threads in [2, 4] {
+            assert_eq!(run(&m2, Some(&plan_vo), threads), expect, "threads={threads}");
+        }
+        assert_eq!(plan_vo.chunk_value_only_fn.as_deref(), Some("__chunk_f_vo_vo"));
+        assert_eq!(plan_f.chunk_fn, "__chunk_f_1");
+        assert_eq!(plan_f.chunk_value_only_fn.as_deref(), Some("__chunk_f_1_vo"));
     }
 
     #[test]

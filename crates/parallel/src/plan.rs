@@ -121,26 +121,6 @@ pub struct SearchSlot {
     pub folds: Vec<FoldSlot>,
 }
 
-/// Chunk granularity of the speculative schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkPolicy {
-    /// Chunks claimed per worker: more chunks than workers, so
-    /// cancellation has someplace to bite — a worker that claims a chunk
-    /// past a known hit stops without touching it.
-    pub chunks_per_worker: usize,
-    /// Geometric front-ramp: early chunks are small (piece `k` weighs
-    /// `min(2^k, 64)`), so a hit near the front cancels nearly the whole
-    /// iteration space before the speculative tail has been touched.
-    /// Without it the space is bisected evenly.
-    pub front_ramp: bool,
-}
-
-impl Default for ChunkPolicy {
-    fn default() -> ChunkPolicy {
-        ChunkPolicy { chunks_per_worker: 8, front_ramp: true }
-    }
-}
-
 /// How the runtime treats a memory object the loop writes that is *not* a
 /// reduction target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -198,9 +178,6 @@ pub struct ReductionPlan {
     /// Total number of intrinsic arguments (`lo, hi, step, closure…,
     /// cells…`).
     pub arg_count: usize,
-    /// Chunk granularity of the speculative schedule (ignored by the
-    /// deterministic fold templates, which bisect once per thread).
-    pub chunking: ChunkPolicy,
 }
 
 impl ReductionPlan {
@@ -256,7 +233,6 @@ mod tests {
             search: None,
             written: vec![],
             arg_count: 3,
-            chunking: ChunkPolicy::default(),
         }
     }
 

@@ -24,9 +24,9 @@
 //! * other written arrays: private copies, with the copy of the thread
 //!   executing the last iterations written back;
 //! * **early-exit loops** (searches and speculative folds): the
-//!   cancellable speculative path — the iteration space is cut into many
-//!   chunks (evenly, or with the geometric front-ramp of
-//!   [`ramped`] when [`ChunkPolicy::front_ramp`] is set), workers claim
+//!   cancellable speculative path — the iteration space is cut into
+//!   [`SPECULATIVE_CHUNKS_PER_WORKER`] chunks per worker with the
+//!   geometric front-ramp of [`ramped`], workers claim
 //!   chunks in iteration order while polling a shared [`EarlyExitToken`],
 //!   and the merge commits the exit values of the lowest-indexed chunk
 //!   that hit and folds the speculative-fold partials of every chunk up
@@ -37,8 +37,6 @@
 //!   construction). A speculative chunk that **traps** is discarded too;
 //!   when it cannot be proven irrelevant the executor falls back to
 //!   sequential execution instead of propagating the trap.
-//!
-//! [`ChunkPolicy::front_ramp`]: crate::plan::ChunkPolicy
 
 use crate::overlay::{OverlayMemory, SharedRaw};
 use crate::plan::{ReductionPlan, SearchSlot, WrittenPolicy, ARG_IDX_SENTINEL, SEARCH_NO_HIT};
@@ -68,6 +66,11 @@ pub fn handler<'m>(
         Some(execute(module, &plan, threads, args, mem))
     })
 }
+
+/// Chunks per worker on the speculative schedule: more chunks than
+/// workers, so cancellation has someplace to bite — a worker that claims a
+/// chunk past a known hit stops without touching it.
+pub const SPECULATIVE_CHUNKS_PER_WORKER: usize = 8;
 
 /// Splits `count` iterations into at most `pieces` contiguous ranges with
 /// a **geometric front-ramp**: piece `k` weighs `min(2^k, 64)`, so the
@@ -701,15 +704,15 @@ fn recover_pass_failure(
 /// The cancellable speculative executor for early-exit loops: searches
 /// and speculative folds.
 ///
-/// The iteration space is cut into `threads × chunks_per_worker` chunks
-/// in iteration order ([`ReductionPlan::chunking`]; with `front_ramp` the
-/// cut is [`ramped`] — small chunks first — instead of an even
-/// [`bisect`]). Workers claim chunks from a shared counter and, between
-/// chunks, poll the [`EarlyExitToken`]: once a strictly earlier chunk is
-/// known to have hit, every remaining claim is moot and the worker stops.
-/// A chunk runs the two-exit chunk function on an overlay with private
-/// hit/exit/fold cells; the chunk itself breaks at its first in-range
-/// hit, so per-chunk results are already "earliest in chunk".
+/// The iteration space is cut into `threads ×`
+/// [`SPECULATIVE_CHUNKS_PER_WORKER`] chunks in iteration order, [`ramped`]
+/// so that small chunks come first. Workers claim chunks from a shared
+/// counter and, between chunks, poll the [`EarlyExitToken`]: once a
+/// strictly earlier chunk is known to have hit, every remaining claim is
+/// moot and the worker stops. A chunk runs the two-exit chunk function on
+/// an overlay with private hit/exit/fold cells; the chunk itself breaks at
+/// its first in-range hit, so per-chunk results are already "earliest in
+/// chunk".
 ///
 /// The merge commits the exit cells of the lowest-indexed hit chunk —
 /// exactly the sequential first hit — and folds the speculative-fold
@@ -746,9 +749,8 @@ fn execute_search(
         return Ok(None);
     }
     #[allow(clippy::cast_sign_loss)] // count > 0 here
-    let target = (threads.max(1) * plan.chunking.chunks_per_worker.max(1)).min(count as usize);
     let pieces =
-        if plan.chunking.front_ramp { ramped(count, target) } else { bisect(count, target) };
+        ramped(count, (threads.max(1) * SPECULATIVE_CHUNKS_PER_WORKER).min(count as usize));
     if gr_trace::enabled() {
         gr_trace::counter("runtime.chunks_planned", pieces.len() as i64);
         // Chunk-size distribution per chunk function, recorded at plan
@@ -757,16 +759,14 @@ fn execute_search(
         for &(_, len) in &pieces {
             gr_trace::histogram_keyed("runtime.chunk_len", &plan.chunk_fn, len);
         }
-        if plan.chunking.front_ramp {
-            gr_trace::instant(
-                "runtime.ramp",
-                vec![
-                    ("chunks", pieces.len().into()),
-                    ("first_len", pieces.first().map_or(0, |&(_, l)| l).into()),
-                    ("last_len", pieces.last().map_or(0, |&(_, l)| l).into()),
-                ],
-            );
-        }
+        gr_trace::instant(
+            "runtime.ramp",
+            vec![
+                ("chunks", pieces.len().into()),
+                ("first_len", pieces.first().map_or(0, |&(_, l)| l).into()),
+                ("last_len", pieces.last().map_or(0, |&(_, l)| l).into()),
+            ],
+        );
     }
     let hit_obj = object_of(args[search.hit_arg_index])?;
     let exit_objs: Vec<ObjId> = search
@@ -2431,24 +2431,6 @@ mod tests {
                 .call("sum_until", &[RtVal::ptr(a), RtVal::I(-1), RtVal::I(claimed)])
                 .expect_err("parallel trap");
             assert_eq!(err.to_string(), seq_err.to_string(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn even_bisection_knob_still_works() {
-        // front_ramp off: the legacy even split, same results.
-        let m = compile(SUM_UNTIL_INT).unwrap();
-        let rs = detect_reductions(&m);
-        let (pm, mut plan) = parallelize(&m, "sum_until", &rs).unwrap();
-        plan.chunking = crate::plan::ChunkPolicy { chunks_per_worker: 4, front_ramp: false };
-        let mut data: Vec<i64> = vec![2; 10_000];
-        data[7_777] = -1;
-        for threads in [1usize, 3, 8] {
-            assert_eq!(
-                run_fold_int(&pm, &plan, &data, -1, threads),
-                2 * 7_777,
-                "threads={threads}"
-            );
         }
     }
 }

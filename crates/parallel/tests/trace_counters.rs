@@ -14,7 +14,7 @@ use gr_interp::machine::Machine;
 use gr_interp::memory::Memory;
 use gr_interp::RtVal;
 use gr_parallel::parallelize;
-use gr_parallel::runtime::{bisect, handler, ramped};
+use gr_parallel::runtime::{handler, ramped, SPECULATIVE_CHUNKS_PER_WORKER};
 use gr_trace::MetricsSnapshot;
 
 const FIND_FIRST: &str = "int find(int* a, int x, int n) {
@@ -48,13 +48,8 @@ fn traced_search_run(data: &[i64], x: i64, threads: usize) -> (i64, gr_trace::Tr
 /// The chunk count [`gr_parallel::runtime`] plans for a search of `count`
 /// iterations — the closed form the counters must reproduce.
 fn planned_chunks(count: i64, threads: usize) -> i64 {
-    let m = compile(FIND_FIRST).unwrap();
-    let rs = detect_reductions(&m);
-    let (_, plan) = parallelize(&m, "find", &rs).unwrap();
-    let target = (threads.max(1) * plan.chunking.chunks_per_worker.max(1)).min(count as usize);
-    let pieces =
-        if plan.chunking.front_ramp { ramped(count, target) } else { bisect(count, target) };
-    pieces.len() as i64
+    let target = (threads.max(1) * SPECULATIVE_CHUNKS_PER_WORKER).min(count as usize);
+    ramped(count, target).len() as i64
 }
 
 #[test]

@@ -27,7 +27,7 @@
 //!   argmin/argmax merges, loop fusion that never materializes the
 //!   intermediate array, and the cancellable speculative executor for
 //!   early-exit loops — searches and speculative folds, with a geometric
-//!   front-ramp chunking knob and a bounds-aware sequential fallback
+//!   front-ramp chunk schedule and a bounds-aware sequential fallback
 //!   that restarts from the last completed chunk boundary on trapping
 //!   speculation),
 //! * [`server`] — detection as a service: a bounded job queue feeding a
