@@ -22,8 +22,10 @@
 //! callee's purity bit, never as the callee's name, and a renamed callee
 //! keeps the fingerprint. The one exception is a built-in's name
 //! ([`gr_ir::builtins::is_builtin`]): the post-check reads `fmin`, `fmax`,
-//! `imin` and `imax` by name as a reduction's operator, and a user
-//! function may shadow a built-in, so such calls hash the name as well.
+//! `imin` and `imax` by name as a reduction's operator, and `fmin` and
+//! `fmax` share a purity bit but not a meaning, so such calls hash the
+//! name as well. The frontend refuses a user function named like a
+//! built-in, so such a name always means the built-in.
 //!
 //! The hash is FNV-1a over a canonical byte encoding of the function's
 //! positional structure (types, opcodes, operand indices, constant

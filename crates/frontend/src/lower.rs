@@ -35,6 +35,10 @@ pub fn lower(program: &Program) -> Result<Module, CompileError> {
     }
     let mut signatures = HashMap::new();
     for f in &program.functions {
+        if crate::is_builtin(&f.name) {
+            let message = format!("function `{}` redefines a built-in", f.name);
+            return Err(CompileError::at(message, f.span.line, f.span.col));
+        }
         let params: Vec<Type> = f.params.iter().map(|(_, t)| ctype_to_ir(*t)).collect();
         if signatures.insert(f.name.clone(), (params, ctype_to_ir(f.ret))).is_some() {
             let message = format!("function `{}` is defined twice", f.name);
@@ -1063,6 +1067,43 @@ mod tests {
         let err = compile("int f(int n) { return n; }\nint f(int n) { return n + 1; }")
             .expect_err("two definitions of `f`");
         assert_eq!(err.message, "function `f` is defined twice");
+        assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn a_builtin_cannot_be_redefined() {
+        // Built-in calls evaluate as the built-in, and the post-check reads
+        // `fmin`/`fmax`/`imin`/`imax` by name, so a user definition under
+        // such a name would silently never run.
+        let cases = [
+            (
+                "imax",
+                "int imax(int a, int b) { return a + b; }
+                 int g(int n) { int m = 0; for (int i = 0; i < n; i++) m = imax(m, i); return m; }",
+            ),
+            (
+                "fmin",
+                "float fmin(float a, float b) { return a + b; }
+                 float g(float* x, int n) {
+                     float m = 0.0;
+                     for (int i = 0; i < n; i++) m = fmin(m, x[i]);
+                     return m;
+                 }",
+            ),
+            (
+                "fmin",
+                "float fmin(float a) { return a + 1.0; }
+                 float g(float x) { return fmin(x); }",
+            ),
+        ];
+        for (name, src) in cases {
+            let err = compile(src).expect_err("a built-in's name is taken");
+            assert_eq!(err.message, format!("function `{name}` redefines a built-in"), "{src}");
+            let col = u32::try_from(src.find(name).expect("defined on line 1")).unwrap() + 1;
+            assert_eq!((err.line, err.col), (1, col), "refused at the name: {src}");
+        }
+        let err = compile("int f(int n) { return n; }\nint sqrt(int n) { return n; }")
+            .expect_err("refused at the definition");
         assert_eq!(err.line, 2);
     }
 

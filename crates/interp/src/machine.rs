@@ -113,6 +113,9 @@ impl<'m, M: MemBackend> Machine<'m, M> {
         let mut cur = func.entry();
         let mut prev: Option<BlockId> = None;
         let nblocks = func.blocks.len();
+        // Scratch reused by every block and call of this frame.
+        let mut phi_updates: Vec<(ValueId, RtVal)> = Vec::new();
+        let mut call_args: Vec<RtVal> = Vec::new();
         loop {
             if let Some(p) = self.profile.as_mut() {
                 p.record(idx, cur, nblocks);
@@ -120,7 +123,7 @@ impl<'m, M: MemBackend> Machine<'m, M> {
             let insts = &func.block(cur).insts;
             // Phase 1: evaluate all phis against the incoming edge
             // simultaneously (SSA parallel-copy semantics).
-            let mut phi_updates: Vec<(ValueId, RtVal)> = Vec::new();
+            phi_updates.clear();
             let mut first_non_phi = 0;
             for (i, &inst) in insts.iter().enumerate() {
                 let data = func.value(inst);
@@ -142,7 +145,7 @@ impl<'m, M: MemBackend> Machine<'m, M> {
                 let val = chosen.expect("phi has no incoming for executed edge");
                 phi_updates.push((inst, val));
             }
-            for (inst, val) in phi_updates {
+            for &(inst, val) in &phi_updates {
                 frame[inst.index()] = val;
             }
             // Phase 2: straight-line execution.
@@ -211,8 +214,9 @@ impl<'m, M: MemBackend> Machine<'m, M> {
                         frame[inst.index()] = RtVal::P { obj, off: off.wrapping_add(idx) };
                     }
                     Opcode::Call(name) => {
-                        let vals: Vec<RtVal> = operands.iter().map(|&v| get(v)).collect();
-                        let result = self.dispatch_call(name, &vals)?;
+                        call_args.clear();
+                        call_args.extend(operands.iter().map(|&v| get(v)));
+                        let result = self.dispatch_call(name, &call_args)?;
                         if data.ty != Type::Void {
                             frame[inst.index()] = coerce(result.unwrap_or(RtVal::Undef), data.ty);
                         }

@@ -23,8 +23,9 @@
 //!   versions"),
 //! * [`runtime`] — the recursive-bisection executor with identity-seeded
 //!   privatized accumulators, element-wise merging and dynamic histogram
-//!   growth, plus the **cancellable speculative** path for early-exit
-//!   loops: chunked execution (a geometric front-ramp of
+//!   growth, run on the calling thread plus helper threads each handler
+//!   keeps parked between calls, and the **cancellable speculative** path
+//!   for early-exit loops: chunked execution (a geometric front-ramp of
 //!   [`runtime::SPECULATIVE_CHUNKS_PER_WORKER`] chunks per worker) polling
 //!   an [`sync::EarlyExitToken`], merged by lowest hit with fold partials
 //!   replayed up to it (sequential semantics on every thread count), and
@@ -57,6 +58,7 @@ pub mod fault;
 pub mod outline;
 pub mod overlay;
 pub mod plan;
+mod pool;
 pub mod runtime;
 pub mod sync;
 

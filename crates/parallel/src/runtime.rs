@@ -37,9 +37,17 @@
 //!   construction). A speculative chunk that **traps** is discarded too;
 //!   when it cannot be proven irrelevant the executor falls back to
 //!   sequential execution instead of propagating the trap.
+//!
+//! Each handler owns the threads it runs on. The calling thread runs
+//! piece 0 of every pass and claims chunks on the speculative schedule
+//! like any worker; the other `threads − 1` workers are helpers the
+//! handler spawns on its first call, parks between calls and joins when
+//! it drops. So a call wakes parked threads instead of spawning fresh
+//! ones, and a call at one thread runs on the caller alone.
 
 use crate::overlay::{OverlayMemory, SharedRaw};
 use crate::plan::{ReductionPlan, SearchSlot, WrittenPolicy, ARG_IDX_SENTINEL, SEARCH_NO_HIT};
+use crate::pool::Pool;
 use crate::sync::EarlyExitToken;
 use gr_core::{GrError, ReductionOp};
 use gr_interp::machine::{IntrinsicHandler, Machine, Trap};
@@ -51,7 +59,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Builds the intrinsic handler for `plan`, executing on up to `threads`
-/// OS threads.
+/// OS threads: the calling thread plus `threads − 1` helpers that the
+/// handler spawns on its first call and keeps parked until it drops.
 #[must_use]
 pub fn handler<'m>(
     module: &'m Module,
@@ -59,11 +68,12 @@ pub fn handler<'m>(
     threads: usize,
 ) -> Arc<IntrinsicHandler<'m, Memory>> {
     let threads = threads.max(1);
+    let pool = Pool::default();
     Arc::new(move |name: &str, args: &[RtVal], mem: &mut Memory| {
         if name != plan.intrinsic {
             return None;
         }
-        Some(execute(module, &plan, threads, args, mem))
+        Some(execute(module, &plan, &pool, threads, args, mem))
     })
 }
 
@@ -175,7 +185,6 @@ impl SeedVal {
 
 /// Everything one piece hands back to the merge step.
 struct PieceOut {
-    piece: usize,
     cells: Vec<Obj>,
     scan_cells: Vec<Obj>,
     hists: Vec<Obj>,
@@ -228,7 +237,9 @@ impl PlanObjects {
     }
 }
 
-/// Runs one pass of the chunk over all pieces.
+/// Runs one pass of the chunk over all pieces: piece 0 on the calling
+/// thread, every other piece on one of the handler's parked helpers. The
+/// results come back in piece order.
 ///
 /// `scan_seeds[piece][scan]` seeds the scan cells; `scan_shared` switches
 /// the scan outputs between privatized-and-discarded (partials pass) and
@@ -239,6 +250,7 @@ impl PlanObjects {
 fn run_pass(
     module: &Module,
     plan: &ReductionPlan,
+    pool: &Pool,
     args: &[RtVal],
     mem: &Memory,
     pieces: &[(i64, i64)],
@@ -260,162 +272,117 @@ fn run_pass(
     gr_trace::counter("runtime.passes", 1);
     let seams = crate::fault::armed();
     let seams = seams.as_deref();
-    let results: Result<Vec<PieceOut>, PieceFailure> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (pi, &(start, len)) in pieces.iter().enumerate() {
-            let base: &Memory = mem;
+    let outcomes = pool.run(pieces.len(), |pi| -> Result<PieceOut, PieceFailure> {
+        let (start, len) = pieces[pi];
+        // Contain panics per piece: a panicking chunk must never tear
+        // down the whole executor.
+        let run = catch_unwind(AssertUnwindSafe(|| -> Result<PieceOut, Trap> {
+            if let Some(seams) = seams {
+                seams.maybe_panic(pi);
+            }
+            if gr_trace::enabled() {
+                gr_trace::counter("runtime.chunk_dispatch", 1);
+                gr_trace::instant(
+                    "runtime.chunk",
+                    vec![("chunk", pi.into()), ("start", start.into()), ("len", len.into())],
+                );
+            }
+            let p_lo = plan.nth_iter_value(lo, step, start);
+            let p_hi = plan.nth_iter_value(lo, step, start + len);
             let mut piece_args = args.to_vec();
-            let seeds = scan_seeds[pi].clone();
-            let slot = gr_trace::worker();
-            handles.push(scope.spawn(move || -> Result<PieceOut, PieceFailure> {
-                let _trace = slot.map(gr_trace::Worker::bind);
-                // Contain panics on the worker itself: a panicking chunk
-                // must never tear down the whole executor (unwinding out
-                // of a scoped thread aborts via the scope join).
-                let run = catch_unwind(AssertUnwindSafe(|| -> Result<PieceOut, Trap> {
-                    if let Some(seams) = seams {
-                        seams.maybe_panic(pi);
+            piece_args[0] = RtVal::I(p_lo);
+            piece_args[1] = RtVal::I(clamp_hi(plan, p_hi, hi, step, start + len == count));
+            let mut overlay = OverlayMemory::new(mem);
+            for (&cell, acc) in objs.cells.iter().zip(&plan.accs) {
+                overlay.redirect_private(
+                    cell,
+                    SeedVal::identity(acc.op, acc.ty).into_obj(),
+                    false,
+                    0,
+                    0.0,
+                );
+            }
+            for (&cell, seed) in objs.scan_cells.iter().zip(&scan_seeds[pi]) {
+                overlay.redirect_private(cell, seed.into_obj(), false, 0, 0.0);
+            }
+            for (si, &out) in objs.scan_outs.iter().enumerate() {
+                match scan_shared {
+                    Some(raws) => overlay.redirect_raw(out, Arc::clone(&raws[si])),
+                    // Partials pass: output writes are recomputed by
+                    // the replay pass; sink them (the spec proves the
+                    // loop never reads the output).
+                    None => overlay.redirect_sink(out),
+                }
+            }
+            for (&vobj, slot) in objs.arg_vals.iter().zip(&plan.args) {
+                overlay.redirect_private(
+                    vobj,
+                    SeedVal::identity(slot.op, slot.ty).into_obj(),
+                    false,
+                    0,
+                    0.0,
+                );
+            }
+            for &iobj in &objs.arg_idxs {
+                overlay.redirect_private(iobj, Obj::I(vec![ARG_IDX_SENTINEL]), false, 0, 0.0);
+            }
+            for (&hobj, h) in objs.hists.iter().zip(&plan.hists) {
+                let len = if h.growable { 1 } else { mem.object(hobj).len() };
+                let (fill_i, fill_f) = (h.op.identity_int(), h.op.identity_float());
+                let seed = match h.elem {
+                    Type::Int => Obj::I(vec![fill_i; len]),
+                    _ => Obj::F(vec![fill_f; len]),
+                };
+                overlay.redirect_private(hobj, seed, h.growable, fill_i, fill_f);
+            }
+            for ((&wobj, w), raw) in objs.written.iter().zip(&plan.written).zip(written_raw) {
+                match (w.policy, raw) {
+                    (WrittenPolicy::DisjointShared, Some(raw)) => {
+                        overlay.redirect_raw(wobj, Arc::clone(raw));
                     }
-                    if gr_trace::enabled() {
-                        gr_trace::counter("runtime.chunk_dispatch", 1);
-                        gr_trace::instant(
-                            "runtime.chunk",
-                            vec![
-                                ("chunk", pi.into()),
-                                ("start", start.into()),
-                                ("len", len.into()),
-                            ],
-                        );
-                    }
-                    let p_lo = plan.nth_iter_value(lo, step, start);
-                    let p_hi = plan.nth_iter_value(lo, step, start + len);
-                    piece_args[0] = RtVal::I(p_lo);
-                    piece_args[1] = RtVal::I(clamp_hi(plan, p_hi, hi, step, start + len == count));
-                    let mut overlay = OverlayMemory::new(base);
-                    for (&cell, acc) in objs.cells.iter().zip(&plan.accs) {
-                        overlay.redirect_private(
-                            cell,
-                            SeedVal::identity(acc.op, acc.ty).into_obj(),
-                            false,
-                            0,
-                            0.0,
-                        );
-                    }
-                    for (&cell, seed) in objs.scan_cells.iter().zip(&seeds) {
-                        overlay.redirect_private(cell, seed.into_obj(), false, 0, 0.0);
-                    }
-                    for (si, &out) in objs.scan_outs.iter().enumerate() {
-                        match scan_shared {
-                            Some(raws) => overlay.redirect_raw(out, Arc::clone(&raws[si])),
-                            // Partials pass: output writes are recomputed by
-                            // the replay pass; sink them (the spec proves the
-                            // loop never reads the output).
-                            None => overlay.redirect_sink(out),
-                        }
-                    }
-                    for (&vobj, slot) in objs.arg_vals.iter().zip(&plan.args) {
-                        overlay.redirect_private(
-                            vobj,
-                            SeedVal::identity(slot.op, slot.ty).into_obj(),
-                            false,
-                            0,
-                            0.0,
-                        );
-                    }
-                    for &iobj in &objs.arg_idxs {
-                        overlay.redirect_private(
-                            iobj,
-                            Obj::I(vec![ARG_IDX_SENTINEL]),
-                            false,
-                            0,
-                            0.0,
-                        );
-                    }
-                    for (&hobj, h) in objs.hists.iter().zip(&plan.hists) {
-                        let len = if h.growable { 1 } else { base.object(hobj).len() };
-                        let (fill_i, fill_f) = (h.op.identity_int(), h.op.identity_float());
-                        let seed = match h.elem {
-                            Type::Int => Obj::I(vec![fill_i; len]),
-                            _ => Obj::F(vec![fill_f; len]),
-                        };
-                        overlay.redirect_private(hobj, seed, h.growable, fill_i, fill_f);
-                    }
-                    for ((&wobj, w), raw) in objs.written.iter().zip(&plan.written).zip(written_raw)
-                    {
-                        match (w.policy, raw) {
-                            (WrittenPolicy::DisjointShared, Some(raw)) => {
-                                overlay.redirect_raw(wobj, Arc::clone(raw));
-                            }
-                            _ => {
-                                overlay.redirect_private(
-                                    wobj,
-                                    base.object(wobj).clone(),
-                                    false,
-                                    0,
-                                    0.0,
-                                );
-                            }
-                        }
-                    }
-                    let mut machine = Machine::new(module, overlay);
-                    machine.call(chunk_fn, &piece_args)?;
-                    let mut overlay = machine.mem;
-                    let take = |ov: &mut OverlayMemory<'_>, objs: &[ObjId]| -> Vec<Obj> {
-                        objs.iter().map(|&o| ov.take_private(o)).collect()
-                    };
-                    let cells = take(&mut overlay, &objs.cells);
-                    let scan_cells = take(&mut overlay, &objs.scan_cells);
-                    let hists = take(&mut overlay, &objs.hists);
-                    let arg_vals = take(&mut overlay, &objs.arg_vals);
-                    let arg_idxs = take(&mut overlay, &objs.arg_idxs);
-                    let copyback: Vec<Obj> = objs
-                        .written
-                        .iter()
-                        .zip(&plan.written)
-                        .zip(written_raw)
-                        .filter(|((_, w), raw)| {
-                            w.policy == WrittenPolicy::PrivateCopyback || raw.is_none()
-                        })
-                        .map(|((&o, _), _)| overlay.take_private(o))
-                        .collect();
-                    gr_trace::counter("runtime.chunk_complete", 1);
-                    Ok(PieceOut {
-                        piece: pi,
-                        cells,
-                        scan_cells,
-                        hists,
-                        arg_vals,
-                        arg_idxs,
-                        copyback,
-                    })
-                }));
-                match run {
-                    Ok(Ok(out)) => Ok(out),
-                    Ok(Err(trap)) => Err(PieceFailure::Trap(trap)),
-                    Err(payload) => {
-                        gr_trace::counter("runtime.chunk_panic", 1);
-                        Err(PieceFailure::Panic {
-                            piece: pi,
-                            detail: crate::fault::panic_message(&*payload),
-                        })
+                    _ => {
+                        overlay.redirect_private(wobj, mem.object(wobj).clone(), false, 0, 0.0);
                     }
                 }
-            }));
+            }
+            let mut machine = Machine::new(module, overlay);
+            machine.call(chunk_fn, &piece_args)?;
+            let mut overlay = machine.mem;
+            let take = |ov: &mut OverlayMemory<'_>, objs: &[ObjId]| -> Vec<Obj> {
+                objs.iter().map(|&o| ov.take_private(o)).collect()
+            };
+            let cells = take(&mut overlay, &objs.cells);
+            let scan_cells = take(&mut overlay, &objs.scan_cells);
+            let hists = take(&mut overlay, &objs.hists);
+            let arg_vals = take(&mut overlay, &objs.arg_vals);
+            let arg_idxs = take(&mut overlay, &objs.arg_idxs);
+            let copyback: Vec<Obj> = objs
+                .written
+                .iter()
+                .zip(&plan.written)
+                .zip(written_raw)
+                .filter(|((_, w), raw)| w.policy == WrittenPolicy::PrivateCopyback || raw.is_none())
+                .map(|((&o, _), _)| overlay.take_private(o))
+                .collect();
+            gr_trace::counter("runtime.chunk_complete", 1);
+            Ok(PieceOut { cells, scan_cells, hists, arg_vals, arg_idxs, copyback })
+        }));
+        match run {
+            Ok(Ok(out)) => Ok(out),
+            Ok(Err(trap)) => Err(PieceFailure::Trap(trap)),
+            Err(payload) => {
+                gr_trace::counter("runtime.chunk_panic", 1);
+                Err(PieceFailure::Panic {
+                    piece: pi,
+                    detail: crate::fault::panic_message(&*payload),
+                })
+            }
         }
-        // Workers contain their own panics; a join failure here would be a
-        // panic *outside* the containment (harness bug), not a chunk
-        // failure. Piece order makes the propagated failure deterministic:
-        // the lowest-piece failure wins, which for traps is the earliest
-        // trapping iteration — exactly the trap sequential execution hits
-        // first.
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("reduction worker died outside panic containment"))
-            .collect()
     });
-    let mut results = results?;
-    results.sort_by_key(|r| r.piece);
-    Ok(results)
+    // Piece order makes the propagated failure deterministic: the
+    // lowest-piece failure wins, which for traps is the earliest trapping
+    // iteration — exactly the trap sequential execution hits first.
+    outcomes.into_iter().collect()
 }
 
 /// One executed chunk's outcome on the speculative schedule.
@@ -434,12 +401,13 @@ struct ChunkOut {
 fn execute(
     module: &Module,
     plan: &ReductionPlan,
+    pool: &Pool,
     threads: usize,
     args: &[RtVal],
     mem: &mut Memory,
 ) -> Result<Option<RtVal>, Trap> {
     if let Some(search) = &plan.search {
-        return execute_search(module, plan, search, threads, args, mem);
+        return execute_search(module, plan, pool, search, threads, args, mem);
     }
     let lo = args[0].as_i();
     let hi = args[1].as_i();
@@ -471,6 +439,7 @@ fn execute(
         match run_pass(
             module,
             plan,
+            pool,
             args,
             mem,
             &pieces,
@@ -490,6 +459,7 @@ fn execute(
         let partials = match run_pass(
             module,
             plan,
+            pool,
             args,
             mem,
             &pieces,
@@ -535,6 +505,7 @@ fn execute(
         let replay = match run_pass(
             module,
             plan,
+            pool,
             args,
             mem,
             &pieces,
@@ -706,8 +677,9 @@ fn recover_pass_failure(
 ///
 /// The iteration space is cut into `threads ×`
 /// [`SPECULATIVE_CHUNKS_PER_WORKER`] chunks in iteration order, [`ramped`]
-/// so that small chunks come first. Workers claim chunks from a shared
-/// counter and, between chunks, poll the [`EarlyExitToken`]: once a
+/// so that small chunks come first. The workers, the calling thread and
+/// `threads − 1` parked helpers, claim chunks from a shared counter and,
+/// between chunks, poll the [`EarlyExitToken`]: once a
 /// strictly earlier chunk is known to have hit, every remaining claim is
 /// moot and the worker stops. A chunk runs the two-exit chunk function on
 /// an overlay with private hit/exit/fold cells; the chunk itself breaks at
@@ -736,6 +708,7 @@ fn recover_pass_failure(
 fn execute_search(
     module: &Module,
     plan: &ReductionPlan,
+    pool: &Pool,
     search: &SearchSlot,
     threads: usize,
     args: &[RtVal],
@@ -791,106 +764,93 @@ fn execute_search(
     let failures: crate::sync::Mutex<Vec<(usize, GrError)>> = crate::sync::Mutex::new(Vec::new());
     let seams = crate::fault::armed();
     let seams = seams.as_deref();
-    let results: Vec<Vec<ChunkOut>> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads.max(1) {
-            let base: &Memory = mem;
-            let (token, next, pieces, trapped) = (&token, &next, &pieces, &trapped);
-            let (exit_objs, fold_objs, failures) = (&exit_objs, &fold_objs, &failures);
-            let slot = gr_trace::worker();
-            handles.push(scope.spawn(move || -> Vec<ChunkOut> {
-                let _trace = slot.map(gr_trace::Worker::bind);
-                let mut done = Vec::new();
-                loop {
-                    let c = next.fetch_add(1, Ordering::SeqCst);
-                    if c >= pieces.len() {
-                        break;
-                    }
-                    if seams.is_some_and(|s| s.abort_requested(c)) {
-                        token.abort();
-                    }
-                    gr_trace::counter("runtime.token_polls", 1);
-                    if token.cancels(c as i64) {
-                        gr_trace::counter("runtime.token_cancelled", 1);
-                        break;
-                    }
-                    let (start, len) = pieces[c];
-                    if gr_trace::enabled() {
-                        gr_trace::counter("runtime.chunk_dispatch", 1);
-                        gr_trace::instant(
-                            "runtime.chunk",
-                            vec![("chunk", c.into()), ("start", start.into()), ("len", len.into())],
-                        );
-                    }
-                    let mut piece_args = args.to_vec();
-                    let p_lo = plan.nth_iter_value(lo, step, start);
-                    let p_hi = plan.nth_iter_value(lo, step, start + len);
-                    piece_args[0] = RtVal::I(p_lo);
-                    piece_args[1] = RtVal::I(clamp_hi(plan, p_hi, hi, step, start + len == count));
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(seams) = seams {
-                            seams.maybe_panic(c);
-                        }
-                        run_speculative_chunk(
-                            module,
-                            &plan.chunk_fn,
-                            &piece_args,
-                            base,
-                            hit_obj,
-                            exit_objs,
-                            fold_objs,
-                        )
-                    }));
-                    let (hit, exits, folds) = match outcome {
-                        Ok(Ok(r)) => r,
-                        Ok(Err(trap)) => {
-                            // A trap while speculating is not (yet) an
-                            // error: record the chunk and let the merge
-                            // decide whether sequential execution would
-                            // have reached it at all.
-                            gr_trace::counter("runtime.chunk_trap", 1);
-                            trapped.fetch_min(c as i64, Ordering::SeqCst);
-                            failures.lock().push((
-                                c,
-                                GrError::InterpTrap {
-                                    function: plan.chunk_fn.clone(),
-                                    detail: trap.to_string(),
-                                },
-                            ));
-                            continue;
-                        }
-                        Err(payload) => {
-                            // A panicking chunk is contained exactly like
-                            // a trapping one: its work is discarded, the
-                            // schedule keeps running, and the merge falls
-                            // back when the chunk turns out to matter.
-                            gr_trace::counter("runtime.chunk_panic", 1);
-                            trapped.fetch_min(c as i64, Ordering::SeqCst);
-                            failures.lock().push((
-                                c,
-                                GrError::WorkerPanic {
-                                    function: plan.chunk_fn.clone(),
-                                    chunk: c as i64,
-                                    detail: crate::fault::panic_message(&*payload),
-                                },
-                            ));
-                            continue;
-                        }
-                    };
-                    if hit != SEARCH_NO_HIT {
-                        gr_trace::counter("runtime.chunk_hits", 1);
-                        token.offer(c as i64);
-                    }
-                    gr_trace::counter("runtime.chunk_complete", 1);
-                    done.push(ChunkOut { chunk: c, hit, exits, folds });
+    let base: &Memory = mem;
+    let results: Vec<Vec<ChunkOut>> = pool.run(threads, |_| {
+        let mut done = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::SeqCst);
+            if c >= pieces.len() {
+                break;
+            }
+            if seams.is_some_and(|s| s.abort_requested(c)) {
+                token.abort();
+            }
+            gr_trace::counter("runtime.token_polls", 1);
+            if token.cancels(c as i64) {
+                gr_trace::counter("runtime.token_cancelled", 1);
+                break;
+            }
+            let (start, len) = pieces[c];
+            if gr_trace::enabled() {
+                gr_trace::counter("runtime.chunk_dispatch", 1);
+                gr_trace::instant(
+                    "runtime.chunk",
+                    vec![("chunk", c.into()), ("start", start.into()), ("len", len.into())],
+                );
+            }
+            let mut piece_args = args.to_vec();
+            let p_lo = plan.nth_iter_value(lo, step, start);
+            let p_hi = plan.nth_iter_value(lo, step, start + len);
+            piece_args[0] = RtVal::I(p_lo);
+            piece_args[1] = RtVal::I(clamp_hi(plan, p_hi, hi, step, start + len == count));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(seams) = seams {
+                    seams.maybe_panic(c);
                 }
-                done
+                run_speculative_chunk(
+                    module,
+                    &plan.chunk_fn,
+                    &piece_args,
+                    base,
+                    hit_obj,
+                    &exit_objs,
+                    &fold_objs,
+                )
             }));
+            let (hit, exits, folds) = match outcome {
+                Ok(Ok(r)) => r,
+                Ok(Err(trap)) => {
+                    // A trap while speculating is not (yet) an
+                    // error: record the chunk and let the merge
+                    // decide whether sequential execution would
+                    // have reached it at all.
+                    gr_trace::counter("runtime.chunk_trap", 1);
+                    trapped.fetch_min(c as i64, Ordering::SeqCst);
+                    failures.lock().push((
+                        c,
+                        GrError::InterpTrap {
+                            function: plan.chunk_fn.clone(),
+                            detail: trap.to_string(),
+                        },
+                    ));
+                    continue;
+                }
+                Err(payload) => {
+                    // A panicking chunk is contained exactly like
+                    // a trapping one: its work is discarded, the
+                    // schedule keeps running, and the merge falls
+                    // back when the chunk turns out to matter.
+                    gr_trace::counter("runtime.chunk_panic", 1);
+                    trapped.fetch_min(c as i64, Ordering::SeqCst);
+                    failures.lock().push((
+                        c,
+                        GrError::WorkerPanic {
+                            function: plan.chunk_fn.clone(),
+                            chunk: c as i64,
+                            detail: crate::fault::panic_message(&*payload),
+                        },
+                    ));
+                    continue;
+                }
+            };
+            if hit != SEARCH_NO_HIT {
+                gr_trace::counter("runtime.chunk_hits", 1);
+                token.offer(c as i64);
+            }
+            gr_trace::counter("runtime.chunk_complete", 1);
+            done.push(ChunkOut { chunk: c, hit, exits, folds });
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("speculative worker died outside panic containment"))
-            .collect()
+        done
     });
     let mut outs: Vec<ChunkOut> = results.into_iter().flatten().collect();
     outs.sort_by_key(|o| o.chunk);
@@ -2385,6 +2345,129 @@ mod tests {
                     assert_eq!((i1, l1), (i2, l2), "threads={threads}");
                 }
                 other => panic!("expected matching OOB traps, got {other:?}"),
+            }
+        }
+    }
+
+    // ---- one handler, many calls -----------------------------------------
+
+    /// What one call of [`a_reused_handler_keeps_its_helpers`] feeds its
+    /// kernel: ordinary inputs, a run with a worker panic injected, or a
+    /// bound past the end of the arrays, so that sequential execution traps.
+    #[derive(Clone, Copy, PartialEq)]
+    enum CallKind {
+        Plain,
+        Fault,
+        Trap,
+    }
+
+    const REUSE_N: usize = 1500;
+
+    /// Allocates one call's inputs; returns the arguments and the arrays
+    /// whose contents the call must leave as sequential execution does.
+    type Inputs = fn(&mut Memory, usize, CallKind) -> (Vec<RtVal>, Vec<ObjId>);
+
+    fn reuse_ints(call: usize) -> Vec<i64> {
+        (0..REUSE_N).map(|i| ((i * 7919 + call * 13) % 997) as i64 + 1).collect()
+    }
+
+    fn reuse_bound(kind: CallKind) -> RtVal {
+        let extra = if kind == CallKind::Trap { 40 } else { 0 };
+        RtVal::I((REUSE_N + extra) as i64)
+    }
+
+    const REUSE_KERNELS: [(&str, &str, Inputs); 6] = [
+        (
+            "int sum(int* a, int n) { int s = 0; for (int i = 0; i < n; i++) s += a[i]; return s; }",
+            "sum",
+            |mem, call, kind| {
+                (vec![RtVal::ptr(mem.alloc_int(&reuse_ints(call))), reuse_bound(kind)], vec![])
+            },
+        ),
+        (
+            "void rank(int* bins, int* keys, int n) { for (int i = 0; i < n; i++) bins[keys[i]]++; }",
+            "rank",
+            |mem, call, kind| {
+                let bins = mem.alloc_int(&[0; 64]);
+                let keys: Vec<i64> = reuse_ints(call).iter().map(|k| k % 64).collect();
+                let keys = mem.alloc_int(&keys);
+                (vec![RtVal::ptr(bins), RtVal::ptr(keys), reuse_bound(kind)], vec![bins])
+            },
+        ),
+        (
+            "void psum(int* a, int* out, int n) {
+                 int s = 0;
+                 for (int i = 0; i < n; i++) { s += a[i]; out[i] = s; }
+             }",
+            "psum",
+            |mem, call, kind| {
+                let a = mem.alloc_int(&reuse_ints(call));
+                let out = mem.alloc_int(&[0; REUSE_N]);
+                (vec![RtVal::ptr(a), RtVal::ptr(out), reuse_bound(kind)], vec![out])
+            },
+        ),
+        (ARGMIN_STRICT, "amin", |mem, call, kind| {
+            let a: Vec<f64> = reuse_ints(call).iter().map(|&v| v as f64).collect();
+            (vec![RtVal::ptr(mem.alloc_float(&a)), reuse_bound(kind)], vec![])
+        }),
+        (FIND_FIRST, "find", |mem, call, kind| {
+            let a = reuse_ints(call);
+            // Values are positive: -1 never hits, so every chunk runs.
+            let x = if kind == CallKind::Plain { a[(call * 613) % REUSE_N] } else { -1 };
+            (vec![RtVal::ptr(mem.alloc_int(&a)), RtVal::I(x), reuse_bound(kind)], vec![])
+        }),
+        (SUM_UNTIL_INT, "sum_until", |mem, call, kind| {
+            let mut a = reuse_ints(call);
+            if kind == CallKind::Plain {
+                a[(call * 613) % REUSE_N] = -5;
+            }
+            (vec![RtVal::ptr(mem.alloc_int(&a)), RtVal::I(-5), reuse_bound(kind)], vec![])
+        }),
+    ];
+
+    #[test]
+    fn a_reused_handler_keeps_its_helpers() {
+        // One handler serves 64 calls per kernel. The first call spawns
+        // its helpers (none at one thread) and no later call spawns more,
+        // also after a contained worker panic and a trapping call; every
+        // call leaves what the sequential interpreter leaves.
+        for (src, fname, inputs) in REUSE_KERNELS {
+            let m = compile(src).unwrap();
+            let rs = detect_reductions(&m);
+            let (pm, plan) = parallelize(&m, fname, &rs).unwrap();
+            for threads in crate::test_thread_counts() {
+                let mut par = Machine::new(&pm, Memory::new(&pm));
+                par.set_handler(handler(&pm, plan.clone(), threads));
+                let mut seq = Machine::new(&m, Memory::new(&m));
+                let before = crate::pool::spawned_here();
+                let mut after_first = None;
+                for call in 0..64 {
+                    let kind = match call {
+                        21 => CallKind::Fault,
+                        42 => CallKind::Trap,
+                        _ => CallKind::Plain,
+                    };
+                    let ctx = format!("{fname} threads={threads} call={call}");
+                    par.mem = Memory::new(&pm);
+                    seq.mem = Memory::new(&m);
+                    let (args, outs) = inputs(&mut par.mem, call, kind);
+                    assert_eq!(inputs(&mut seq.mem, call, kind), (args.clone(), outs.clone()));
+                    let want = seq.call(fname, &args);
+                    let fault = (kind == CallKind::Fault)
+                        .then(|| crate::fault::InjectGuard::panic_at_chunk(threads as i64 - 1));
+                    let got = par.call(fname, &args);
+                    assert!(fault.is_none_or(|f| f.fired()), "{ctx}: the injected panic fired");
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(want.is_err(), kind == CallKind::Trap, "{ctx}");
+                    if kind != CallKind::Trap {
+                        for &o in &outs {
+                            assert_eq!(par.mem.object(o), seq.mem.object(o), "{ctx}");
+                        }
+                    }
+                    let spawned = crate::pool::spawned_here() - before;
+                    assert_eq!(*after_first.get_or_insert(spawned), spawned, "{ctx}");
+                }
+                assert_eq!(after_first, Some(threads - 1), "{fname} threads={threads}");
             }
         }
     }

@@ -192,9 +192,10 @@ const INT_SUM: &str = "int sum(int* a, int n) {
 
 #[test]
 fn traced_fold_renders_byte_identical_chrome_json_at_eight_threads() {
-    // A fold runs one worker per piece; each worker's lane is the slot its
-    // spawner took for that piece, so the rendered trace cannot depend on
-    // which worker happened to record first.
+    // A fold runs one job per piece: piece 0 on the calling thread, which
+    // records on the caller's lane, and every other piece on a helper bound
+    // to the slot the caller took for that piece, so the rendered trace
+    // cannot depend on which thread happened to record first.
     let m = compile(INT_SUM).unwrap();
     let rs = detect_reductions(&m);
     let (pm, plan) = parallelize(&m, "sum", &rs).unwrap();

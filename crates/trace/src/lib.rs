@@ -25,11 +25,11 @@
 //! hot path takes no lock.
 //!
 //! Work the owner hands to other threads joins its session explicitly:
-//! the spawner takes one [`worker`] slot per thread, on its own thread,
-//! and the spawned thread binds it with [`Worker::bind`]. Worker ordinals
-//! follow the order the slots were taken. A thread that was never given a
-//! slot records nothing, so a trace holds exactly the work its owner
-//! asked for.
+//! the owner takes one [`worker`] slot per thread or job it hands off, on
+//! its own thread, and the thread doing that work binds it with
+//! [`Worker::bind`]. Worker ordinals follow the order the slots were
+//! taken. A thread that was never given a slot records nothing, so a trace
+//! holds exactly the work its owner asked for.
 //!
 //! ## Recording API
 //!
@@ -129,8 +129,8 @@ pub struct Event {
     pub name: &'static str,
     /// Begin/End/Instant.
     pub phase: Phase,
-    /// Worker ordinal: 0 is the session opener; spawned workers count up
-    /// in the order their spawner took their [`worker`] slots.
+    /// Worker ordinal: 0 is the session opener; other workers count up in
+    /// the order their [`worker`] slots were taken.
     pub worker: u32,
     /// 1-based per-worker emission index; the logical timestamp.
     pub seq: u64,
@@ -390,25 +390,27 @@ impl Drop for WorkerGuard {
     }
 }
 
-/// A worker slot in a session, taken by [`worker`] for one thread the
-/// caller is about to spawn.
+/// A worker slot in a session, taken by [`worker`] for one thread or job
+/// the caller is about to hand work to.
 pub struct Worker {
     session: Arc<Session>,
     worker: u32,
 }
 
 impl Worker {
-    /// Binds the calling (spawned) thread to the slot's session, under the
-    /// slot's ordinal, until the returned guard drops.
+    /// Binds the calling thread, the one doing the handed-off work, to the
+    /// slot's session, under the slot's ordinal, until the returned guard
+    /// drops.
     pub fn bind(self) -> WorkerGuard {
         WorkerGuard::bind(self.session, self.worker)
     }
 }
 
-/// Takes one worker slot in the calling thread's session, for a thread it
-/// is about to spawn: take it on the spawning thread, in spawn order, and
-/// [`Worker::bind`] it on the spawned one. `None` when the caller records
-/// nothing (and always under the `off` feature).
+/// Takes one worker slot in the calling thread's session, for work it is
+/// about to hand to another thread: take it on the handing thread, in
+/// hand-off order, and [`Worker::bind`] it on the thread doing the work.
+/// `None` when the caller records nothing (and always under the `off`
+/// feature).
 #[must_use]
 pub fn worker() -> Option<Worker> {
     if cfg!(feature = "off") {
