@@ -71,15 +71,13 @@ pub mod stats {
             for func in &m.functions {
                 let analyses = gr_analysis::Analyses::new(m, func);
                 let ctx = MatchCtx::new(m, func, &analyses);
-                let report = registry.stats_report(&ctx);
-                let total = report.total();
+                let stats = registry.stats_report(&ctx);
+                let total = stats.total();
                 out.steps_shared += total.steps;
-                out.steps_prefix += report.prefix.steps;
+                out.steps_prefix += stats.prefix.steps;
                 out.solutions += total.solutions;
+                out.reductions += stats.report.reductions.len();
             }
-        }
-        for m in &modules {
-            out.reductions += gr_core::detect_reductions(m).len();
         }
         out
     }

@@ -24,8 +24,8 @@ use gr_core::{DetectBudget, ReductionKind};
 /// sharing landed, over the same corpus (NAS + Parboil + Rodinia + Micro),
 /// measured at commit `6996b9c` with the registry's shared-prefix solve
 /// per function. The acceptance bar for prefix sharing was a ≥3× reduction;
-/// the trie-backed extension search (forced moves free, priority order,
-/// generator memoisation) now sits two orders of magnitude under it.
+/// the extension search (forced moves free, priority order) now sits two
+/// orders of magnitude under it.
 const MAIN_BASELINE_STEPS: usize = 12_185;
 
 fn shared_steps(suite: Suite) -> usize {
@@ -276,34 +276,6 @@ fn shared_and_unshared_detection_reports_are_byte_identical() {
             }
         }
     }
-}
-
-#[test]
-fn trie_counters_fire_on_the_corpus() {
-    // The prefix cache must actually share work on real programs: at
-    // least some extension candidate lists are served from the generator
-    // memo instead of being re-enumerated. Symmetry pruning stays at
-    // zero — the built-in specs have no interchangeable labels (asserted
-    // structurally in gr-core), so a nonzero count here would mean
-    // solutions are being dropped.
-    let registry = IdiomRegistry::with_default_idioms();
-    let guard = gr_trace::start();
-    for suite in corpus() {
-        for p in suite_programs(suite) {
-            let m = p.compile();
-            for func in &m.functions {
-                let analyses = gr_analysis::Analyses::new(&m, func);
-                let ctx = MatchCtx::new(&m, func, &analyses);
-                let _ = registry.detect_in_function_with(&ctx, Some(&mut PrefixCache::new()));
-            }
-        }
-    }
-    let trace = guard.finish();
-    assert!(
-        trace.counter("solver.trie.shared_gen") > 0,
-        "the generator memo must serve at least one candidate list corpus-wide"
-    );
-    assert_eq!(trace.counter("solver.trie.pruned_sym"), 0, "built-ins have no symmetric labels");
 }
 
 #[test]

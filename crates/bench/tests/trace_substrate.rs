@@ -2,7 +2,7 @@
 //! `gr-trace` substrate: the trace's `solver.steps` counter must equal the
 //! steps the detection reports account, over the whole corpus.
 
-use gr_bench::stats::{corpus, measure_runtime_counters};
+use gr_bench::stats::{corpus, measure_runtime_counters, measure_suite_stats};
 use gr_benchsuite::suite_programs;
 use gr_core::atoms::MatchCtx;
 use gr_core::detect::PrefixCache;
@@ -41,12 +41,25 @@ fn corpus_trace_steps_match_reports_and_stay_pinned() {
         "the trace and the detection reports must count the same steps"
     );
     // Same trend guard as `corpus_steps_drop_3x_vs_pre_sharing_main`,
-    // asserted on the trace counter (measured 168 with the trie-backed
-    // extension search: forced moves free, priority label order).
+    // asserted on the trace counter (measured 168 with the extension
+    // search: forced moves free, priority label order).
     assert!(trace.counter("solver.steps") <= 300, "corpus steps regressed on trace substrate");
     // The deepest assignment the corpus search reaches; a jump means a
     // spec grew a label chain the candidate ordering no longer prunes.
     assert!(trace.counter("solver.max_depth") >= 1);
+}
+
+#[test]
+fn suite_stats_solve_each_function_once() {
+    // `measure_suite_stats` counts reductions from the same solves that
+    // it takes its steps from, so the trace sees each suite's steps once.
+    for suite in corpus() {
+        let guard = gr_trace::start();
+        let stats = measure_suite_stats(suite);
+        let trace = guard.finish();
+        assert!(stats.steps_shared > 0, "{}: the suite branches somewhere", stats.suite);
+        assert_eq!(trace.counter("solver.steps"), stats.steps_shared as i64, "{}", stats.suite);
+    }
 }
 
 #[test]

@@ -468,11 +468,6 @@ fn main() -> ExitCode {
                                     println!("  {name:<52} {}", h.render_json());
                                 }
                             }
-                            println!(
-                                "solver trie: {} shared generation(s), {} symmetry prune(s)",
-                                trace.counter("solver.trie.shared_gen"),
-                                trace.counter("solver.trie.pruned_sym")
-                            );
                         }
                     }
                     ExitCode::SUCCESS
@@ -498,18 +493,13 @@ fn main() -> ExitCode {
                     // Everything the JSON rendering needs, collected while
                     // the table prints (or silently in --json mode).
                     let mut json_funcs = String::new();
-                    // One trace session around the detection sweep picks up
-                    // the trie counters (memo-served candidate lists,
-                    // symmetry prunes); it is finished before the
-                    // exploitation pass opens its own session.
-                    let trie_guard = gr_trace::start();
                     for func in &module.functions {
                         let analyses = gr_analysis::Analyses::new(&module, func);
                         let ctx = gr_core::atoms::MatchCtx::new(&module, func, &analyses);
+                        let mut shared = registry.stats_report(&ctx);
                         // Collected here so the refusal report below does
                         // not need another full detection pass.
-                        rs.extend(registry.detect_in_function(&ctx));
-                        let shared = registry.stats_report(&ctx);
+                        rs.append(&mut shared.report.reductions);
                         if !json_mode {
                             println!("{}:", func.name);
                         }
@@ -580,15 +570,6 @@ fn main() -> ExitCode {
                         ));
                         total_shared += s.steps;
                     }
-                    let trie_trace = trie_guard.finish();
-                    let trie_shared_gen = trie_trace.counter("solver.trie.shared_gen");
-                    let trie_pruned_sym = trie_trace.counter("solver.trie.pruned_sym");
-                    if !json_mode {
-                        println!(
-                            "solver trie: {trie_shared_gen} shared generation(s), \
-                             {trie_pruned_sym} symmetry prune(s)"
-                        );
-                    }
                     if !json_mode && module.functions.len() > 1 {
                         println!("module total: {total_shared} steps");
                     }
@@ -658,7 +639,7 @@ fn main() -> ExitCode {
                         // One deterministic document: key order is fixed,
                         // maps are emitted in collection order (functions
                         // and idioms in module order, refusals sorted).
-                        let mut out = String::from("{\n  \"schema\": \"greduce/stats/v3\",");
+                        let mut out = String::from("{\n  \"schema\": \"greduce/stats/v4\",");
                         out.push_str("\n  \"functions\": [");
                         out.push_str(&json_funcs);
                         if !json_funcs.is_empty() {
@@ -666,9 +647,6 @@ fn main() -> ExitCode {
                         }
                         out.push_str(&format!(
                             "],\n  \"module\": {{\"shared_steps\": {total_shared}}},"
-                        ));
-                        out.push_str(&format!(
-                            "\n  \"trie\": {{\"shared_gen\": {trie_shared_gen}, \"pruned_sym\": {trie_pruned_sym}}},"
                         ));
                         out.push_str("\n  \"idiom_steps\": {");
                         for (i, (name, steps)) in idiom_steps.iter().enumerate() {

@@ -1,6 +1,6 @@
-//! `greduce stats --json` writes a `greduce/stats/v3` document that the
+//! `greduce stats --json` writes a `greduce/stats/v4` document that the
 //! shared integer-only reader (`gr_trace::json`) parses, with a module
-//! total equal to the sum of the per-function totals.
+//! total equal to the sum of the per-function totals and no `trie` block.
 
 use gr_trace::json::{lookup, JsonVal};
 use std::process::Command;
@@ -51,7 +51,7 @@ fn stats_json_is_read_by_the_shared_reader() {
 
     let doc = JsonVal::parse(&stdout).unwrap_or_else(|| panic!("unreadable document:\n{stdout}"));
     let doc = obj(&doc);
-    assert_eq!(lookup(doc, "schema").and_then(JsonVal::as_str), Some("greduce/stats/v3"));
+    assert_eq!(lookup(doc, "schema").and_then(JsonVal::as_str), Some("greduce/stats/v4"));
     let functions = lookup(doc, "functions").and_then(JsonVal::as_arr).expect("functions");
     assert_eq!(functions.len(), 2, "{stdout}");
     let mut per_function = 0;
@@ -65,9 +65,5 @@ fn stats_json_is_read_by_the_shared_reader() {
     assert!(per_function > 0, "the two-accumulator loop branches: {stdout}");
     let module = obj(lookup(doc, "module").expect("module"));
     assert_eq!(int(module, "shared_steps"), per_function, "{stdout}");
-    let trie = obj(lookup(doc, "trie").expect("trie"));
-    assert_eq!(
-        trie.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>(),
-        ["shared_gen", "pruned_sym"]
-    );
+    assert!(lookup(doc, "trie").is_none(), "v4 has no trie block: {stdout}");
 }

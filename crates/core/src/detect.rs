@@ -16,7 +16,7 @@
 use crate::atoms::MatchCtx;
 use crate::constraint::Spec;
 use crate::report::Reduction;
-use crate::solver::{solve, solve_extend_with_memo, Assignment, GenMemo, SolveOptions, SolveStats};
+use crate::solver::{solve, solve_extend, Assignment, SolveOptions, SolveStats};
 use crate::spec::registry::IdiomRegistry;
 pub use budget::{
     detect_reductions_budgeted, detect_with_budget, DetectBudget, DetectionReport, DetectionStatus,
@@ -32,23 +32,17 @@ use std::sync::Arc;
 
 /// Memoized prefix solutions for one function ([`MatchCtx`]): the shared
 /// for-loop sub-problem is solved once and every idiom entry resumes from
-/// it ([`solve_extend`](crate::solver::solve_extend)). Keyed by the
-/// prefix's structural fingerprint, so any family of specs built on the
-/// same marked prefix shares — not just the built-in for-loop. Specs
-/// stacking several prefix *instances* (map-reduce fusion's
-/// producer/consumer pair) resume from tuples of the same cached
-/// solutions, so even a two-loop idiom costs one solve here.
+/// it ([`solve_extend`]). Keyed by the prefix's structural fingerprint, so
+/// any family of specs built on the same marked prefix shares — not just
+/// the built-in for-loop. Specs stacking several prefix *instances*
+/// (map-reduce fusion's producer/consumer pair) resume from tuples of the
+/// same cached solutions, so even a two-loop idiom costs one solve here.
 ///
 /// A cache is only meaningful for a single `MatchCtx`: build one per
 /// function and drop it afterwards (the driver does).
 #[derive(Default)]
 pub struct PrefixCache {
     entries: HashMap<u64, CacheEntry>,
-    /// Candidate-generation memo shared by every extension resumed from
-    /// this cache: sibling idioms reuse each other's per-node candidate
-    /// lists (`solver.trie.shared_gen`). Keys embed the bound values, so
-    /// entries from different prefixes cannot collide.
-    memo: GenMemo,
 }
 
 struct CacheEntry {
@@ -136,7 +130,6 @@ impl PrefixCache {
             gr_trace::counter("prefix_cache.evictions", self.entries.len() as i64);
         }
         self.entries.clear();
-        self.memo.clear();
     }
 
     /// One row per cached prefix, ordered by name for stable output.
@@ -181,8 +174,7 @@ pub fn solve_with_cache(
 ) -> (Vec<Assignment>, SolveStats, Option<SolveStats>) {
     if let Some(cache) = cache {
         if let Some((prefix, fresh)) = cache.lookup(spec, ctx, opts) {
-            let (sols, mut stats) =
-                solve_extend_with_memo(spec, ctx, &prefix.solutions, opts, Some(&mut cache.memo));
+            let (sols, mut stats) = solve_extend(spec, ctx, &prefix.solutions, opts);
             // A truncated prefix solve means the cached solution list is
             // incomplete: surface that on every resume, not just the
             // fresh one.
@@ -200,28 +192,15 @@ pub fn detect_reductions(module: &Module) -> Vec<Reduction> {
     detect_with(&IdiomRegistry::with_default_idioms(), module)
 }
 
-/// Detects reductions with a caller-supplied idiom registry.
+/// Detects reductions with a caller-supplied idiom registry: the
+/// reductions of [`detect_with_budget`] without a budget, flattened in
+/// function order.
 #[must_use]
 pub fn detect_with(registry: &IdiomRegistry, module: &Module) -> Vec<Reduction> {
-    let mut out = Vec::new();
-    for func in &module.functions {
-        let analyses = Analyses::new(module, func);
-        let ctx = MatchCtx::new(module, func, &analyses);
-        out.extend(registry.detect_in_function(&ctx));
-    }
-    out
-}
-
-/// Detects reductions in one function (analyses supplied by the caller),
-/// using the default registry.
-#[must_use]
-pub fn detect_in_function(
-    module: &Module,
-    func: &gr_ir::Function,
-    analyses: &Analyses,
-) -> Vec<Reduction> {
-    let ctx = MatchCtx::new(module, func, analyses);
-    IdiomRegistry::with_default_idioms().detect_in_function(&ctx)
+    detect_with_budget(registry, module, DetectBudget::UNLIMITED)
+        .into_iter()
+        .flat_map(|report| report.reductions)
+        .collect()
 }
 
 /// Budgeted **anytime** detection: step budgets, degradation status and

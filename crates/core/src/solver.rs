@@ -8,34 +8,29 @@
 //! label are produced by the atoms themselves ([`Atom::enumerate`]) —
 //! falling back to the full `values(F)` enumeration only when no atom can
 //! generate. This is the "smarter approach that utilizes knowledge about
-//! the composition of the predicate" of §3.2, sharpened in five ways:
+//! the composition of the predicate" of §3.2, sharpened in three ways:
 //!
 //! * **indexed candidate generation** — every generating atom reports the
 //!   cardinality of its candidate set from the precomputed indexes on
 //!   [`MatchCtx`] ([`Atom::estimate`]); only the most selective generator
 //!   is materialized, the rest act as membership filters, so the candidate
 //!   set equals the full intersection without building every list;
-//! * **priority-guided label order** — labels themselves are ordered
-//!   cheapest-and-most-selective first ([`SearchPolicy::priority`]): a
-//!   greedy pass places next whichever label has a generating atom whose
-//!   other labels are already placed, breaking ties by the static
-//!   candidate-set size the `MatchCtx` indexes predict. Solutions are
-//!   reported in lexicographic label order regardless of the internal
-//!   assignment order, so reordering never changes observable output;
-//! * **forced-move-free step accounting** — a level whose candidate set
-//!   collapses to a single surviving value is a *forced move*: no search
-//!   decision is taken, so no step is charged. Steps count only the
-//!   candidates tried at genuinely branching levels, which is the work a
-//!   solver with perfect propagation would still have to do;
-//! * **symmetry breaking** — interchangeable labels (the conjunct multiset
-//!   is invariant under swapping them) are canonicalized by value-id order
-//!   ([`SearchPolicy::symmetry`]): the mirror half of the search space is
-//!   pruned (`solver.trie.pruned_sym`) and only the canonical
-//!   representative of each solution orbit is reported;
+//! * **forced moves first** — past any marked prefix, a label that a
+//!   mandatory atom pins to at most one candidate once the atom's other
+//!   labels are placed is assigned next; every other label keeps its
+//!   declaration order. Solutions are reported in lexicographic label
+//!   order regardless of the internal assignment order, so reordering
+//!   never changes observable output;
 //! * **disjunction generators** — an `Or` conjunct generates candidates as
 //!   the union of its branches' candidate sets whenever every branch can
 //!   generate, which keeps specs with alternative shapes (e.g. the
 //!   diamond/select argmin forms) tractable.
+//!
+//! **Step accounting.** A level whose candidate set collapses to a single
+//! surviving value is a *forced move*: no search decision is taken, so no
+//! step is charged. Steps count only the candidates tried at genuinely
+//! branching levels, which is the work a solver with perfect propagation
+//! would still have to do.
 //!
 //! **Prefix sharing.** Specifications composed as `prefix ⨯ extension`
 //! (see [`SpecBuilder::mark_prefix`](crate::constraint::SpecBuilder::mark_prefix))
@@ -44,15 +39,12 @@
 //! visiting exactly the nodes a full [`solve`] would visit *below* the
 //! prefix — same solutions, a fraction of the steps. The detection driver
 //! caches each function's for-loop solutions, as the sorted assignment
-//! list [`solve`] returns, in a [`PrefixCache`](crate::detect::PrefixCache),
-//! and a [`GenMemo`] shares the per-(atom, bound-operands) candidate lists
-//! across every idiom extending the same cached prefix
-//! (`solver.trie.shared_gen`). Specs stacking several prefix instances
-//! (map-reduce fusion) resume from a *product* of that list with itself:
-//! prefix digits are assigned one instance at a time and the
-//! cross-instance residual conjuncts prune a whole subtree of tuples as
-//! soon as the deciding digit is bound, instead of filtering the flat
-//! cartesian product tuple by tuple.
+//! list [`solve`] returns, in a [`PrefixCache`](crate::detect::PrefixCache).
+//! Specs stacking several prefix instances (map-reduce fusion) resume from
+//! a *product* of that list with itself: prefix digits are assigned one
+//! instance at a time and the cross-instance residual conjuncts prune a
+//! whole subtree of tuples as soon as the deciding digit is bound, instead
+//! of filtering the flat cartesian product tuple by tuple.
 //!
 //! [`solve_naive`] is the exponential baseline (filter the full cartesian
 //! enumeration), kept for the ablation benchmark and for cross-validation
@@ -61,30 +53,9 @@
 use crate::atoms::{Atom, MatchCtx};
 use crate::constraint::{Constraint, Label, Spec};
 use gr_ir::ValueId;
-use std::collections::HashMap;
 
 /// A full assignment of label index → IR value.
 pub type Assignment = Vec<ValueId>;
-
-/// Search-shaping knobs: which of the solver's pruning layers are active.
-/// Both default on, and detection always solves with the default; only the
-/// solver's unit tests switch them individually.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchPolicy {
-    /// Order labels by static generator selectivity (cheapest candidate
-    /// sets first). Off: labels are assigned in declaration order.
-    pub priority: bool,
-    /// Canonicalize interchangeable labels by value-id order, pruning the
-    /// mirrored half of the search space. Off: every symmetric twin of a
-    /// solution is enumerated.
-    pub symmetry: bool,
-}
-
-impl Default for SearchPolicy {
-    fn default() -> SearchPolicy {
-        SearchPolicy { priority: true, symmetry: true }
-    }
-}
 
 /// Solver configuration.
 #[derive(Debug, Clone, Copy)]
@@ -93,17 +64,11 @@ pub struct SolveOptions {
     pub max_solutions: usize,
     /// Abort after this many backtracking steps.
     pub max_steps: usize,
-    /// Which search-shaping layers are active.
-    pub policy: SearchPolicy,
 }
 
 impl Default for SolveOptions {
     fn default() -> SolveOptions {
-        SolveOptions {
-            max_solutions: 10_000,
-            max_steps: 50_000_000,
-            policy: SearchPolicy::default(),
-        }
+        SolveOptions { max_solutions: 10_000, max_steps: 50_000_000 }
     }
 }
 
@@ -137,47 +102,6 @@ impl SolveStats {
         if self.steps > 0 {
             gr_trace::counter("solver.steps", self.steps as i64);
         }
-    }
-}
-
-/// Memoized candidate generation, shared across solver runs over the same
-/// function. Keyed by the materialized atom plus the values bound to its
-/// non-target labels — exactly the inputs [`Atom::enumerate`] reads — so a
-/// hit returns the byte-identical candidate list the atom would have
-/// produced. Sibling idioms extending the same cached prefix re-derive the
-/// same `(atom, bound values)` pairs at the same search nodes; each re-use is
-/// counted under `solver.trie.shared_gen`.
-///
-/// Like the [`PrefixCache`](crate::detect::PrefixCache) that owns one, a
-/// memo is only meaningful for a single function: candidate lists are
-/// `ValueId`s of one value arena.
-#[derive(Default)]
-pub struct GenMemo {
-    map: HashMap<(String, Vec<ValueId>), Vec<ValueId>>,
-}
-
-impl GenMemo {
-    /// An empty memo.
-    #[must_use]
-    pub fn new() -> GenMemo {
-        GenMemo::default()
-    }
-
-    /// Distinct `(atom, bound-operands)` generation sites memoized.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether no generation site has been memoized yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Drops every memoized candidate list.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -237,11 +161,6 @@ struct SearchPlan<'s> {
     /// Conjuncts past the prefix mark whose labels all lie inside the
     /// prefix: checked once per resumed prefix digit.
     residual: Vec<&'s Constraint>,
-    /// Canonical-order constraints from symmetry breaking, attached to the
-    /// position where both labels of the pair are bound: candidates
-    /// violating `asg[lo] <= asg[hi]` are mirror images of a canonical
-    /// assignment and are pruned.
-    sym_checks: Vec<Vec<(usize, usize)>>,
 }
 
 impl<'s> SearchPlan<'s> {
@@ -250,7 +169,6 @@ impl<'s> SearchPlan<'s> {
         ctx: &MatchCtx<'_>,
         start: usize,
         skip_conjuncts: usize,
-        policy: SearchPolicy,
     ) -> SearchPlan<'s> {
         let n = spec.arity();
         // The identity-pinned region: a marked prefix keeps declaration
@@ -258,7 +176,7 @@ impl<'s> SearchPlan<'s> {
         // visit the same nodes level for level and the step decomposition
         // `prefix + extension == full` holds exactly.
         let pin = spec.prefix.map_or(start, |p| p.total_labels()).max(start).min(n);
-        let order = priority_order(spec, ctx, pin, policy);
+        let order = priority_order(spec, ctx, pin);
         let mut place = vec![0usize; n];
         for (pos, &l) in order.iter().enumerate() {
             place[l] = pos;
@@ -272,19 +190,12 @@ impl<'s> SearchPlan<'s> {
             generators: (0..n).map(|_| Vec::new()).collect(),
             partials: Vec::new(),
             residual: Vec::new(),
-            sym_checks: vec![Vec::new(); n],
         };
         for c in &spec.conjuncts()[skip_conjuncts..] {
             plan.add_conjunct(c);
         }
         for v in &mut plan.checkers {
             v.sort_by_key(|a| a.cost_rank());
-        }
-        if policy.symmetry {
-            for (lo, hi) in symmetric_pairs(spec, pin) {
-                let pos = plan.place[lo].max(plan.place[hi]);
-                plan.sym_checks[pos].push((lo, hi));
-            }
         }
         plan
     }
@@ -408,93 +319,48 @@ fn mandatory_atoms(c: &Constraint) -> Vec<&Atom> {
     }
 }
 
-/// Every atom reachable in a constraint, `Or` branches included (used for
-/// the ordering heuristic only, where optimistic coverage is fine).
-fn collect_atoms<'s>(c: &'s Constraint, out: &mut Vec<&'s Atom>) {
-    match c {
-        Constraint::Atom(a) => out.push(a),
-        Constraint::And(cs) | Constraint::Or(cs) => {
-            for c in cs {
-                collect_atoms(c, out);
-            }
-        }
-    }
-}
-
-/// Static candidate-set size of one atom generating `target`, read off the
-/// `MatchCtx` indexes without any labels bound: `None` exactly when
-/// [`Atom::enumerate`] could never produce candidates for that role, and a
-/// typical-fanout guess where the true cardinality needs a bound anchor.
-/// Only a heuristic for label ordering — the dynamic [`Atom::estimate`]
-/// still picks the generator at each node, and a label wrongly scored here
-/// is merely visited at a different level, never solved incorrectly.
-fn static_estimate(a: &Atom, ctx: &MatchCtx<'_>, target: Label) -> Option<usize> {
+/// Whether `a`, once its other labels are placed, pins `target` (which it
+/// mentions exactly once) to at most one candidate: `Equal`, a value-slot
+/// `OperandIs`, a block-slot `BlockOf`, `IsConstInt`, or a singleton opcode
+/// bucket, block list or loop-header list. Only a label-ordering test — the
+/// dynamic [`Atom::estimate`] still picks the generator at each node, and a
+/// label wrongly judged here is merely visited at a different level, never
+/// solved incorrectly.
+fn forces(a: &Atom, ctx: &MatchCtx<'_>, target: Label) -> bool {
     match a {
-        Atom::IsBlock(l) => (*l == target).then_some(ctx.block_labels.len()),
-        Atom::IsLoopHeader(l) => (*l == target).then_some(ctx.header_loops.len()),
-        Atom::Opcode { l, class } => (*l == target).then(|| ctx.bucket(*class).len()),
-        Atom::Equal { a, b } => (*a != *b && (*a == target || *b == target)).then_some(1),
-        Atom::OperandIs { inst, value, .. } => {
-            if *value == target {
-                Some(1)
-            } else {
-                (*inst == target).then_some(3)
-            }
-        }
-        Atom::PhiIncoming { phi, value, block } => {
-            (*phi == target || *value == target || *block == target).then_some(3)
-        }
-        Atom::OperandOf { inst, value } => (*inst == target || *value == target).then_some(3),
-        Atom::BlockOf { inst, block } => {
-            if *block == target {
-                Some(1)
-            } else {
-                (*inst == target).then_some(10)
-            }
-        }
-        Atom::CfgEdge { from, to } => (*from == target || *to == target).then_some(2),
-        Atom::InLoopBlock { block, .. } => (*block == target).then_some(4),
-        Atom::InLoopInst { inst, .. } => (*inst == target).then_some(24),
-        Atom::AnchoredTo { inst, .. } => (*inst == target).then_some(16),
-        Atom::IsConstInt { l, .. } => (*l == target).then_some(1),
-        Atom::ConstIntNegative(l) => (*l == target).then_some(2),
-        _ => None,
+        Atom::Equal { .. } | Atom::IsConstInt { .. } => true,
+        Atom::OperandIs { value, .. } => *value == target,
+        Atom::BlockOf { block, .. } => *block == target,
+        Atom::Opcode { class, .. } => ctx.bucket(*class).len() <= 1,
+        Atom::IsBlock(_) => ctx.block_labels.len() <= 1,
+        Atom::IsLoopHeader(_) => ctx.header_loops.len() <= 1,
+        _ => false,
     }
 }
 
 /// The priority order: positions `0..pin` keep declaration order (the
 /// marked-prefix region); after that, any unplaced label that a
-/// placed-anchored atom pins to **at most one candidate** (estimate `<= 1`:
-/// `Equal`, a value-slot `OperandIs`, `BlockOf` toward the block, a
-/// singleton opcode bucket, ...) is hoisted next — binding it is a forced
-/// move, costs no search steps, and arms its membership filters for every
-/// later position. Only **mandatory** atoms count as forcing: an atom
+/// placed-anchored atom [`forces`] is hoisted next — binding it is a
+/// forced move, costs no search steps, and arms its membership filters for
+/// every later position. Only **mandatory** atoms count as forcing: an atom
 /// inside an `Or` pins the label in its own branch only, and hoisting on
 /// it would push the sibling branch of the union generator into the
 /// whole-domain fallback. When no label is forced the order falls back to
 /// declaration order: hand-written specs chain each label off its
-/// predecessors, and static cardinality guesses for branching generators
-/// are not reliable enough to beat that chain.
-fn priority_order(spec: &Spec, ctx: &MatchCtx<'_>, pin: usize, policy: SearchPolicy) -> Vec<usize> {
+/// predecessors.
+fn priority_order(spec: &Spec, ctx: &MatchCtx<'_>, pin: usize) -> Vec<usize> {
     let n = spec.arity();
     let mut order: Vec<usize> = (0..pin.min(n)).collect();
-    if !policy.priority {
-        order.extend(pin..n);
-        return order;
-    }
     // Force records, precomputed once: `(target, anchors)` where some
-    // mandatory atom mentions `target` exactly once with estimate <= 1,
-    // and `anchors` are the atom's other labels — the move is forced as
-    // soon as every anchor is placed. `static_estimate` is placement-
-    // independent, so nothing here needs recomputing inside the loop.
+    // mandatory atom mentioning `target` exactly once forces it, and
+    // `anchors` are the atom's other labels — the move is forced as soon
+    // as every anchor is placed.
     let mut force: Vec<(usize, Vec<usize>)> = Vec::new();
     for a in spec.conjuncts().iter().flat_map(mandatory_atoms) {
         let ls = a.labels();
         for x in &ls {
             let l = x.index();
-            if ls.iter().filter(|y| y.index() == l).count() == 1
-                && static_estimate(a, ctx, Label(l)).is_some_and(|e| e <= 1)
-            {
+            if ls.iter().filter(|y| y.index() == l).count() == 1 && forces(a, ctx, *x) {
                 force.push((l, ls.iter().map(|y| y.index()).filter(|&o| o != l).collect()));
             }
         }
@@ -515,73 +381,6 @@ fn priority_order(spec: &Spec, ctx: &MatchCtx<'_>, pin: usize, policy: SearchPol
     order
 }
 
-/// Interchangeable label pairs `(lo, hi)` with `lo < hi`, both at or past
-/// `from`: swapping the two labels everywhere maps the conjunct multiset
-/// onto itself, so the solution set is closed under swapping their values
-/// and the solver may keep only the `asg[lo] <= asg[hi]` representative of
-/// each orbit.
-///
-/// Detection is purely structural (a textual `Label(i) ↔ Label(j)` swap
-/// over the conjuncts' debug rendering, compared as multisets), preceded
-/// by a cheap per-label signature filter so the string pass runs only on
-/// genuinely twin-shaped labels. Pairs straddling a marked prefix are
-/// excluded (`from` = prefix arity): the prefix is solved standalone and
-/// must not commit to a canonical form the extension conjuncts could
-/// distinguish.
-fn symmetric_pairs(spec: &Spec, from: usize) -> Vec<(usize, usize)> {
-    let n = spec.arity();
-    if n < 2 || from + 2 > n {
-        return Vec::new();
-    }
-    let conjuncts = spec.conjuncts();
-    // Signature filter: the multiset of (atom kind, mention count) per
-    // label must agree before the exact swap test is worth rendering.
-    let mut sig: Vec<Vec<(&'static str, usize)>> = vec![Vec::new(); n];
-    let mut atoms = Vec::new();
-    for c in conjuncts {
-        collect_atoms(c, &mut atoms);
-    }
-    for a in &atoms {
-        let ls = a.labels();
-        for l in &ls {
-            let mentions = ls.iter().filter(|x| x == &l).count();
-            sig[l.index()].push((a.kind_name(), mentions));
-        }
-    }
-    for s in &mut sig {
-        s.sort_unstable();
-    }
-    let mut rendered: Option<Vec<String>> = None;
-    let mut pairs = Vec::new();
-    for lo in from..n {
-        for hi in lo + 1..n {
-            if sig[lo] != sig[hi] {
-                continue;
-            }
-            let base = rendered
-                .get_or_insert_with(|| conjuncts.iter().map(|c| format!("{c:?}")).collect());
-            let mut swapped: Vec<String> =
-                base.iter().map(|s| swap_label_text(s, lo, hi)).collect();
-            let mut sorted_base = base.clone();
-            sorted_base.sort_unstable();
-            swapped.sort_unstable();
-            if swapped == sorted_base {
-                pairs.push((lo, hi));
-            }
-        }
-    }
-    pairs
-}
-
-/// Textual `Label(i) ↔ Label(j)` swap over one conjunct's debug rendering.
-/// The closing parenthesis makes the needle unambiguous (`Label(1)` never
-/// matches inside `Label(12)`).
-fn swap_label_text(s: &str, i: usize, j: usize) -> String {
-    let a = format!("Label({i})");
-    let b = format!("Label({j})");
-    s.replace(&a, "\u{1}").replace(&b, &a).replace('\u{1}', &b)
-}
-
 /// Enumerates every assignment satisfying `spec` (up to the limits in
 /// `opts`), in lexicographic order.
 #[must_use]
@@ -593,9 +392,9 @@ pub fn solve(spec: &Spec, ctx: &MatchCtx<'_>, opts: SolveOptions) -> (Vec<Assign
     if spec.arity() == 0 {
         return (solutions, stats);
     }
-    let plan = SearchPlan::new(spec, ctx, 0, 0, opts.policy);
+    let plan = SearchPlan::new(spec, ctx, 0, 0);
     let mut asg: Assignment = vec![ValueId(0); spec.arity()];
-    search(&plan, ctx, &mut asg, 0, &mut solutions, &mut stats, opts, None);
+    search(&plan, ctx, &mut asg, 0, &mut solutions, &mut stats, opts);
     stats.record_steps();
     solutions.sort_unstable();
     (solutions, stats)
@@ -631,29 +430,10 @@ pub fn solve_extend(
     prefix_solutions: &[Assignment],
     opts: SolveOptions,
 ) -> (Vec<Assignment>, SolveStats) {
-    solve_extend_with_memo(spec, ctx, prefix_solutions, opts, None)
-}
-
-/// [`solve_extend`] with a candidate-generation memo shared across calls
-/// over the same function: sibling idioms extending the same prefix reuse
-/// each other's per-node candidate lists (see [`GenMemo`]). Results are
-/// byte-identical with and without a memo — only repeated enumeration work
-/// is skipped.
-///
-/// # Panics
-/// Panics if `spec` has no marked prefix.
-#[must_use]
-pub fn solve_extend_with_memo(
-    spec: &Spec,
-    ctx: &MatchCtx<'_>,
-    prefix_solutions: &[Assignment],
-    opts: SolveOptions,
-    mut memo: Option<&mut GenMemo>,
-) -> (Vec<Assignment>, SolveStats) {
     let p = spec.prefix.expect("solve_extend requires a spec with a marked prefix");
     let _sp = gr_trace::enabled()
         .then(|| gr_trace::span_with("extend", vec![("spec", spec.name.as_str().into())]));
-    let plan = SearchPlan::new(spec, ctx, p.total_labels(), p.total_conjuncts(), opts.policy);
+    let plan = SearchPlan::new(spec, ctx, p.total_labels(), p.total_conjuncts());
     let mut solutions = Vec::new();
     let mut stats = SolveStats::default();
     if prefix_solutions.is_empty() {
@@ -678,7 +458,6 @@ pub fn solve_extend_with_memo(
         &mut solutions,
         &mut stats,
         opts,
-        &mut memo,
     );
     stats.record_steps();
     solutions.sort_unstable();
@@ -700,11 +479,10 @@ fn product(
     solutions: &mut Vec<Assignment>,
     stats: &mut SolveStats,
     opts: SolveOptions,
-    memo: &mut Option<&mut GenMemo>,
 ) {
     if depth == p.instances {
         gr_trace::counter("solver.resume_points", 1);
-        search(plan, ctx, asg, plan.start, solutions, stats, opts, memo.as_deref_mut());
+        search(plan, ctx, asg, plan.start, solutions, stats, opts);
         return;
     }
     let base = depth * p.labels;
@@ -724,7 +502,6 @@ fn product(
                 solutions,
                 stats,
                 opts,
-                memo,
             );
             if stats.truncated {
                 return;
@@ -733,7 +510,6 @@ fn product(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn search(
     plan: &SearchPlan<'_>,
     ctx: &MatchCtx<'_>,
@@ -742,7 +518,6 @@ fn search(
     solutions: &mut Vec<Assignment>,
     stats: &mut SolveStats,
     opts: SolveOptions,
-    mut memo: Option<&mut GenMemo>,
 ) {
     if stats.steps >= opts.max_steps || solutions.len() >= opts.max_solutions {
         stats.truncated = true;
@@ -758,37 +533,31 @@ fn search(
         return;
     }
     let label = plan.order[pos];
-    let (candidates, chosen) = generate_candidates(plan, ctx, asg, pos, memo.as_deref_mut());
+    let (candidates, chosen) = generate_candidates(plan, ctx, asg, pos);
     if gr_trace::enabled() {
         gr_trace::counter("solver.candidates", candidates.len() as i64);
         let key = format!("{}::{}", plan.spec.name, plan.spec.label_names[label]);
         gr_trace::counter_keyed("solver.candidates.label", &key, candidates.len() as i64);
         // Fanout distribution per label: how many candidates each decision
-        // level generates, not just the sum. The priority order is driven
-        // by exactly this, and the bench baseline gates its shape so
-        // fanout blowups fail CI.
+        // level generates, not just the sum. The bench baseline gates its
+        // shape so fanout blowups fail CI.
         gr_trace::histogram_keyed("solver.fanout", &key, candidates.len() as i64);
     }
-    // Membership pre-filter (the rest of the generator intersection) plus
-    // symmetry canonicalization: what survives here is the true branching
-    // factor of this node, exactly as if every generator list had been
-    // materialized and intersected. The materialized source contains its
-    // own candidates by construction and is skipped.
+    // Membership pre-filter (the rest of the generator intersection): what
+    // survives here is the true branching factor of this node, exactly as
+    // if every generator list had been materialized and intersected. The
+    // materialized source contains its own candidates by construction and
+    // is skipped.
     let mut survivors: Vec<ValueId> = Vec::with_capacity(candidates.len());
     for v in candidates {
         asg[label] = v;
-        let member = plan.generators[pos]
+        if plan.generators[pos]
             .iter()
             .enumerate()
-            .all(|(i, g)| Some(i) == chosen || source_contains(g, ctx, asg));
-        if !member {
-            continue;
+            .all(|(i, g)| Some(i) == chosen || source_contains(g, ctx, asg))
+        {
+            survivors.push(v);
         }
-        if !plan.sym_checks[pos].iter().all(|&(lo, hi)| asg[lo] <= asg[hi]) {
-            gr_trace::counter("solver.trie.pruned_sym", 1);
-            continue;
-        }
-        survivors.push(v);
     }
     // A single survivor is a forced move — propagation, not search — and
     // costs no step; only genuine branching charges the ledger.
@@ -816,7 +585,7 @@ fn search(
         };
         match pruned_by {
             Some(kind) => gr_trace::counter_keyed("solver.prunes", kind, 1),
-            None => search(plan, ctx, asg, pos + 1, solutions, stats, opts, memo.as_deref_mut()),
+            None => search(plan, ctx, asg, pos + 1, solutions, stats, opts),
         }
         if solutions.len() >= opts.max_solutions {
             stats.truncated = true;
@@ -833,15 +602,12 @@ fn search(
 /// sources filter by membership in `search`. Returns the index of the
 /// materialized source (its membership test is true by construction), or
 /// `None` after the full `values(F)` fallback when no source can
-/// generate. With a [`GenMemo`], single-atom enumerations are served from
-/// the memo when the same (atom, bound operands) site was generated
-/// before — each hit counts under `solver.trie.shared_gen`.
+/// generate.
 fn generate_candidates(
     plan: &SearchPlan<'_>,
     ctx: &MatchCtx<'_>,
     asg: &[ValueId],
     pos: usize,
-    memo: Option<&mut GenMemo>,
 ) -> (Vec<ValueId>, Option<usize>) {
     let target = Label(plan.order[pos]);
     let mut best: Option<(usize, usize, Resolved<'_, '_>)> = None;
@@ -855,26 +621,6 @@ fn generate_candidates(
     let mut out = match best {
         None => return (ctx.func.value_ids().collect(), None),
         Some((_, _, Resolved::Atom(a))) => {
-            if let Some(memo) = memo {
-                let key = (
-                    format!("{a:?}"),
-                    a.labels()
-                        .iter()
-                        .filter(|l| **l != target)
-                        .map(|l| asg[l.index()])
-                        .collect::<Vec<_>>(),
-                );
-                if let Some(cached) = memo.map.get(&key) {
-                    gr_trace::counter("solver.trie.shared_gen", 1);
-                    return (cached.clone(), chosen);
-                }
-                let mut fresh =
-                    a.enumerate(ctx, asg, target).expect("estimate and enumerate agree");
-                fresh.sort_unstable();
-                fresh.dedup();
-                memo.map.insert(key, fresh.clone());
-                return (fresh, chosen);
-            }
             a.enumerate(ctx, asg, target).expect("estimate and enumerate agree")
         }
         Some((_, _, Resolved::Or(branches))) => {
@@ -1053,6 +799,26 @@ mod tests {
     }
 
     #[test]
+    fn priority_order_matches_declaration_order_results() {
+        // A deliberately backwards spec: the selective anchor (the single
+        // gep) is declared *last*, so the priority order assigns it first.
+        // The naive solver enumerates in declaration order; the reported
+        // solutions, and the order they are reported in, must be the same.
+        with_ctx(LOOP_SRC, |ctx| {
+            let mut b = SpecBuilder::new("backwards");
+            let base = b.label("base");
+            let gep = b.label("gep");
+            b.atom(Atom::Opcode { l: gep, class: OpClass::Gep });
+            b.atom(Atom::OperandIs { inst: gep, index: 0, value: base });
+            let spec = b.finish();
+            let (prioritized, _) = solve(&spec, ctx, SolveOptions::default());
+            let (declared, _) = solve_naive(&spec, ctx, SolveOptions::default());
+            assert!(!prioritized.is_empty());
+            assert_eq!(prioritized, declared, "label order must not change the reported solutions");
+        });
+    }
+
+    #[test]
     fn smart_solver_visits_far_fewer_nodes() {
         with_ctx(LOOP_SRC, |ctx| {
             let spec = load_spec();
@@ -1157,84 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_order_matches_declaration_order_results() {
-        // A deliberately backwards spec: the selective anchor (the single
-        // gep) is declared *last*. The priority order starts from it and
-        // must reproduce exactly the declaration-order solution set.
-        with_ctx(LOOP_SRC, |ctx| {
-            let build = || {
-                let mut b = SpecBuilder::new("backwards");
-                let base = b.label("base");
-                let gep = b.label("gep");
-                b.atom(Atom::Opcode { l: gep, class: OpClass::Gep });
-                b.atom(Atom::OperandIs { inst: gep, index: 0, value: base });
-                b.finish()
-            };
-            let prioritized = SolveOptions::default();
-            let declared = SolveOptions {
-                policy: SearchPolicy { priority: false, symmetry: true },
-                ..SolveOptions::default()
-            };
-            let (a, _) = solve(&build(), ctx, prioritized);
-            let (b, _) = solve(&build(), ctx, declared);
-            assert!(!a.is_empty());
-            assert_eq!(a, b, "label order must not change the reported solutions");
-        });
-    }
-
-    #[test]
-    fn symmetry_breaking_keeps_one_representative_per_orbit() {
-        // Two labels with byte-identical constraints (both "is a block"):
-        // the conjunct multiset is invariant under swapping them, so the
-        // canonical solver keeps only the asg[x] <= asg[y] half.
-        with_ctx(LOOP_SRC, |ctx| {
-            let build = || {
-                let mut b = SpecBuilder::new("twin-blocks");
-                let x = b.label("x");
-                let y = b.label("y");
-                b.atom(Atom::IsBlock(x));
-                b.atom(Atom::IsBlock(y));
-                b.finish()
-            };
-            assert_eq!(symmetric_pairs(&build(), 0), vec![(0, 1)]);
-            let canonical = SolveOptions::default();
-            let full = SolveOptions {
-                policy: SearchPolicy { priority: true, symmetry: false },
-                ..SolveOptions::default()
-            };
-            let (sols, _) = solve(&build(), ctx, canonical);
-            let (all, _) = solve(&build(), ctx, full);
-            // n blocks → n² unrestricted pairs, n(n+1)/2 canonical.
-            let n = (all.len() as f64).sqrt().round() as usize;
-            assert!(n >= 2, "the loop test has several blocks");
-            assert_eq!(n * n, all.len(), "unrestricted solve is the full square");
-            assert_eq!(sols.len(), n * (n + 1) / 2, "canonical half kept");
-            for s in &sols {
-                assert!(s[0] <= s[1], "canonical representative has ordered values");
-            }
-        });
-    }
-
-    #[test]
-    fn builtin_specs_have_no_symmetric_labels() {
-        // Every shipped idiom, and the prefix spec it is resumed from, has
-        // structurally distinct labels, so symmetry breaking is provably a
-        // no-op on the default registry: with or without it, the search
-        // visits the same assignments and reports the same solutions.
-        let registry = crate::spec::IdiomRegistry::with_default_idioms();
-        assert_eq!(registry.len(), 10);
-        for entry in registry.entries() {
-            let spec = &entry.spec;
-            let pin = spec.prefix.map_or(0, |p| p.total_labels());
-            for from in [0, pin] {
-                assert_eq!(symmetric_pairs(spec, from), Vec::new(), "{} from {from}", spec.name);
-            }
-            let prefix = spec.prefix_spec().expect("every built-in idiom has a marked prefix");
-            assert_eq!(symmetric_pairs(&prefix, 0), Vec::new(), "{}", prefix.name);
-        }
-    }
-
-    #[test]
     fn extend_matches_full_solve_on_marked_prefix() {
         // A two-stage spec: prefix = load-of-gep chain, extension = the
         // gep's index value. The resumed search must agree with the full
@@ -1275,49 +963,6 @@ mod tests {
                 full_stats.steps
             );
             assert_eq!(pre_stats.steps + ext_stats.steps, full_stats.steps);
-        });
-    }
-
-    #[test]
-    fn gen_memo_shares_generation_without_changing_results() {
-        const TWO_LOAD_SRC: &str = "float f(float* a, float* b, int n) { float s = 0.0; for (int i = 0; i < n; i++) s += a[i] + b[i]; return s; }";
-        with_ctx(TWO_LOAD_SRC, |ctx| {
-            let mut b = SpecBuilder::new("load-of-gep-idx");
-            let load = b.label("load");
-            let gep = b.label("gep");
-            let base = b.label("base");
-            b.atom(Atom::Opcode { l: load, class: OpClass::Load });
-            b.atom(Atom::OperandIs { inst: load, index: 0, value: gep });
-            b.atom(Atom::Opcode { l: gep, class: OpClass::Gep });
-            b.atom(Atom::OperandIs { inst: gep, index: 0, value: base });
-            b.mark_prefix();
-            let idx = b.label("idx");
-            b.atom(Atom::OperandIs { inst: gep, index: 1, value: idx });
-            let spec = b.finish();
-            let prefix = spec.prefix_spec().unwrap();
-            let (pre_sols, _) = solve(&prefix, ctx, SolveOptions::default());
-            let (cold, cold_stats) = solve_extend(&spec, ctx, &pre_sols, SolveOptions::default());
-            let mut memo = GenMemo::new();
-            let (first, first_stats) = solve_extend_with_memo(
-                &spec,
-                ctx,
-                &pre_sols,
-                SolveOptions::default(),
-                Some(&mut memo),
-            );
-            assert!(!memo.is_empty(), "the extension generates through at least one atom");
-            // A second idiom extending the same prefix hits the memo.
-            let (second, second_stats) = solve_extend_with_memo(
-                &spec,
-                ctx,
-                &pre_sols,
-                SolveOptions::default(),
-                Some(&mut memo),
-            );
-            assert_eq!(cold, first);
-            assert_eq!(first, second, "memoized generation must be invisible in results");
-            assert_eq!(cold_stats, first_stats);
-            assert_eq!(first_stats, second_stats, "steps are counted identically on memo hits");
         });
     }
 

@@ -41,9 +41,10 @@
 //! [`solve_extend`](crate::solver::solve_extend). Registering a new idiom
 //! on a cached skeleton therefore costs one *extension* solve — a handful
 //! of steps — rather than a full re-solve.
-//! [`IdiomRegistry::stats_report`] splits a function's cost into the
-//! prefix solves and each idiom's extension, with per-prefix cache hit
-//! counts. Solving every spec from scratch
+//! [`IdiomRegistry::stats_report`] returns a function's detection report
+//! with its cost split into the prefix solves and each idiom's extension,
+//! with per-prefix cache hit counts, all from one pass over the entries.
+//! Solving every spec from scratch
 //! ([`IdiomRegistry::detect_in_function_with`] without a cache) stays only
 //! as a test oracle: `crates/bench/tests/solver_steps.rs` checks that it
 //! reports byte-identical reductions in more steps, and pins the totals.
@@ -282,15 +283,42 @@ impl IdiomRegistry {
     pub fn detect_in_function_report(
         &self,
         ctx: &MatchCtx<'_>,
-        mut cache: Option<&mut PrefixCache>,
+        cache: Option<&mut PrefixCache>,
         budget: DetectBudget,
     ) -> DetectionReport {
+        self.solve_entries(ctx, cache, budget).report
+    }
+
+    /// One function's [`DetectionReport`] together with the per-idiom and
+    /// shared-prefix solver statistics of the same solves: every entry
+    /// resumes from the function's cached prefix solutions and reports
+    /// extension-only cost (the one-time prefix cost lands in
+    /// [`RegistryStats::prefix`]), with per-prefix cache hit counts.
+    #[must_use]
+    pub fn stats_report(&self, ctx: &MatchCtx<'_>) -> RegistryStats {
+        let mut cache = PrefixCache::new();
+        let mut stats = self.solve_entries(ctx, Some(&mut cache), DetectBudget::UNLIMITED);
+        stats.prefix_cache = cache.summary();
+        stats
+    }
+
+    /// The one loop that solves specs, behind both
+    /// [`IdiomRegistry::detect_in_function_report`] and
+    /// [`IdiomRegistry::stats_report`]; `prefix_cache` is left empty.
+    fn solve_entries(
+        &self,
+        ctx: &MatchCtx<'_>,
+        mut cache: Option<&mut PrefixCache>,
+        budget: DetectBudget,
+    ) -> RegistryStats {
         let _sp = gr_trace::enabled().then(|| {
             gr_trace::span_with("detect", vec![("function", ctx.func.name.as_str().into())])
         });
         let mut out = Vec::new();
         let mut steps_used: usize = 0;
         let mut truncated_idioms: Vec<&'static str> = Vec::new();
+        let mut prefix_stats = SolveStats::default();
+        let mut per_idiom = Vec::with_capacity(self.entries.len());
         for entry in &self.entries {
             let _isp = gr_trace::enabled()
                 .then(|| gr_trace::span_with("idiom", vec![("idiom", entry.name.into())]));
@@ -303,6 +331,10 @@ impl IdiomRegistry {
             let (sols, stats, prefix) =
                 solve_with_cache(&entry.spec, ctx, cache.as_deref_mut(), opts);
             steps_used += stats.steps + prefix.map_or(0, |p| p.steps);
+            if let Some(p) = prefix {
+                prefix_stats.absorb(p);
+            }
+            per_idiom.push((entry.name, stats));
             if gr_trace::enabled() {
                 // Extension-step distribution per idiom: one sample per
                 // (idiom, function) solve, so the profile answers "which
@@ -354,40 +386,28 @@ impl IdiomRegistry {
         } else {
             DetectionStatus::Degraded { budget: budget.per_function_steps, steps_used }
         };
-        DetectionReport {
-            function: ctx.func.name.clone(),
-            reductions: out,
-            status,
-            steps_used,
-            truncated_idioms,
+        RegistryStats {
+            report: DetectionReport {
+                function: ctx.func.name.clone(),
+                reductions: out,
+                status,
+                steps_used,
+                truncated_idioms,
+            },
+            prefix: prefix_stats,
+            per_idiom,
+            prefix_cache: Vec::new(),
         }
-    }
-
-    /// Per-idiom solver statistics for one function: every entry resumes
-    /// from the function's cached prefix solutions and reports
-    /// extension-only cost (the one-time prefix cost lands in
-    /// [`RegistryStats::prefix`]).
-    #[must_use]
-    pub fn stats_report(&self, ctx: &MatchCtx<'_>) -> RegistryStats {
-        let mut cache = PrefixCache::new();
-        let mut report = RegistryStats::default();
-        for entry in &self.entries {
-            let (_, stats, prefix) =
-                solve_with_cache(&entry.spec, ctx, Some(&mut cache), SolveOptions::default());
-            if let Some(p) = prefix {
-                report.prefix.absorb(p);
-            }
-            report.per_idiom.push((entry.name, stats));
-        }
-        report.prefix_cache = cache.summary();
-        report
     }
 }
 
-/// Per-idiom and shared-prefix solver statistics for one function (see
+/// One function's detection report with the per-idiom and shared-prefix
+/// solver statistics of the same solves (see
 /// [`IdiomRegistry::stats_report`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RegistryStats {
+    /// The function's detection report.
+    pub report: DetectionReport,
     /// Cost of the shared prefix solves (one per distinct prefix per
     /// function).
     pub prefix: SolveStats,

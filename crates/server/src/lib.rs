@@ -19,9 +19,11 @@
 //!    the persistent cache — **zero solver steps** for any function
 //!    whose structure is unchanged since an earlier run (incremental
 //!    re-detection: only changed fingerprints re-solve).
-//! 2. Misses become jobs on the bounded queue (backpressure keeps the
-//!    in-flight set small). Workers drain the queue; each runs the full
-//!    budgeted registry driver and reports
+//! 2. Misses become jobs. A batch with fewer than 8 is solved on the
+//!    coordinator, since a worker thread pays for itself only over about
+//!    four solves; larger ones go on the bounded queue (backpressure
+//!    keeps the in-flight set small), which the workers drain. Every
+//!    solve runs the full budgeted registry driver and reports
 //!    [`DetectionStatus::Degraded`] with GR-coded ledger entries
 //!    (`GR001`) rather than stalling on adversarial functions.
 //! 3. The coordinator reassembles results in **submission order** —
@@ -64,7 +66,9 @@ pub use cache::{ReportCache, CACHE_SCHEMA, DEFAULT_CAPACITY};
 /// Configuration of a [`DetectionServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Detection workers in the pool (minimum 1).
+    /// Most detection workers in the pool. A batch starts one per four
+    /// cold functions at most, and solves on the coordinator when that
+    /// comes to fewer than two.
     pub jobs: usize,
     /// Persistent cache file (`gr-cache/v2`), written by this server
     /// alone; `None` serves from an in-memory cache only.
@@ -89,7 +93,7 @@ impl Default for ServeConfig {
 /// How one function's report was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// Solved by a worker this batch.
+    /// Solved this batch.
     Cold,
     /// Served from the persistent cache — zero solver steps.
     Warm,
@@ -116,7 +120,7 @@ pub struct BatchSummary {
     pub functions: usize,
     /// Functions served from the persistent cache.
     pub warm_hits: usize,
-    /// Functions solved by the worker pool.
+    /// Functions solved this batch.
     pub cold_solves: usize,
     /// Functions whose report degraded against the budget.
     pub degraded: usize,
@@ -133,6 +137,16 @@ pub struct BatchResult {
     /// Aggregate accounting.
     pub summary: BatchSummary,
 }
+
+/// Fewest cold jobs that justify each pool worker: a batch with fewer than
+/// `2 × MIN_JOBS_PER_WORKER` is solved on the coordinator. A worker costs
+/// a thread start and join and the wait until a second CPU runs it: on a
+/// shared 2-vCPU host ≈0.1–0.2 ms at the median and milliseconds in the
+/// host's slow phases, against ≈0.2–0.3 ms per synthetic-corpus cold
+/// function. Two workers tie the coordinator's mean time on four cold
+/// functions there and win on eight; on two they lose, and the request
+/// then waits on whenever the host runs the second CPU.
+const MIN_JOBS_PER_WORKER: usize = 4;
 
 /// One job on the queue: a function awaiting a cold solve.
 struct Job {
@@ -187,7 +201,8 @@ impl DetectionServer {
     }
 
     /// Runs one batch over `modules`: warm functions are served from the
-    /// cache, cold ones fan out to the worker pool, and results come
+    /// cache, cold ones are solved on this thread or, in a batch with
+    /// enough of them, fan out to the worker pool, and results come
     /// back in submission order (module order, then declaration order) —
     /// byte-identical to a sequential run for any `jobs` count.
     pub fn run_batch(&mut self, modules: &[Module]) -> BatchResult {
@@ -220,42 +235,47 @@ impl DetectionServer {
             }
         }
 
-        // Phase 2 (pool): workers drain the bounded queue, each owning a
-        // PrefixCache shard it resets between functions. Reports land in
-        // their submission slot, so scheduling order never shows.
+        // Phase 2: cold solves, each with a PrefixCache shard reset
+        // between functions. Too few jobs to give two workers
+        // MIN_JOBS_PER_WORKER each are solved here on the coordinator;
+        // otherwise pool workers drain the bounded queue, one shard each.
+        // Reports land in their submission slot, so scheduling order
+        // never shows.
         let functions = results.len();
         if gr_trace::enabled() {
             gr_trace::counter("server.batches", 1);
             gr_trace::counter("server.functions", functions as i64);
             gr_trace::counter("server.jobs", jobs.len() as i64);
         }
-        let solved: Vec<(usize, DetectionReport)> = if jobs.is_empty() {
-            Vec::new()
+        let workers = self.config.jobs.min(jobs.len() / MIN_JOBS_PER_WORKER);
+        let budget = self.config.budget;
+        let registry = &self.registry;
+        let solve = |job: &Job, shard: &mut PrefixCache| {
+            let module = &modules[job.module];
+            let func = &module.functions[job.func];
+            let analyses = Analyses::new(module, func);
+            let ctx = MatchCtx::new(module, func, &analyses);
+            let report = registry.detect_in_function_report(&ctx, Some(&mut *shard), budget);
+            shard.reset();
+            (job.slot, report)
+        };
+        let solved: Vec<(usize, DetectionReport)> = if workers < 2 {
+            let mut shard = PrefixCache::new();
+            jobs.iter().map(|job| solve(job, &mut shard)).collect()
         } else {
-            let workers = self.config.jobs.max(1).min(jobs.len());
-            let budget = self.config.budget;
-            let registry = &self.registry;
             let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(workers * 4));
             let out: Mutex<Vec<(usize, DetectionReport)>> = Mutex::new(Vec::new());
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     let queue = Arc::clone(&queue);
-                    let out = &out;
+                    let (out, solve) = (&out, &solve);
                     let slot = gr_trace::worker();
                     s.spawn(move || {
                         let _trace = slot.map(gr_trace::Worker::bind);
-                        // This worker's PrefixCache shard: owned for the
-                        // pool's lifetime, valid per function.
                         let mut shard = PrefixCache::new();
                         while let Some(job) = queue.pop() {
-                            let module = &modules[job.module];
-                            let func = &module.functions[job.func];
-                            let analyses = Analyses::new(module, func);
-                            let ctx = MatchCtx::new(module, func, &analyses);
-                            let report =
-                                registry.detect_in_function_report(&ctx, Some(&mut shard), budget);
-                            shard.reset();
-                            out.lock().push((job.slot, report));
+                            let solved = solve(&job, &mut shard);
+                            out.lock().push(solved);
                         }
                     });
                 }
@@ -413,21 +433,32 @@ mod tests {
 
     #[test]
     fn traced_pool_workers_record_into_the_callers_session() {
-        // Cold solves run on the pool's workers, so the caller's trace
-        // sees their solver steps only if every worker joins its session.
-        let ms = modules(&[SUM, NORMS, &NORMS.replace("norms", "norms2")]);
-        let traced_steps = |jobs: usize| {
+        // Cold solves run on pool workers once two or more of them get
+        // MIN_JOBS_PER_WORKER jobs each, and the caller's trace sees their
+        // solver steps only if every worker joins its session.
+        let srcs: Vec<String> = (0..2 * MIN_JOBS_PER_WORKER)
+            .map(|i| NORMS.replace("norms", &format!("norms{i}")))
+            .collect();
+        let big = modules(&srcs.iter().map(String::as_str).collect::<Vec<_>>());
+        let small = modules(&[SUM, NORMS, &srcs[0]]);
+        // A batch's traced solver steps, and whether its solves ran on
+        // pool worker lanes (all of them) or on the coordinator's (none).
+        let traced = |ms: &[Module], jobs: usize| {
             let mut server = DetectionServer::new(ServeConfig { jobs, ..ServeConfig::default() });
             let guard = gr_trace::start();
-            let batch = server.run_batch(&ms);
+            let batch = server.run_batch(ms);
             let trace = guard.finish();
-            assert_eq!(trace.counter("server.jobs"), 3);
+            assert_eq!(trace.counter("server.jobs"), ms.len() as i64);
             assert_eq!(trace.counter("solver.steps"), batch.summary.solver_steps as i64);
-            trace.counter("solver.steps")
+            let pooled: Vec<bool> = trace.events_named("solve").map(|e| e.worker != 0).collect();
+            assert!(!pooled.is_empty() && pooled.iter().all(|&p| p == pooled[0]), "jobs={jobs}");
+            (trace.counter("solver.steps"), pooled[0])
         };
-        let one = traced_steps(1);
+        let (one, pooled) = traced(&big, 1);
         assert!(one > 0, "the batch must cost solver steps");
-        assert_eq!(traced_steps(2), one, "jobs = 2 records what jobs = 1 does");
+        assert!(!pooled, "one worker: the coordinator solves");
+        assert_eq!(traced(&big, 2), (one, true), "jobs = 2 records what jobs = 1 does");
+        assert!(!traced(&small, 4).1, "three jobs are too few for a pool");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A minimal integer-only JSON reader shared by the documents this
 //! workspace writes and parses again: the `gr-cache/v2` report cache, the
-//! `greduce/stats/v3` ledger and the `BENCH_detection.json` bench ledger
+//! `greduce/stats/v4` ledger and the `BENCH_detection.json` bench ledger
 //! that `all_figures --baseline` gates (see `docs/formats.md`).
 //!
 //! The workspace has no serde on purpose (no external dependencies), and

@@ -36,7 +36,8 @@ fn main() {
          }",
     ]);
 
-    // Cold: an empty cache — every function fans out to the worker pool.
+    // Cold: an empty cache — every function is solved (here on the
+    // coordinator: a pool worker pays for itself only over four solves).
     let mut server = DetectionServer::new(config.clone());
     println!("cold batch:");
     for r in server.run_batch(&batch).results {
