@@ -11,7 +11,7 @@
 //! greduce par <file.c> <fn>      detect, outline and describe
 //! greduce suite                  detection table over all 40 benchmarks
 //! greduce batch <files..> [--jobs N] [--cache <dir>] [--budget N]
-//!                                serve a batch through the worker pool +
+//!                                serve a batch on up to N solving threads +
 //!                                persistent fingerprint cache
 //! greduce serve [--jobs N] [--cache <dir>] [--budget N]
 //!                                long-running loop: file paths on stdin
@@ -174,7 +174,7 @@ fn main() -> ExitCode {
             println!("  par <file.c> <fn>            outline the reduction loop and show the plan");
             println!("  suite                        detection table over the 40 benchmarks");
             println!("  batch <files..> [--jobs N] [--cache <dir>] [--budget N]");
-            println!("                               run files through the detection worker pool;");
+            println!("                               detect on up to N threads (default 4);");
             println!("                               --cache persists a fingerprint-keyed report");
             println!("                               cache (gr-cache/v2) so unchanged functions");
             println!("                               re-serve with zero solver steps");
@@ -252,7 +252,7 @@ fn main() -> ExitCode {
                     continue;
                 }
                 // One request = one file batch; the persistent cache and
-                // the worker pool configuration live across requests, and
+                // the server's parked helpers live across requests, and
                 // each request's stores and touches are appended to the
                 // cache file after it, so a killed server loses at most
                 // the in-flight request.

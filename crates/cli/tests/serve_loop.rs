@@ -4,7 +4,8 @@
 //! `GR007` error line and must not end the session; requests after a bad
 //! one are still served. Restarts over the `--cache` journal: a tail torn
 //! by a kill mid-append is dropped silently, a corrupt record discards
-//! the file once with `GR006`.
+//! the file once with `GR006`. The README's `greduce batch` walkthrough
+//! prints what it shows.
 
 use std::io::Write;
 use std::path::Path;
@@ -158,5 +159,46 @@ fn serve_discards_a_corrupt_record_once_with_gr006() {
     let (stdout, stderr) = serve(&cache, &[&sum, &count]);
     assert!(!stderr.contains("GR006"), "{stderr}");
     assert!(stdout.contains("@sum: warm") && stdout.contains("@count: warm"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the README's `greduce batch` walkthrough as written, with its
+/// `sum.c`: every `#   @…` and `#   batch: …` line under a `greduce
+/// batch` command must be a line that command prints.
+#[test]
+fn readme_batch_walkthrough_shows_what_greduce_prints() {
+    let readme =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md")).unwrap();
+    let section = readme.split("### `greduce batch` walkthrough").nth(1).expect("the section");
+    let block = section.split("```bash\n").nth(1).and_then(|b| b.split("\n```").next());
+    let block = block.expect("the walkthrough's bash block");
+    let src = block.split("<<'EOF'\n").nth(1).and_then(|b| b.split("\nEOF").next());
+    let dir = std::env::temp_dir().join(format!("gr-serve-readme-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    write_src(&dir, "sum.c", src.expect("the sum.c heredoc"));
+    let (mut stdout, mut runs, mut checked) = (String::new(), 0, 0);
+    for line in block.lines() {
+        if let Some(args) = line.strip_prefix("greduce batch ") {
+            let out = Command::new(env!("CARGO_BIN_EXE_greduce"))
+                .arg("batch")
+                .args(args.split_whitespace())
+                .current_dir(&dir)
+                .output()
+                .expect("run greduce batch");
+            assert!(out.status.success(), "{line}: {}", String::from_utf8_lossy(&out.stderr));
+            stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+            runs += 1;
+        } else if let Some(shown) = line.strip_prefix("#   ") {
+            if shown.starts_with('@') || shown.starts_with("batch: ") {
+                assert!(
+                    stdout.lines().any(|l| l.trim() == shown),
+                    "README shows `{shown}` after command {runs}, greduce printed:\n{stdout}"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!((runs, checked), (2, 4), "two commands with two shown lines each");
     std::fs::remove_dir_all(&dir).ok();
 }

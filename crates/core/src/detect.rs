@@ -122,7 +122,7 @@ impl PrefixCache {
     /// Retires every entry, emitting the same `prefix_cache.evictions`
     /// ledger counter as [`Drop`]. Prefix solutions are assignments of
     /// one function's `ValueId`s, so a long-lived cache owner (a
-    /// `gr-server` detection worker holding its shard across jobs) must
+    /// `gr-server` solving job holding its shard across functions) must
     /// reset between functions — reuse across functions would resume
     /// extensions from another function's value arena.
     pub fn reset(&mut self) {

@@ -21,13 +21,15 @@
 //!   objects for provably disjoint writes, and lock-protected shared
 //!   objects (used to simulate the benchmarks' "original parallel
 //!   versions"),
+//! * [`pool`] — the helper threads an owner keeps parked between calls;
+//!   job 0 of every run is the caller's own,
 //! * [`runtime`] — the recursive-bisection executor with identity-seeded
 //!   privatized accumulators, element-wise merging and dynamic histogram
-//!   growth, run on the calling thread plus helper threads each handler
-//!   keeps parked between calls, and the **cancellable speculative** path
-//!   for early-exit loops: chunked execution (a geometric front-ramp of
-//!   [`runtime::SPECULATIVE_CHUNKS_PER_WORKER`] chunks per worker) polling
-//!   an [`sync::EarlyExitToken`], merged by lowest hit with fold partials
+//!   growth, run on each handler's [`pool::Pool`], and the **cancellable
+//!   speculative** path for early-exit loops: chunked execution (a
+//!   geometric front-ramp of [`runtime::SPECULATIVE_CHUNKS_PER_WORKER`]
+//!   chunks per worker) polling an [`sync::EarlyExitToken`], merged by
+//!   lowest hit with fold partials
 //!   replayed up to it (sequential semantics on every thread count), and
 //!   a bounds-aware sequential fallback for trapping speculation.
 //!
@@ -58,7 +60,7 @@ pub mod fault;
 pub mod outline;
 pub mod overlay;
 pub mod plan;
-mod pool;
+pub mod pool;
 pub mod runtime;
 pub mod sync;
 

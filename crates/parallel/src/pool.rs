@@ -1,10 +1,12 @@
-//! The helper threads one runtime handler keeps between calls.
+//! The helper threads a runtime handler or a detection server keeps
+//! between calls.
 //!
 //! A [`Pool`] runs job `0` of every [`Pool::run`] on the calling thread and
 //! jobs `1..n` on helper threads it spawns the first time a run needs them
 //! and parks on a channel between runs; dropping the pool closes the
 //! channels and joins the helpers. Nothing here is process-wide: each
-//! handler owns its pool, so a run wakes `n − 1` parked threads instead of
+//! owner (a [`crate::runtime::handler`], a `gr-server` `DetectionServer`)
+//! keeps its own pool, so a run wakes `n − 1` parked threads instead of
 //! starting `n` fresh ones, and a one-job run starts none.
 //!
 //! Jobs borrow the caller's data exactly as `std::thread::scope` closures
@@ -29,8 +31,8 @@ struct Helper {
 
 /// Helper threads parked between runs; see the module docs.
 #[derive(Default)]
-pub(crate) struct Pool {
-    /// Locked for a whole run, so concurrent callers of one handler take
+pub struct Pool {
+    /// Locked for a whole run, so concurrent callers of one pool take
     /// turns instead of handing one helper two runs' jobs.
     helpers: Mutex<Vec<Helper>>,
 }
@@ -57,7 +59,7 @@ impl Pool {
     ///
     /// Returns only once every job has finished. A job that panicked is
     /// re-raised here after that, the lowest index first.
-    pub(crate) fn run<R, F>(&self, n: usize, job: F) -> Vec<R>
+    pub fn run<R, F>(&self, n: usize, job: F) -> Vec<R>
     where
         R: Send + 'static,
         F: Fn(usize) -> R + Sync,
@@ -152,11 +154,11 @@ mod tests {
         for n in [1usize, 2, 3, 8] {
             // Job `i` finishes only after job `i + 1`: results arrive in
             // reverse order.
-            let (next, turn) = (Mutex::new(n - 1), crate::sync::Condvar::new());
+            let (next, turn) = (Mutex::new(n - 1), std::sync::Condvar::new());
             let got = pool.run(n, |i| {
                 let mut next = next.lock();
                 while *next != i {
-                    next = turn.wait(next);
+                    next = turn.wait(next).unwrap();
                 }
                 *next = i.wrapping_sub(1);
                 turn.notify_all();

@@ -754,19 +754,13 @@ fn execute_search(
         .collect::<Result<_, Trap>>()?;
     let token = EarlyExitToken::new();
     let next = AtomicUsize::new(0);
-    // Lowest chunk index that trapped or panicked while speculating
-    // (i64::MAX: none) — the barrier below which the speculative result
-    // cannot be trusted.
-    let trapped = std::sync::atomic::AtomicI64::new(i64::MAX);
-    // What actually went wrong, per chunk, for the failure ledger. The
-    // crate's poisoning-immune mutex: a panicking worker (whose panic is
-    // contained before the lock is ever held here) can never wedge it.
-    let failures: crate::sync::Mutex<Vec<(usize, GrError)>> = crate::sync::Mutex::new(Vec::new());
     let seams = crate::fault::armed();
     let seams = seams.as_deref();
     let base: &Memory = mem;
-    let results: Vec<Vec<ChunkOut>> = pool.run(threads, |_| {
-        let mut done = Vec::new();
+    // Each job returns the chunks it completed and, for the failure
+    // ledger, the chunks that trapped or panicked with what went wrong.
+    let results = pool.run(threads, |_| {
+        let (mut done, mut failed) = (Vec::new(), Vec::new());
         loop {
             let c = next.fetch_add(1, Ordering::SeqCst);
             if c >= pieces.len() {
@@ -815,8 +809,7 @@ fn execute_search(
                     // decide whether sequential execution would
                     // have reached it at all.
                     gr_trace::counter("runtime.chunk_trap", 1);
-                    trapped.fetch_min(c as i64, Ordering::SeqCst);
-                    failures.lock().push((
+                    failed.push((
                         c,
                         GrError::InterpTrap {
                             function: plan.chunk_fn.clone(),
@@ -831,8 +824,7 @@ fn execute_search(
                     // schedule keeps running, and the merge falls
                     // back when the chunk turns out to matter.
                     gr_trace::counter("runtime.chunk_panic", 1);
-                    trapped.fetch_min(c as i64, Ordering::SeqCst);
-                    failures.lock().push((
+                    failed.push((
                         c,
                         GrError::WorkerPanic {
                             function: plan.chunk_fn.clone(),
@@ -850,16 +842,21 @@ fn execute_search(
             gr_trace::counter("runtime.chunk_complete", 1);
             done.push(ChunkOut { chunk: c, hit, exits, folds });
         }
-        done
+        (done, failed)
     });
-    let mut outs: Vec<ChunkOut> = results.into_iter().flatten().collect();
+    let (outs, failures): (Vec<_>, Vec<_>) = results.into_iter().unzip();
+    let mut outs: Vec<ChunkOut> = outs.into_iter().flatten().collect();
     outs.sort_by_key(|o| o.chunk);
+    let first_failure = failures.into_iter().flatten().min_by_key(|&(c, _)| c);
     let winner = outs.iter().filter(|o| o.hit != SEARCH_NO_HIT).map(|o| o.chunk).min();
     // The speculative result stands only when everything sequential
     // execution would have run is accounted for: every chunk up to the
     // winner (all chunks, when nothing hit) completed without a trap.
     let needed = winner.map_or(pieces.len(), |w| w + 1);
-    let trapped_min = trapped.load(Ordering::SeqCst);
+    // Lowest chunk index that trapped or panicked while speculating
+    // (i64::MAX: none) — the barrier below which the speculative result
+    // cannot be trusted.
+    let trapped_min = first_failure.as_ref().map_or(i64::MAX, |&(c, _)| c as i64);
     let complete = trapped_min >= needed as i64
         && outs.len() >= needed
         && outs.iter().take(needed).enumerate().all(|(i, o)| o.chunk == i);
@@ -876,9 +873,7 @@ fn execute_search(
         // an outcome, so this choice is deterministic; racy speculative
         // failures past the winner are not user-visible degradations),
         // plus the abort itself when the schedule was torn down.
-        let mut fails = failures.into_inner();
-        fails.sort_by_key(|&(c, _)| c);
-        if let Some((_, err)) = fails.iter().find(|&&(c, _)| c < needed) {
+        if let Some((_, err)) = first_failure.filter(|&(c, _)| c < needed) {
             err.emit();
         }
         if token.aborted() {

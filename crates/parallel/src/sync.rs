@@ -1,12 +1,10 @@
 //! Minimal synchronization shim with the `parking_lot` surface this
 //! workspace needs (`Mutex::new` / infallible `lock`), implemented over
 //! `std::sync`, plus the [`EarlyExitToken`] the cancellable search runtime
-//! polls, a poison-immune [`Condvar`], and the [`BoundedQueue`] feeding
-//! the `gr-server` detection worker pool. Keeping the API identical lets
-//! the overlay and the "original parallel version" simulations stay
-//! byte-for-byte the same if the real crate is ever dropped in.
+//! polls. Keeping the API identical lets the overlay, the helper pool and
+//! the "original parallel version" simulations stay byte-for-byte the same
+//! if the real crate is ever dropped in.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::MutexGuard;
@@ -43,142 +41,6 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
             Ok(g) => f.debug_tuple("Mutex").field(&&*g).finish(),
             Err(_) => f.write_str("Mutex(<locked>)"),
         }
-    }
-}
-
-/// A condition variable whose waits never return a poison error,
-/// pairing with [`Mutex`] the way `parking_lot::Condvar` pairs with its
-/// mutex. Wakeups may be spurious, as with `std`; callers loop on their
-/// predicate.
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// A fresh condition variable.
-    #[must_use]
-    pub fn new() -> Condvar {
-        Condvar::default()
-    }
-
-    /// Blocks on the guard's mutex until notified, ignoring poisoning.
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.inner.wait(guard).unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes every waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
-    }
-}
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded multi-producer/multi-consumer job queue: producers block
-/// while the queue is at capacity (backpressure, so a million-function
-/// batch never materializes a million jobs in memory), consumers block
-/// while it is empty, and [`BoundedQueue::close`] drains gracefully —
-/// consumers keep popping until the queue is empty *and* closed, then
-/// see `None`. Built from the [`Mutex`]/[`Condvar`] shims above; this is
-/// the spine of the `gr-server` detection worker pool.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    capacity: usize,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue admitting at most `capacity` queued items (minimum 1).
-    #[must_use]
-    pub fn new(capacity: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
-            capacity: capacity.max(1),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is full. Returns the
-    /// item back as `Err` if the queue was closed (nothing accepts it
-    /// any more).
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut st = self.state.lock();
-        loop {
-            if st.closed {
-                return Err(item);
-            }
-            if st.items.len() < self.capacity {
-                st.items.push_back(item);
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            st = self.not_full.wait(st);
-        }
-    }
-
-    /// Dequeues the oldest item, blocking while the queue is empty and
-    /// open. Returns `None` once the queue is closed **and** drained —
-    /// the worker-pool shutdown signal.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st);
-        }
-    }
-
-    /// Closes the queue: queued items still drain, new pushes bounce,
-    /// and blocked consumers wake to observe the shutdown.
-    pub fn close(&self) {
-        self.state.lock().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Items currently queued (racy by nature; for diagnostics).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.state.lock().items.len()
-    }
-
-    /// Whether the queue is currently empty (racy by nature).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> fmt::Debug for BoundedQueue<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let st = self.state.lock();
-        f.debug_struct("BoundedQueue")
-            .field("len", &st.items.len())
-            .field("capacity", &self.capacity)
-            .field("closed", &st.closed)
-            .finish()
     }
 }
 
@@ -274,62 +136,6 @@ mod tests {
             }
         });
         assert_eq!(*m.lock(), 8000);
-    }
-
-    #[test]
-    fn bounded_queue_drains_in_fifo_order_across_workers() {
-        let q = Arc::new(BoundedQueue::new(4));
-        let got = Arc::new(Mutex::new(Vec::new()));
-        std::thread::scope(|s| {
-            for _ in 0..3 {
-                let q = Arc::clone(&q);
-                let got = Arc::clone(&got);
-                s.spawn(move || {
-                    while let Some(v) = q.pop() {
-                        got.lock().push(v);
-                    }
-                });
-            }
-            for i in 0..100 {
-                q.push(i).unwrap();
-            }
-            q.close();
-        });
-        let mut seen = Arc::try_unwrap(got).unwrap().into_inner();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..100).collect::<Vec<_>>());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn closed_queue_bounces_pushes_and_wakes_poppers() {
-        let q: BoundedQueue<u32> = BoundedQueue::new(2);
-        q.push(1).unwrap();
-        q.close();
-        assert_eq!(q.push(2), Err(2), "a closed queue accepts nothing");
-        assert_eq!(q.pop(), Some(1), "queued items still drain after close");
-        assert_eq!(q.pop(), None, "then consumers observe shutdown");
-    }
-
-    #[test]
-    fn bounded_queue_applies_backpressure() {
-        // A capacity-1 queue forces strict producer/consumer alternation;
-        // with a slow consumer the producer can never run ahead.
-        let q = Arc::new(BoundedQueue::new(1));
-        std::thread::scope(|s| {
-            let qc = Arc::clone(&q);
-            s.spawn(move || {
-                for i in 0..50 {
-                    assert!(qc.len() <= 1, "capacity must bound the backlog");
-                    assert_eq!(qc.pop(), Some(i));
-                }
-                assert_eq!(qc.pop(), None);
-            });
-            for i in 0..50 {
-                q.push(i).unwrap();
-            }
-            q.close();
-        });
     }
 
     #[test]

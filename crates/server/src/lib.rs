@@ -1,10 +1,10 @@
 //! # gr-server — detection as a service
 //!
 //! Turns the synchronous `gr-core` detection library into a served,
-//! cache-persistent system: a bounded job queue
-//! ([`gr_parallel::sync::BoundedQueue`]) feeds a pool of detection
-//! workers, each borrowing the server's one [`IdiomRegistry`] and owning
-//! a [`PrefixCache`] shard (reset between functions — prefix solutions
+//! cache-persistent system: cold functions are solved on the server's
+//! [`Pool`] (the parked-helper pool the parallel runtime uses), each job
+//! borrowing the server's one [`IdiomRegistry`] and owning a
+//! [`PrefixCache`] shard (reset between functions — prefix solutions
 //! are assignments of one function's `ValueId`s), in front of a
 //! **persistent cross-run cache**
 //! ([`cache::ReportCache`], a `gr-cache/v2` journal on disk) keyed by
@@ -19,16 +19,17 @@
 //!    the persistent cache — **zero solver steps** for any function
 //!    whose structure is unchanged since an earlier run (incremental
 //!    re-detection: only changed fingerprints re-solve).
-//! 2. Misses become jobs. A batch with fewer than 8 is solved on the
-//!    coordinator, since a worker thread pays for itself only over about
-//!    four solves; larger ones go on the bounded queue (backpressure
-//!    keeps the in-flight set small), which the workers drain. Every
-//!    solve runs the full budgeted registry driver and reports
-//!    [`DetectionStatus::Degraded`] with GR-coded ledger entries
-//!    (`GR001`) rather than stalling on adversarial functions.
-//! 3. The coordinator reassembles results in **submission order** —
+//! 2. Misses are solved in one [`Pool::run`] of at most `jobs` jobs, one
+//!    per four misses: job 0 on the coordinator, the rest on helpers the
+//!    server keeps parked between batches, so a batch with fewer than 8
+//!    misses is solved on the coordinator alone. Each job claims misses
+//!    from a shared cursor. Every solve runs the full budgeted registry
+//!    driver and reports [`DetectionStatus::Degraded`] with GR-coded
+//!    ledger entries (`GR001`) rather than stalling on adversarial
+//!    functions.
+//! 3. The coordinator puts each report into its **submission slot** —
 //!    batch output is byte-identical to sequential
-//!    [`gr_core::detect_reductions`] for any worker count — and stores
+//!    [`gr_core::detect_reductions`] for any `jobs` count — and stores
 //!    newly solved *complete* reports back into the cache, again in
 //!    submission order, so the persisted artifact is deterministic.
 //!
@@ -41,7 +42,7 @@
 //! ([`cache::ReportCache::load`]) and every function simply re-solves.
 //!
 //! Everything observable lands on the gr-trace ledger: `server.*`
-//! counters for the pool (batches, functions, jobs dispatched) and
+//! counters for the batches (batches, functions, cold jobs) and
 //! `cache.persistent.*` for the cache (hits, misses, stores, evictions,
 //! poisoned loads, torn tails dropped at load, bytes appended and
 //! compactions written).
@@ -50,7 +51,7 @@ pub mod cache;
 
 use std::io;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gr_analysis::purity::PurityInfo;
 use gr_analysis::Analyses;
@@ -59,16 +60,16 @@ use gr_core::detect::PrefixCache;
 use gr_core::spec::registry::IdiomRegistry;
 use gr_core::{function_fingerprint_with, DetectBudget, DetectionReport, DetectionStatus, GrError};
 use gr_ir::Module;
-use gr_parallel::sync::{BoundedQueue, Mutex};
+use gr_parallel::pool::Pool;
 
 pub use cache::{ReportCache, CACHE_SCHEMA, DEFAULT_CAPACITY};
 
 /// Configuration of a [`DetectionServer`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Most detection workers in the pool. A batch starts one per four
-    /// cold functions at most, and solves on the coordinator when that
-    /// comes to fewer than two.
+    /// Most threads that solve one batch, the caller's included. A batch
+    /// uses one per four cold functions at most, and at least the
+    /// caller's.
     pub jobs: usize,
     /// Persistent cache file (`gr-cache/v2`), written by this server
     /// alone; `None` serves from an in-memory cache only.
@@ -138,17 +139,21 @@ pub struct BatchResult {
     pub summary: BatchSummary,
 }
 
-/// Fewest cold jobs that justify each pool worker: a batch with fewer than
-/// `2 × MIN_JOBS_PER_WORKER` is solved on the coordinator. A worker costs
-/// a thread start and join and the wait until a second CPU runs it: on a
-/// shared 2-vCPU host ≈0.1–0.2 ms at the median and milliseconds in the
-/// host's slow phases, against ≈0.2–0.3 ms per synthetic-corpus cold
-/// function. Two workers tie the coordinator's mean time on four cold
-/// functions there and win on eight; on two they lose, and the request
-/// then waits on whenever the host runs the second CPU.
+/// Fewest cold jobs that justify each solving thread: a batch with fewer
+/// than `2 × MIN_JOBS_PER_WORKER` is solved on the coordinator alone. A
+/// parked helper starts no thread, but each run costs its wake and the
+/// wait until a second CPU runs it, which on a shared 2-vCPU host
+/// stretches to milliseconds in the host's slow phases, against
+/// ≈0.2–0.3 ms per synthetic-corpus cold function. At 1, each of
+/// `serve-steady`'s two-cold requests wakes a helper: probes read ≈15–20%
+/// more throughput on a quiet host (12 alternating 20 s pairs, at most 82
+/// steal ticks per run), but every request then waits on the second vCPU,
+/// the failure that spread `serve-steady` over 2618–3537 /s at 91–1162
+/// steal ticks per run. The constant stays until the benchmark reports
+/// steal time and can weigh the two.
 const MIN_JOBS_PER_WORKER: usize = 4;
 
-/// One job on the queue: a function awaiting a cold solve.
+/// A function awaiting a cold solve.
 struct Job {
     /// Index into the batch's result vector.
     slot: usize,
@@ -156,15 +161,20 @@ struct Job {
     module: usize,
     /// Function index within the module.
     func: usize,
+    /// Structural fingerprint (the cache key).
+    fingerprint: u64,
 }
 
-/// A detection service instance: worker-pool configuration plus the
-/// persistent report cache, alive across any number of batches.
+/// A detection service instance: its configuration, its helper pool and
+/// the persistent report cache, alive across any number of batches.
 pub struct DetectionServer {
     config: ServeConfig,
-    /// The idiom registry, built once; every worker of every batch
-    /// borrows it.
+    /// The idiom registry, built once; every job of every batch borrows
+    /// it.
     registry: IdiomRegistry,
+    /// Up to `jobs − 1` helpers, started by the first batch that needs
+    /// them and parked between batches.
+    pool: Pool,
     cache: ReportCache,
     ledger: Vec<GrError>,
 }
@@ -184,7 +194,13 @@ impl DetectionServer {
             }
             None => ReportCache::new(config.capacity),
         };
-        DetectionServer { config, registry: IdiomRegistry::with_default_idioms(), cache, ledger }
+        DetectionServer {
+            config,
+            registry: IdiomRegistry::with_default_idioms(),
+            pool: Pool::default(),
+            cache,
+            ledger,
+        }
     }
 
     /// GR-coded failures observed outside any one function's report
@@ -202,120 +218,85 @@ impl DetectionServer {
 
     /// Runs one batch over `modules`: warm functions are served from the
     /// cache, cold ones are solved on this thread or, in a batch with
-    /// enough of them, fan out to the worker pool, and results come
-    /// back in submission order (module order, then declaration order) —
-    /// byte-identical to a sequential run for any `jobs` count.
+    /// enough of them, on this thread and the server's parked helpers,
+    /// and results come back in submission order (module order, then
+    /// declaration order) — byte-identical to a sequential run for any
+    /// `jobs` count.
     pub fn run_batch(&mut self, modules: &[Module]) -> BatchResult {
         // Phase 1 (coordinator): fingerprint in submission order, serve
-        // hits, queue misses. Touch order on the cache is deterministic
+        // hits, collect misses. Touch order on the cache is deterministic
         // because only this thread touches it.
         let mut results: Vec<Option<FunctionResult>> = Vec::new();
-        let mut meta: Vec<(usize, u64)> = Vec::new();
         let mut jobs: Vec<Job> = Vec::new();
         for (mi, module) in modules.iter().enumerate() {
             let purity = PurityInfo::new(module);
             for (fi, func) in module.functions.iter().enumerate() {
                 let fp = function_fingerprint_with(module, &purity, func);
-                let slot = results.len();
-                meta.push((mi, fp));
-                if let Some(report) = self.cache.hit(fp, &func.name) {
-                    results.push(Some(FunctionResult {
-                        module: mi,
-                        fingerprint: fp,
-                        outcome: CacheOutcome::Warm,
-                        report,
-                    }));
-                } else {
+                let hit = self.cache.hit(fp, &func.name).map(|report| FunctionResult {
+                    module: mi,
+                    fingerprint: fp,
+                    outcome: CacheOutcome::Warm,
+                    report,
+                });
+                if hit.is_none() {
                     if gr_trace::enabled() {
                         gr_trace::counter("cache.persistent.misses", 1);
                     }
-                    results.push(None);
-                    jobs.push(Job { slot, module: mi, func: fi });
+                    jobs.push(Job { slot: results.len(), module: mi, func: fi, fingerprint: fp });
                 }
+                results.push(hit);
             }
         }
 
-        // Phase 2: cold solves, each with a PrefixCache shard reset
-        // between functions. Too few jobs to give two workers
-        // MIN_JOBS_PER_WORKER each are solved here on the coordinator;
-        // otherwise pool workers drain the bounded queue, one shard each.
-        // Reports land in their submission slot, so scheduling order
-        // never shows.
-        let functions = results.len();
+        // Phase 2: cold solves, one pool job per MIN_JOBS_PER_WORKER
+        // misses up to `jobs`, job 0 on this thread. Each job claims
+        // misses from a shared cursor and solves them with its own
+        // PrefixCache shard, reset between functions.
         if gr_trace::enabled() {
             gr_trace::counter("server.batches", 1);
-            gr_trace::counter("server.functions", functions as i64);
+            gr_trace::counter("server.functions", results.len() as i64);
             gr_trace::counter("server.jobs", jobs.len() as i64);
         }
-        let workers = self.config.jobs.min(jobs.len() / MIN_JOBS_PER_WORKER);
-        let budget = self.config.budget;
-        let registry = &self.registry;
-        let solve = |job: &Job, shard: &mut PrefixCache| {
-            let module = &modules[job.module];
-            let func = &module.functions[job.func];
-            let analyses = Analyses::new(module, func);
-            let ctx = MatchCtx::new(module, func, &analyses);
-            let report = registry.detect_in_function_report(&ctx, Some(&mut *shard), budget);
-            shard.reset();
-            (job.slot, report)
-        };
-        let solved: Vec<(usize, DetectionReport)> = if workers < 2 {
+        let threads = self.config.jobs.min(jobs.len() / MIN_JOBS_PER_WORKER).max(1);
+        let (budget, registry, next) = (self.config.budget, &self.registry, AtomicUsize::new(0));
+        let solved = self.pool.run(threads, |_| {
             let mut shard = PrefixCache::new();
-            jobs.iter().map(|job| solve(job, &mut shard)).collect()
-        } else {
-            let queue: Arc<BoundedQueue<Job>> = Arc::new(BoundedQueue::new(workers * 4));
-            let out: Mutex<Vec<(usize, DetectionReport)>> = Mutex::new(Vec::new());
-            std::thread::scope(|s| {
-                for _ in 0..workers {
-                    let queue = Arc::clone(&queue);
-                    let (out, solve) = (&out, &solve);
-                    let slot = gr_trace::worker();
-                    s.spawn(move || {
-                        let _trace = slot.map(gr_trace::Worker::bind);
-                        let mut shard = PrefixCache::new();
-                        while let Some(job) = queue.pop() {
-                            let solved = solve(&job, &mut shard);
-                            out.lock().push(solved);
-                        }
-                    });
-                }
-                for job in jobs {
-                    // Push blocks on backpressure; Err means closed,
-                    // impossible here (only we close below).
-                    let _ = queue.push(job);
-                }
-                queue.close();
-            });
-            out.into_inner()
-        };
-
-        // Phase 3 (coordinator): store fresh complete reports and stitch
-        // the result vector, both in submission order.
-        let mut solved = solved;
-        solved.sort_by_key(|(slot, _)| *slot);
-        let mut job_results = solved.into_iter().peekable();
-        let mut batch = BatchResult::default();
-        for (slot, result) in results.into_iter().enumerate() {
-            let r = match result {
-                Some(warm) => warm,
-                None => {
-                    let (s, report) =
-                        job_results.next().expect("every queued job must produce a report");
-                    debug_assert_eq!(s, slot);
-                    let (mi, fp) = meta[slot];
-                    self.cache.store(fp, &report);
+            let mut out = Vec::new();
+            while let Some(job) = jobs.get(next.fetch_add(1, Ordering::SeqCst)) {
+                let module = &modules[job.module];
+                let func = &module.functions[job.func];
+                let analyses = Analyses::new(module, func);
+                let ctx = MatchCtx::new(module, func, &analyses);
+                let report = registry.detect_in_function_report(&ctx, Some(&mut shard), budget);
+                shard.reset();
+                out.push((
+                    job.slot,
                     FunctionResult {
-                        module: mi,
-                        fingerprint: fp,
+                        module: job.module,
+                        fingerprint: job.fingerprint,
                         outcome: CacheOutcome::Cold,
                         report,
-                    }
-                }
-            };
+                    },
+                ));
+            }
+            out
+        });
+        for (slot, cold) in solved.into_iter().flatten() {
+            results[slot] = Some(cold);
+        }
+
+        // Phase 3 (coordinator): store fresh complete reports and sum up,
+        // both in submission order.
+        let mut batch = BatchResult::default();
+        for r in results {
+            let r = r.expect("every cold function is solved");
             batch.summary.functions += 1;
             match r.outcome {
                 CacheOutcome::Warm => batch.summary.warm_hits += 1,
-                CacheOutcome::Cold => batch.summary.cold_solves += 1,
+                CacheOutcome::Cold => {
+                    self.cache.store(r.fingerprint, &r.report);
+                    batch.summary.cold_solves += 1;
+                }
             }
             if r.report.status.is_degraded() {
                 batch.summary.degraded += 1;
@@ -433,16 +414,16 @@ mod tests {
 
     #[test]
     fn traced_pool_workers_record_into_the_callers_session() {
-        // Cold solves run on pool workers once two or more of them get
-        // MIN_JOBS_PER_WORKER jobs each, and the caller's trace sees their
-        // solver steps only if every worker joins its session.
+        // A batch of 2 × MIN_JOBS_PER_WORKER cold functions may use two
+        // threads, the caller's lane 0 and one helper's, and the caller's
+        // trace sees every solver step only if the helper joins its
+        // session.
         let srcs: Vec<String> = (0..2 * MIN_JOBS_PER_WORKER)
             .map(|i| NORMS.replace("norms", &format!("norms{i}")))
             .collect();
         let big = modules(&srcs.iter().map(String::as_str).collect::<Vec<_>>());
         let small = modules(&[SUM, NORMS, &srcs[0]]);
-        // A batch's traced solver steps, and whether its solves ran on
-        // pool worker lanes (all of them) or on the coordinator's (none).
+        // A batch's traced solver steps and the highest lane a solve ran on.
         let traced = |ms: &[Module], jobs: usize| {
             let mut server = DetectionServer::new(ServeConfig { jobs, ..ServeConfig::default() });
             let guard = gr_trace::start();
@@ -450,15 +431,17 @@ mod tests {
             let trace = guard.finish();
             assert_eq!(trace.counter("server.jobs"), ms.len() as i64);
             assert_eq!(trace.counter("solver.steps"), batch.summary.solver_steps as i64);
-            let pooled: Vec<bool> = trace.events_named("solve").map(|e| e.worker != 0).collect();
-            assert!(!pooled.is_empty() && pooled.iter().all(|&p| p == pooled[0]), "jobs={jobs}");
-            (trace.counter("solver.steps"), pooled[0])
+            let top = trace.events_named("solve").map(|e| e.worker as usize).max();
+            (trace.counter("solver.steps"), top.expect("the batch solves"))
         };
-        let (one, pooled) = traced(&big, 1);
-        assert!(one > 0, "the batch must cost solver steps");
-        assert!(!pooled, "one worker: the coordinator solves");
-        assert_eq!(traced(&big, 2), (one, true), "jobs = 2 records what jobs = 1 does");
-        assert!(!traced(&small, 4).1, "three jobs are too few for a pool");
+        // `jobs = 0`, which only the library accepts, solves on the caller.
+        let mut steps = None;
+        for jobs in [0, 1, 2] {
+            let (s, top) = traced(&big, jobs);
+            assert!(s > 0 && *steps.get_or_insert(s) == s, "jobs = {jobs}: {s} solver steps");
+            assert!(top < jobs.max(1), "jobs = {jobs}: a solve ran on lane {top}");
+        }
+        assert_eq!(traced(&small, 4).1, 0, "three jobs are too few for a helper");
     }
 
     #[test]

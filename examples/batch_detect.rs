@@ -37,7 +37,8 @@ fn main() {
     ]);
 
     // Cold: an empty cache — every function is solved (here on the
-    // coordinator: a pool worker pays for itself only over four solves).
+    // calling thread: a batch wakes a helper only from 8 cold functions
+    // on, and this one has two).
     let mut server = DetectionServer::new(config.clone());
     println!("cold batch:");
     for r in server.run_batch(&batch).results {

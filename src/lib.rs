@@ -30,8 +30,8 @@
 //!   front-ramp chunk schedule and a bounds-aware sequential fallback
 //!   that restarts from the last completed chunk boundary on trapping
 //!   speculation),
-//! * [`server`] — detection as a service: a bounded job queue feeding a
-//!   pool of detection workers (each owning a `PrefixCache` shard) behind
+//! * [`server`] — detection as a service: cold solves on the server's
+//!   parked-helper pool (each job owning a `PrefixCache` shard) behind
 //!   a persistent, fingerprint-keyed cross-run report cache
 //!   (`gr-cache/v2`, an append-only journal) — re-submitting an unchanged
 //!   function costs zero solver steps,
