@@ -42,6 +42,18 @@ fn shared_steps(suite: Suite) -> usize {
     total
 }
 
+/// One function's reductions, with a prefix cache or (`None`) solving
+/// every spec from scratch.
+fn detect(
+    registry: &IdiomRegistry,
+    ctx: &MatchCtx<'_>,
+    cache: Option<&mut PrefixCache>,
+) -> Vec<gr_core::Reduction> {
+    registry
+        .detect_in_function_report(ctx, cache, DetectBudget::UNLIMITED)
+        .reductions
+}
+
 /// Every reduction the default registry finds in a suite.
 fn suite_reductions(suite: Suite) -> Vec<gr_core::Reduction> {
     let registry = IdiomRegistry::with_default_idioms();
@@ -51,7 +63,7 @@ fn suite_reductions(suite: Suite) -> Vec<gr_core::Reduction> {
         for func in &m.functions {
             let analyses = gr_analysis::Analyses::new(&m, func);
             let ctx = MatchCtx::new(&m, func, &analyses);
-            out.extend(registry.detect_in_function(&ctx));
+            out.extend(detect(&registry, &ctx, Some(&mut PrefixCache::new())));
         }
     }
     out
@@ -204,7 +216,7 @@ fn two_distinct_prefixes_cached_without_collision() {
     assert_eq!(fold.hits, 4);
     assert_eq!(early.hits, 4);
     // Detection still sees exactly one scalar and one find-first.
-    let rs = registry.detect_in_function(&ctx);
+    let rs = detect(&registry, &ctx, Some(&mut PrefixCache::new()));
     assert_eq!(rs.len(), 2, "{rs:?}");
     assert!(rs.iter().any(|r| r.kind == gr_core::ReductionKind::Scalar));
     assert!(rs.iter().any(|r| r.kind == gr_core::ReductionKind::FindFirst));
@@ -264,8 +276,8 @@ fn shared_and_unshared_detection_reports_are_byte_identical() {
             for func in &m.functions {
                 let analyses = gr_analysis::Analyses::new(&m, func);
                 let ctx = MatchCtx::new(&m, func, &analyses);
-                let shared = registry.detect_in_function_with(&ctx, Some(&mut PrefixCache::new()));
-                let unshared = registry.detect_in_function_with(&ctx, None);
+                let shared = detect(&registry, &ctx, Some(&mut PrefixCache::new()));
+                let unshared = detect(&registry, &ctx, None);
                 assert_eq!(
                     format!("{shared:?}"),
                     format!("{unshared:?}"),

@@ -22,16 +22,29 @@ use gr_core::detect_reductions;
 use gr_interp::{Machine, Memory, RtVal};
 use std::process::ExitCode;
 
-/// Distinct (function, header) loop groups of a detection result, in
-/// first-appearance order — outlining targets one loop at a time.
-fn reduction_loops(rs: &[gr_core::Reduction]) -> Vec<(String, gr_ir::BlockId)> {
-    let mut loops: Vec<(String, gr_ir::BlockId)> = Vec::new();
+/// Outlines every (function, header) group of a detection result, in
+/// first-appearance order — outlining targets one loop at a time — and
+/// returns how many reductions the successful outlines cover. `trace`,
+/// `profile` and `stats` all run this one exploitation pass.
+fn outline_groups(module: &gr_ir::Module, rs: &[gr_core::Reduction]) -> usize {
+    let mut loops: Vec<(&str, gr_ir::BlockId)> = Vec::new();
     for r in rs {
-        if !loops.iter().any(|(f, h)| *f == r.function && *h == r.header) {
-            loops.push((r.function.clone(), r.header));
+        if !loops.iter().any(|&(f, h)| f == r.function && h == r.header) {
+            loops.push((&r.function, r.header));
         }
     }
-    loops
+    let mut outlined = 0;
+    for (fname, header) in loops {
+        let group: Vec<gr_core::Reduction> = rs
+            .iter()
+            .filter(|r| r.function == fname && r.header == header)
+            .cloned()
+            .collect();
+        if gr_parallel::parallelize(module, fname, &group).is_ok() {
+            outlined += group.len();
+        }
+    }
+    outlined
 }
 
 /// Serving options shared by `greduce batch` and `greduce serve`.
@@ -406,14 +419,7 @@ fn main() -> ExitCode {
                     // exactly the exploitation pass `stats` reports on.
                     let guard = gr_trace::start();
                     let rs = detect_reductions(&module);
-                    for (fname, header) in reduction_loops(&rs) {
-                        let group: Vec<gr_core::Reduction> = rs
-                            .iter()
-                            .filter(|r| r.function == fname && r.header == header)
-                            .cloned()
-                            .collect();
-                        let _ = gr_parallel::parallelize(&module, &fname, &group);
-                    }
+                    outline_groups(&module, &rs);
                     let trace = guard.finish();
                     if let Err(e) = std::fs::write(&json_path, trace.chrome_json()) {
                         eprintln!("cannot write {json_path}: {e}");
@@ -447,14 +453,7 @@ fn main() -> ExitCode {
                     }
                     let guard = gr_trace::start();
                     let rs = detect_reductions(&module);
-                    for (fname, header) in reduction_loops(&rs) {
-                        let group: Vec<gr_core::Reduction> = rs
-                            .iter()
-                            .filter(|r| r.function == fname && r.header == header)
-                            .cloned()
-                            .collect();
-                        let _ = gr_parallel::parallelize(&module, &fname, &group);
-                    }
+                    outline_groups(&module, &rs);
                     let trace = guard.finish();
                     let attr = gr_trace::profile::Attribution::from_trace(&trace);
                     match mode {
@@ -588,18 +587,8 @@ fn main() -> ExitCode {
                     // tally is aggregated from the structured
                     // `outline.refusal` trace events rather than a
                     // hand-rolled side channel.
-                    let mut exploited = 0usize;
                     let guard = gr_trace::start();
-                    for (fname, header) in reduction_loops(&rs) {
-                        let group: Vec<gr_core::Reduction> = rs
-                            .iter()
-                            .filter(|r| r.function == fname && r.header == header)
-                            .cloned()
-                            .collect();
-                        if gr_parallel::parallelize(&module, &fname, &group).is_ok() {
-                            exploited += group.len();
-                        }
-                    }
+                    let exploited = outline_groups(&module, &rs);
                     let trace = guard.finish();
                     let mut refusals: Vec<(String, String, usize)> = Vec::new();
                     for ev in trace.events_named("outline.refusal") {

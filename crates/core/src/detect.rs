@@ -209,7 +209,7 @@ mod budget {
     use super::{Analyses, MatchCtx, Module, PrefixCache, Reduction};
     use crate::spec::registry::IdiomRegistry;
 
-    /// Deterministic step budgets for one detection run. Budgets are
+    /// A deterministic step budget for one detection run. Budgets are
     /// counted in solver backtracking **steps** — never wall-clock — so
     /// a budgeted run degrades identically on every machine (timers
     /// would make degradation nondeterministic).
@@ -220,35 +220,23 @@ mod budget {
     /// reports.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct DetectBudget {
-        /// Ceiling on backtracking steps for any single solve call
-        /// (prefix or extension).
-        pub per_call_steps: usize,
         /// Ceiling on cumulative solver steps across all idioms in one
-        /// function. Once spent, remaining idioms get a zero-step
-        /// budget and truncate immediately (their already-cached prefix
-        /// solutions are still reused).
+        /// function, prefix solves included. Each solve gets what is
+        /// left; once spent, remaining idioms get a zero-step budget and
+        /// truncate immediately (their already-cached prefix solutions
+        /// are still reused).
         pub per_function_steps: usize,
     }
 
     impl DetectBudget {
         /// No budget: solver defaults only. Detection behaves exactly
         /// as the unbudgeted driver.
-        pub const UNLIMITED: DetectBudget =
-            DetectBudget { per_call_steps: usize::MAX, per_function_steps: usize::MAX };
+        pub const UNLIMITED: DetectBudget = DetectBudget { per_function_steps: usize::MAX };
 
-        /// A uniform budget: at most `steps` solver steps per function,
-        /// and per call (the per-call ceiling never exceeds what is
-        /// left of the function budget anyway).
+        /// At most `steps` solver steps per function.
         #[must_use]
         pub fn steps(steps: usize) -> DetectBudget {
-            DetectBudget { per_call_steps: steps, per_function_steps: steps }
-        }
-
-        /// Whether this budget constrains anything beyond the solver
-        /// defaults.
-        #[must_use]
-        pub fn is_limited(&self) -> bool {
-            *self != DetectBudget::UNLIMITED
+            DetectBudget { per_function_steps: steps }
         }
     }
 
@@ -781,17 +769,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn per_call_budget_caps_each_solve_independently() {
-        let m = compile(TWO_FUNCS).unwrap();
-        let complete = &detect_reductions_budgeted(&m, DetectBudget::UNLIMITED)[0];
-        // A generous per-function pool with a tiny per-call cap must still
-        // truncate: no single solve may exceed the call ceiling.
-        let budget = DetectBudget { per_call_steps: 1, per_function_steps: usize::MAX };
-        let capped = &detect_reductions_budgeted(&m, budget)[0];
-        assert!(capped.status.is_degraded(), "{capped:?}");
-        assert!(capped.steps_used < complete.steps_used);
     }
 }

@@ -119,13 +119,11 @@ pub fn argminmax_spec() -> (Spec, ArgMinMaxLabels) {
     // The extremum: a carried header phi, as in the scalar idiom.
     b.atom(Atom::BlockOf { inst: val, block: fl.header });
     b.atom(Atom::Opcode { l: val, class: OpClass::Phi });
-    b.atom(Atom::PhiArity { phi: val, n: 2 });
     b.atom(Atom::TypeScalar(val));
     b.atom(Atom::NotEqual { a: val, b: fl.iterator });
     b.atom(Atom::PhiIncoming { phi: val, value: val_next, block: fl.latch });
     b.atom(Atom::NotEqual { a: val_next, b: val });
     b.atom(Atom::PhiIncoming { phi: val, value: val_init, block: fl.preheader });
-    b.atom(Atom::InvariantIn { value: val_init, header: fl.header });
 
     // Its per-iteration producer lives in a loop block shared with the
     // index producer (`merge` — the phi block in the diamond shape, the
@@ -138,20 +136,12 @@ pub fn argminmax_spec() -> (Spec, ArgMinMaxLabels) {
 
     // The companion index feeds a second carried header phi.
     b.atom(Atom::BlockOf { inst: idx, block: fl.header });
-    b.atom(Atom::Opcode { l: idx, class: OpClass::Phi });
-    b.atom(Atom::PhiArity { phi: idx, n: 2 });
-    b.atom(Atom::TypeInt(idx));
-    b.atom(Atom::NotEqual { a: idx, b: fl.iterator });
-    b.atom(Atom::NotEqual { a: idx, b: val });
     b.atom(Atom::PhiIncoming { phi: idx, value: idx_next, block: fl.latch });
     b.atom(Atom::PhiIncoming { phi: idx, value: idx_init, block: fl.preheader });
-    b.atom(Atom::InvariantIn { value: idx_init, header: fl.header });
 
     // The exchange comparison tests the candidate against the carried
     // value (either operand order).
-    b.atom(Atom::OperandOf { inst: cmp, value: val });
     b.atom(Atom::Opcode { l: cmp, class: OpClass::Cmp });
-    b.atom(Atom::OperandOf { inst: cmp, value: cand });
     b.any(vec![
         Constraint::And(vec![
             Constraint::Atom(Atom::OperandIs { inst: cmp, index: 0, value: cand }),
@@ -162,7 +152,6 @@ pub fn argminmax_spec() -> (Spec, ArgMinMaxLabels) {
             Constraint::Atom(Atom::OperandIs { inst: cmp, index: 1, value: cand }),
         ]),
     ]);
-    b.atom(Atom::NotEqual { a: cand, b: val });
     // The candidate must not depend on the carried pair: inputs, loop
     // constants, and the iterator inside address computations only.
     b.atom(Atom::ComputedOnlyFrom {
@@ -171,7 +160,6 @@ pub fn argminmax_spec() -> (Spec, ArgMinMaxLabels) {
         iterator: fl.iterator,
         allowed: vec![],
     });
-    b.atom(Atom::NotEqual { a: taken, b: skip });
 
     // The two shapes. Every diamond-only label is pinned by `Equal` in the
     // select branch, so each branch can generate candidates for every

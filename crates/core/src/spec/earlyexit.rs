@@ -19,13 +19,14 @@
 //!   single-exit prefix reject `break`),
 //! * `guard_blk` / `guard_jump` / `exit_cond` — the in-loop conditional
 //!   branch (distinct from the loop test) whose comparison decides the
-//!   early exit,
+//!   early exit; both facts follow from its continuing arm, which only an
+//!   in-loop block can reach and which the latch post-dominates,
 //! * `break_blk` — the out-of-loop trampoline on the taken exit path,
 //!   constrained to contain nothing but its terminator (so the whole
 //!   speculative region stays side-effect free),
-//! * `cont_blk` — the in-loop arm continuing the iteration, post-dominated
-//!   by the latch (the break is the *only* in-body exit, belt and braces
-//!   with [`Atom::LoopExitEdges`]` = 2`).
+//! * `cont_blk` — the arm continuing the iteration, post-dominated by the
+//!   latch, hence in the loop (the break is the *only* in-body exit, belt
+//!   and braces with [`Atom::LoopExitEdges`]` = 2`).
 //!
 //! [`Atom::PureInLoop`] makes the prefix speculation-safe by construction:
 //! the parallel search runtime executes iterations past the sequential
@@ -91,21 +92,19 @@ pub fn add_for_loop_early_exit(b: &mut SpecBuilder) -> EarlyExitLabels {
     b.atom(Atom::NotEqual { a: break_blk, b: fl.exit });
     b.atom(Atom::OnlyTerminator { block: break_blk });
 
-    // The guard: an in-loop conditional branch, distinct from the loop
-    // test, steered by a comparison, taking the break arm...
+    // The guard: a conditional branch steered by a comparison, taking the
+    // break arm...
     b.atom(Atom::CfgEdge { from: guard_blk, to: break_blk });
-    b.atom(Atom::InLoopBlock { block: guard_blk, header: fl.header });
     b.atom(Atom::BlockOf { inst: guard_jump, block: guard_blk });
     b.atom(Atom::Opcode { l: guard_jump, class: OpClass::CondBr });
-    b.atom(Atom::NotEqual { a: guard_jump, b: fl.jump });
     b.atom(Atom::OperandIs { inst: guard_jump, index: 0, value: exit_cond });
     b.atom(Atom::Opcode { l: exit_cond, class: OpClass::Cmp });
     // ...while the other arm continues the iteration and always reaches
-    // the latch: the break is the only in-body exit.
-    b.atom(Atom::OperandOf { inst: guard_jump, value: cont_blk });
-    b.atom(Atom::NotEqual { a: cont_blk, b: break_blk });
+    // the latch: the break is the only in-body exit. A block the latch
+    // post-dominates is in the loop, so the guard is too (the loop has one
+    // entry), and it is not the header, whose arms are the body and the
+    // exit.
     b.atom(Atom::CfgEdge { from: guard_blk, to: cont_blk });
-    b.atom(Atom::InLoopBlock { block: cont_blk, header: fl.header });
     b.atom(Atom::Postdominates { a: fl.latch, b: cont_blk });
 
     b.mark_prefix();

@@ -80,6 +80,9 @@ pub fn fold_until_spec() -> (Spec, FoldExitLabels) {
     let mut b = SpecBuilder::new("fold-until-sentinel");
     let (ee, cand, needle) = add_exit_guard(&mut b);
     let fl = ee.for_loop;
+    // The search classifiers drop a candidate equal to its needle (it
+    // reads no memory); the fold's do not, so the fold says it here.
+    b.atom(Atom::NotEqual { a: needle, b: cand });
 
     let acc = b.label("acc");
     let acc_next = b.label("acc_next");
@@ -90,14 +93,10 @@ pub fn fold_until_spec() -> (Spec, FoldExitLabels) {
     // The carried accumulator, exactly as in the scalar-reduction idiom.
     b.atom(Atom::BlockOf { inst: acc, block: fl.header });
     b.atom(Atom::Opcode { l: acc, class: OpClass::Phi });
-    b.atom(Atom::PhiArity { phi: acc, n: 2 });
     b.atom(Atom::TypeScalar(acc));
     b.atom(Atom::NotEqual { a: acc, b: fl.iterator });
     b.atom(Atom::PhiIncoming { phi: acc, value: acc_next, block: fl.latch });
-    b.atom(Atom::NotEqual { a: acc_next, b: acc });
-    b.atom(Atom::InLoopInst { inst: acc_next, header: fl.header });
     b.atom(Atom::PhiIncoming { phi: acc, value: acc_init, block: fl.preheader });
-    b.atom(Atom::InvariantIn { value: acc_init, header: fl.header });
     // Condition 4 of the paper: x' is a term of x, array values and loop
     // constants only — together with forward confinement below this pins
     // the update chain to a shape the associativity post-check can

@@ -8,12 +8,15 @@
 //! receiving `iter_begin` from the preheader and `next_iter = add(iterator,
 //! iter_step)` from the latch, and `iter_begin` / `iter_step` / `iter_end`
 //! are constants or defined before the loop ("the iteration space is known
-//! in advance, not necessarily at compile time").
+//! in advance, not necessarily at compile time"). The spec states each
+//! fact once: `iter_begin` needs no invariance atom, because a value
+//! flowing in from the preheader is defined outside the loop, and the
+//! invariant `iter_end` cannot be the iterator, a header phi.
 //!
-//! The body-region constraints (`body` dominates `latch`, `latch`
-//! post-dominates `body`) enforce single-exit iteration: loops with `break`
-//! or in-body `return` do not match, because their iteration space is not
-//! known in advance.
+//! The body-region constraint (`latch` post-dominates `body`; `body`
+//! dominates `latch` already, as the header's one in-loop successor)
+//! enforces single-exit iteration: loops with `break` or in-body `return`
+//! do not match, because their iteration space is not known in advance.
 
 use crate::atoms::{Atom, OpClass};
 use crate::constraint::{Constraint, Label, Spec, SpecBuilder};
@@ -50,10 +53,10 @@ pub struct ForLoopLabels {
 /// Adds the counted-loop constraints shared by both markable prefixes —
 /// the single-exit [`add_for_loop`] and the two-exit
 /// [`add_for_loop_early_exit`](crate::spec::earlyexit::add_for_loop_early_exit).
-/// With `single_exit`, the body-region atoms (`body` dominates `latch`,
-/// `latch` post-dominates `body`) enforce that every started iteration
-/// reaches the latch; without, only dominance is required and the caller
-/// adds its own exit discipline (e.g. a single guarded break).
+/// With `single_exit`, the body-region atom (`latch` post-dominates
+/// `body`) enforces that every started iteration reaches the latch;
+/// without, the caller adds its own exit discipline (e.g. a single
+/// guarded break).
 ///
 /// Does **not** mark the prefix — the calling composite does, after adding
 /// its remaining atoms.
@@ -93,21 +96,20 @@ pub(crate) fn add_counted_loop_suffixed(
     b.atom(Atom::InLoopBlock { block: latch, header });
 
     // header: condbr(test, …) with one in-loop and one out-of-loop target.
+    // Its targets are the header's successors, so the edges name them.
     b.atom(Atom::BlockOf { inst: jump, block: header });
     b.atom(Atom::Opcode { l: jump, class: OpClass::CondBr });
     b.atom(Atom::OperandIs { inst: jump, index: 0, value: test });
     b.atom(Atom::Opcode { l: test, class: OpClass::Cmp });
-    b.atom(Atom::OperandOf { inst: jump, value: body });
     b.atom(Atom::InLoopBlock { block: body, header });
     b.atom(Atom::CfgEdge { from: header, to: body });
-    b.atom(Atom::OperandOf { inst: jump, value: exit });
     b.atom(Atom::NotInLoopBlock { block: exit, header });
     b.atom(Atom::CfgEdge { from: header, to: exit });
 
     // Single-exit iteration: every started iteration reaches the latch.
-    // (The early-exit prefix keeps the dominance half and replaces the
-    // post-dominance by its guarded-break discipline.)
-    b.atom(Atom::Dominates { a: body, b: latch });
+    // (The early-exit prefix replaces this by its guarded-break
+    // discipline.) That `body` dominates the latch needs no atom: the loop
+    // is entered only at the header, whose in-loop successor is `body`.
     if single_exit {
         b.atom(Atom::Postdominates { a: latch, b: body });
     }
@@ -117,21 +119,17 @@ pub(crate) fn add_counted_loop_suffixed(
     b.atom(Atom::Opcode { l: iterator, class: OpClass::Phi });
     b.atom(Atom::PhiArity { phi: iterator, n: 2 });
     b.atom(Atom::TypeInt(iterator));
-    b.atom(Atom::OperandOf { inst: test, value: iterator });
     b.any(vec![
         Constraint::Atom(Atom::OperandIs { inst: test, index: 0, value: iterator }),
         Constraint::Atom(Atom::OperandIs { inst: test, index: 1, value: iterator }),
     ]);
     b.atom(Atom::OperandOf { inst: test, value: iter_end });
-    b.atom(Atom::NotEqual { a: iter_end, b: iterator });
     b.atom(Atom::InvariantIn { value: iter_end, header });
 
-    // …receiving begin from the preheader and add(iterator, step) from the
-    // latch.
+    // …receiving add(iterator, step) from the latch and begin from the
+    // preheader (outside the loop, so `iter_begin` is invariant).
     b.atom(Atom::PhiIncoming { phi: iterator, value: next_iter, block: latch });
     b.atom(Atom::Opcode { l: next_iter, class: OpClass::Add });
-    b.atom(Atom::OperandOf { inst: next_iter, value: iterator });
-    b.atom(Atom::OperandOf { inst: next_iter, value: iter_step });
     b.any(vec![
         Constraint::And(vec![
             Constraint::Atom(Atom::OperandIs { inst: next_iter, index: 0, value: iterator }),
@@ -144,7 +142,6 @@ pub(crate) fn add_counted_loop_suffixed(
     ]);
     b.atom(Atom::InvariantIn { value: iter_step, header });
     b.atom(Atom::PhiIncoming { phi: iterator, value: iter_begin, block: preheader });
-    b.atom(Atom::InvariantIn { value: iter_begin, header });
 
     ForLoopLabels {
         header,

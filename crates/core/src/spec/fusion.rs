@@ -94,8 +94,6 @@ pub fn map_reduce_fusion_spec() -> (Spec, FusionLabels) {
 
     // Cross-loop structure, entirely over prefix labels: the solver
     // decides these once per resumed (producer, consumer) pair.
-    b.atom(Atom::NotEqual { a: p.header, b: c.header });
-    b.atom(Atom::NotInLoopBlock { block: c.header, header: p.header });
     b.atom(Atom::Dominates { a: p.exit, b: c.preheader });
     b.atom(Atom::SameTripCount { h1: p.header, h2: c.header });
     b.atom(Atom::NoInterveningWrites { from: p.exit, to: c.preheader });
@@ -111,7 +109,6 @@ pub fn map_reduce_fusion_spec() -> (Spec, FusionLabels) {
     b.atom(Atom::AnchoredTo { inst: p_store, header: p.header });
     b.atom(Atom::BlockOf { inst: p_store, block: p.body });
     b.atom(Atom::OperandIs { inst: p_store, index: 1, value: p_addr });
-    b.atom(Atom::Opcode { l: p_addr, class: OpClass::Gep });
     b.atom(Atom::OperandIs { inst: p_addr, index: 0, value: tmp_base });
     b.atom(Atom::OperandIs { inst: p_addr, index: 1, value: p.iterator });
     b.atom(Atom::InvariantIn { value: tmp_base, header: p.header });
@@ -122,11 +119,8 @@ pub fn map_reduce_fusion_spec() -> (Spec, FusionLabels) {
     // two loops share `tmp_base` by value identity).
     let c_addr = b.label("c_addr");
     let c_load = b.label("c_load");
-    b.atom(Atom::Opcode { l: c_addr, class: OpClass::Gep });
     b.atom(Atom::OperandIs { inst: c_addr, index: 0, value: tmp_base });
     b.atom(Atom::OperandIs { inst: c_addr, index: 1, value: c.iterator });
-    b.atom(Atom::InLoopInst { inst: c_addr, header: c.header });
-    b.atom(Atom::Opcode { l: c_load, class: OpClass::Load });
     b.atom(Atom::OperandIs { inst: c_load, index: 0, value: c_addr });
     b.atom(Atom::AnchoredTo { inst: c_load, header: c.header });
 
@@ -141,14 +135,9 @@ pub fn map_reduce_fusion_spec() -> (Spec, FusionLabels) {
     let acc_init = b.label("acc_init");
     b.atom(Atom::BlockOf { inst: acc, block: c.header });
     b.atom(Atom::Opcode { l: acc, class: OpClass::Phi });
-    b.atom(Atom::PhiArity { phi: acc, n: 2 });
     b.atom(Atom::TypeScalar(acc));
-    b.atom(Atom::NotEqual { a: acc, b: c.iterator });
     b.atom(Atom::PhiIncoming { phi: acc, value: acc_next, block: c.latch });
-    b.atom(Atom::NotEqual { a: acc_next, b: acc });
-    b.atom(Atom::InLoopInst { inst: acc_next, header: c.header });
     b.atom(Atom::PhiIncoming { phi: acc, value: acc_init, block: c.preheader });
-    b.atom(Atom::InvariantIn { value: acc_init, header: c.header });
     b.atom(Atom::ComputedOnlyFrom {
         output: acc_next,
         header: c.header,

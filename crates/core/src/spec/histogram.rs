@@ -79,18 +79,15 @@ pub fn histogram_spec() -> (Spec, HistogramLabels) {
     b.atom(Atom::Opcode { l: store, class: OpClass::Store });
     b.atom(Atom::AnchoredTo { inst: store, header: fl.header });
     b.atom(Atom::OperandIs { inst: store, index: 1, value: addr });
-    b.atom(Atom::Opcode { l: addr, class: OpClass::Gep });
     b.atom(Atom::OperandIs { inst: addr, index: 0, value: base });
     b.atom(Atom::OperandIs { inst: addr, index: 1, value: idx });
     // The load goes through a gep with the *same* base (it may be the same
     // instruction or a syntactic duplicate); the index equivalence is a
     // disjunction below.
-    b.atom(Atom::Opcode { l: addr_load, class: OpClass::Gep });
     b.atom(Atom::OperandIs { inst: addr_load, index: 0, value: base });
     b.atom(Atom::OperandIs { inst: addr_load, index: 1, value: idx_load });
     b.atom(Atom::Opcode { l: old, class: OpClass::Load });
     b.atom(Atom::OperandIs { inst: old, index: 0, value: addr_load });
-    b.atom(Atom::Precedes { a: old, b: store });
 
     // The histogram object itself is fixed across the loop and untouched
     // except through this update.
@@ -107,7 +104,6 @@ pub fn histogram_spec() -> (Spec, HistogramLabels) {
 
     // Condition 5: x' from x, array values and loop constants only.
     b.atom(Atom::OperandIs { inst: store, index: 0, value: newv });
-    b.atom(Atom::NotEqual { a: newv, b: old });
     b.atom(Atom::ComputedOnlyFrom {
         output: newv,
         header: fl.header,

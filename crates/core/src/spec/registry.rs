@@ -34,8 +34,9 @@
 //! ([`add_for_loop`](crate::spec::forloop::add_for_loop), under the four
 //! fold idioms) and the 17-label early-exit loop
 //! ([`add_for_loop_early_exit`](crate::spec::earlyexit::add_for_loop_early_exit),
-//! under the four search idioms and the speculative fold). [`IdiomRegistry::detect_in_function`]
-//! solves each distinct prefix **once per function**, memoized in a
+//! under the four search idioms and the speculative fold).
+//! [`IdiomRegistry::detect_in_function_report`] solves each distinct
+//! prefix **once per function**, memoized in a
 //! [`PrefixCache`] keyed by the prefix's structural fingerprint, and
 //! resumes every entry's search from the cached partial assignments with
 //! [`solve_extend`](crate::solver::solve_extend). Registering a new idiom
@@ -45,7 +46,7 @@
 //! with its cost split into the prefix solves and each idiom's extension,
 //! with per-prefix cache hit counts, all from one pass over the entries.
 //! Solving every spec from scratch
-//! ([`IdiomRegistry::detect_in_function_with`] without a cache) stays only
+//! ([`IdiomRegistry::detect_in_function_report`] without a cache) stays only
 //! as a test oracle: `crates/bench/tests/solver_steps.rs` checks that it
 //! reports byte-identical reductions in more steps, and pins the totals.
 //!
@@ -237,39 +238,20 @@ impl IdiomRegistry {
     }
 
     /// Runs every registered idiom over one function: the generic `DETECT`
-    /// driver with prefix sharing. The function's loop-nest skeleton (the
-    /// marked spec prefix) is solved **once** into a [`PrefixCache`] and
-    /// every idiom entry resumes from the cached partial assignments; for
-    /// each entry the driver deduplicates solutions by anchor, applies the
-    /// post-check hook and the report classifier, then the finalize pass.
-    #[must_use]
-    pub fn detect_in_function(&self, ctx: &MatchCtx<'_>) -> Vec<Reduction> {
-        self.detect_in_function_with(ctx, Some(&mut PrefixCache::new()))
-    }
-
-    /// [`IdiomRegistry::detect_in_function`] with an explicit prefix cache.
-    /// Passing `None` solves every spec from scratch — the pre-sharing
-    /// behaviour, kept callable only as the reference path that tests
-    /// compare the shared reports and steps against.
-    #[must_use]
-    pub fn detect_in_function_with(
-        &self,
-        ctx: &MatchCtx<'_>,
-        cache: Option<&mut PrefixCache>,
-    ) -> Vec<Reduction> {
-        self.detect_in_function_report(ctx, cache, DetectBudget::UNLIMITED).reductions
-    }
-
-    /// Budgeted **anytime** variant of
-    /// [`IdiomRegistry::detect_in_function_with`]: the same driver, but
-    /// every solve runs under `budget` and the outcome is a
-    /// [`DetectionReport`] carrying explicit completion status instead of
-    /// a bare match list.
+    /// driver with prefix sharing. With a cache, the function's loop-nest
+    /// skeleton (the marked spec prefix) is solved **once** into the
+    /// [`PrefixCache`] and every idiom entry resumes from the cached
+    /// partial assignments; `None` solves every spec from scratch, kept
+    /// only as the reference path tests compare the shared reports and
+    /// steps against. For each entry the driver deduplicates solutions by
+    /// anchor, applies the post-check hook and the report classifier, then
+    /// the finalize pass. Every solve runs under `budget`, and the outcome
+    /// is a [`DetectionReport`] carrying explicit completion status.
     ///
     /// Budget accounting is deterministic: each entry's solve gets
-    /// `min(solver default, per-call budget, per-function remainder)`
-    /// steps, the remainder shrinks by the steps actually spent (prefix
-    /// solves included), and a solve that truncates records the entry in
+    /// `min(solver default, per-function remainder)` steps, the remainder
+    /// shrinks by the steps actually spent (prefix solves included), and
+    /// a solve that truncates records the entry in
     /// [`DetectionReport::truncated_idioms`] and emits a
     /// [`GrError::SolverBudget`] (`GR001`) ledger entry. Truncation never
     /// aborts the loop — later idioms still run (their cached prefix
@@ -324,10 +306,7 @@ impl IdiomRegistry {
                 .then(|| gr_trace::span_with("idiom", vec![("idiom", entry.name.into())]));
             let defaults = SolveOptions::default();
             let remaining = budget.per_function_steps.saturating_sub(steps_used);
-            let opts = SolveOptions {
-                max_steps: defaults.max_steps.min(budget.per_call_steps).min(remaining),
-                ..defaults
-            };
+            let opts = SolveOptions { max_steps: defaults.max_steps.min(remaining), ..defaults };
             let (sols, stats, prefix) =
                 solve_with_cache(&entry.spec, ctx, cache.as_deref_mut(), opts);
             steps_used += stats.steps + prefix.map_or(0, |p| p.steps);
@@ -346,7 +325,7 @@ impl IdiomRegistry {
                 GrError::SolverBudget {
                     function: ctx.func.name.clone(),
                     idiom: entry.name.to_string(),
-                    budget: budget.per_function_steps.min(budget.per_call_steps),
+                    budget: budget.per_function_steps,
                     steps_used,
                 }
                 .emit();
@@ -507,7 +486,12 @@ mod tests {
         let func = &m.functions[0];
         let analyses = Analyses::new(&m, func);
         let ctx = MatchCtx::new(&m, func, &analyses);
-        assert!(IdiomRegistry::empty().detect_in_function(&ctx).is_empty());
+        let report = IdiomRegistry::empty().detect_in_function_report(
+            &ctx,
+            Some(&mut PrefixCache::new()),
+            DetectBudget::UNLIMITED,
+        );
+        assert!(report.reductions.is_empty());
     }
 
     #[test]
@@ -548,7 +532,9 @@ mod tests {
         let func = &m.functions[0];
         let analyses = Analyses::new(&m, func);
         let ctx = MatchCtx::new(&m, func, &analyses);
-        let rs = r.detect_in_function(&ctx);
+        let rs = r
+            .detect_in_function_report(&ctx, Some(&mut PrefixCache::new()), DetectBudget::UNLIMITED)
+            .reductions;
         assert_eq!(rs.len(), 2, "one report per loop header");
     }
 }

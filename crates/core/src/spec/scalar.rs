@@ -53,15 +53,10 @@ pub fn scalar_reduction_spec() -> (Spec, ScalarLabels) {
 
     b.atom(Atom::BlockOf { inst: acc, block: fl.header });
     b.atom(Atom::Opcode { l: acc, class: OpClass::Phi });
-    b.atom(Atom::PhiArity { phi: acc, n: 2 });
     b.atom(Atom::TypeScalar(acc));
-    b.atom(Atom::NotEqual { a: acc, b: fl.iterator });
 
     b.atom(Atom::PhiIncoming { phi: acc, value: acc_next, block: fl.latch });
-    b.atom(Atom::NotEqual { a: acc_next, b: acc });
-    b.atom(Atom::InLoopInst { inst: acc_next, header: fl.header });
     b.atom(Atom::PhiIncoming { phi: acc, value: acc_init, block: fl.preheader });
-    b.atom(Atom::InvariantIn { value: acc_init, header: fl.header });
 
     // Condition 4: x' is a term of x, array values and loop constants only
     // (the induction variable is admitted inside array index computations).

@@ -79,14 +79,9 @@ pub fn scan_spec() -> (Spec, ScanLabels) {
     // The carried scalar, exactly as in the scalar-reduction idiom.
     b.atom(Atom::BlockOf { inst: acc, block: fl.header });
     b.atom(Atom::Opcode { l: acc, class: OpClass::Phi });
-    b.atom(Atom::PhiArity { phi: acc, n: 2 });
-    b.atom(Atom::TypeScalar(acc));
     b.atom(Atom::NotEqual { a: acc, b: fl.iterator });
     b.atom(Atom::PhiIncoming { phi: acc, value: acc_next, block: fl.latch });
-    b.atom(Atom::NotEqual { a: acc_next, b: acc });
-    b.atom(Atom::InLoopInst { inst: acc_next, header: fl.header });
     b.atom(Atom::PhiIncoming { phi: acc, value: acc_init, block: fl.preheader });
-    b.atom(Atom::InvariantIn { value: acc_init, header: fl.header });
     b.atom(Atom::ComputedOnlyFrom {
         output: acc_next,
         header: fl.header,
@@ -103,7 +98,6 @@ pub fn scan_spec() -> (Spec, ScanLabels) {
         Constraint::Atom(Atom::OperandIs { inst: store, index: 0, value: acc }),
     ]);
     b.atom(Atom::OperandIs { inst: store, index: 1, value: addr });
-    b.atom(Atom::Opcode { l: addr, class: OpClass::Gep });
     b.atom(Atom::OperandIs { inst: addr, index: 0, value: out_base });
     b.atom(Atom::OperandIs { inst: addr, index: 1, value: idx });
 

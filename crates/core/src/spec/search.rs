@@ -80,10 +80,7 @@ pub(crate) fn add_exit_guard(b: &mut SpecBuilder) -> (EarlyExitLabels, Label, La
     let cand = b.label("cand");
     let needle = b.label("needle");
 
-    b.atom(Atom::OperandOf { inst: ee.exit_cond, value: cand });
     b.atom(Atom::InLoopInst { inst: cand, header: fl.header });
-    b.atom(Atom::OperandOf { inst: ee.exit_cond, value: needle });
-    b.atom(Atom::NotEqual { a: needle, b: cand });
     b.atom(Atom::InvariantIn { value: needle, header: fl.header });
     b.any(vec![
         Constraint::And(vec![
@@ -109,15 +106,13 @@ pub(crate) fn add_exit_guard(b: &mut SpecBuilder) -> (EarlyExitLabels, Label, La
 /// loop exit. The caller pins the result arms and the predicate class.
 fn add_search_core(b: &mut SpecBuilder) -> SearchLabels {
     let (ee, cand, needle) = add_exit_guard(b);
-    let fl = ee.for_loop;
     let res = b.label("res");
 
-    // The search result: a phi at the loop exit merging the two exit
-    // edges. The arms are pinned by the individual idioms.
-    b.atom(Atom::BlockOf { inst: res, block: fl.exit });
+    // The search result: a phi merging the two exit edges, so it sits at
+    // the loop exit, the one block both the header and the break
+    // trampoline reach. The arms are pinned by the individual idioms.
     b.atom(Atom::Opcode { l: res, class: OpClass::Phi });
     b.atom(Atom::PhiArity { phi: res, n: 2 });
-    b.atom(Atom::TypeInt(res));
 
     SearchLabels { early_exit: ee, cand, needle, res }
 }
@@ -129,24 +124,27 @@ pub fn find_first_spec() -> (Spec, SearchLabels) {
     let mut b = SpecBuilder::new("find-first");
     let s = add_search_core(&mut b);
     pin_index_result(&mut b, &s);
+    // The post-check keeps these predicates anyway; the pin spares the
+    // search the ordering comparisons.
+    b.any(vec![
+        Constraint::Atom(Atom::CmpPredIs { l: s.early_exit.exit_cond, pred: CmpPred::Eq }),
+        Constraint::Atom(Atom::CmpPredIs { l: s.early_exit.exit_cond, pred: CmpPred::Ne }),
+    ]);
     (b.finish(), s)
 }
 
 /// Pins the index-result shape shared by find-first and find-last: the
-/// result's break arm is the loop iterator, its default is invariant, and
-/// the exit comparison is an equality-class test (`Eq`/`Ne`). Kept in one
-/// place so the two idioms cannot silently diverge — they differ only in
-/// the induction step's sign.
+/// result's break arm is the loop iterator and its default is invariant.
+/// Kept in one place so the two idioms cannot silently diverge — they
+/// differ only in the induction step's sign. Their post-checks keep the
+/// equality-class predicates (`Eq`/`Ne`), the ordering ones being
+/// find-min-index-early's.
 fn pin_index_result(b: &mut SpecBuilder, s: &SearchLabels) {
     let fl = s.early_exit.for_loop;
     let res_default = b.label("res_default");
     b.atom(Atom::PhiIncoming { phi: s.res, value: fl.iterator, block: s.early_exit.break_blk });
     b.atom(Atom::PhiIncoming { phi: s.res, value: res_default, block: fl.header });
     b.atom(Atom::InvariantIn { value: res_default, header: fl.header });
-    b.any(vec![
-        Constraint::Atom(Atom::CmpPredIs { l: s.early_exit.exit_cond, pred: CmpPred::Eq }),
-        Constraint::Atom(Atom::CmpPredIs { l: s.early_exit.exit_cond, pred: CmpPred::Ne }),
-    ]);
 }
 
 /// Builds the any-of/all-of specification: both result arms are pinned
@@ -156,6 +154,9 @@ pub fn any_all_of_spec() -> (Spec, SearchLabels) {
     let mut b = SpecBuilder::new("any-all-of");
     let s = add_search_core(&mut b);
     let fl = s.early_exit.for_loop;
+    // Implied by the arms below, but the only generator for `res` before
+    // `brk_val` is bound.
+    b.atom(Atom::BlockOf { inst: s.res, block: fl.exit });
     let brk_val = b.label("brk_val");
     let res_default = b.label("res_default");
     b.atom(Atom::PhiIncoming { phi: s.res, value: brk_val, block: s.early_exit.break_blk });

@@ -542,24 +542,7 @@ fn execute(
 
     // Merge scalars: final = merge(init, partial_0, …, partial_{p-1}).
     for (ai, (&cell, acc)) in objs.cells.iter().zip(&plan.accs).enumerate() {
-        match acc.ty {
-            Type::Int | Type::Bool => {
-                let mut v = mem.load_i(cell, 0).map_err(Trap::Mem)?;
-                for r in &results {
-                    let Obj::I(p) = &r.cells[ai] else { panic!("cell type mismatch") };
-                    v = acc.op.merge_int(v, p[0]);
-                }
-                mem.store_i(cell, 0, v).map_err(Trap::Mem)?;
-            }
-            _ => {
-                let mut v = mem.load_f(cell, 0).map_err(Trap::Mem)?;
-                for r in &results {
-                    let Obj::F(p) = &r.cells[ai] else { panic!("cell type mismatch") };
-                    v = acc.op.merge_float(v, p[0]);
-                }
-                mem.store_f(cell, 0, v).map_err(Trap::Mem)?;
-            }
-        }
+        merge_fold_partials(mem, cell, acc.op, acc.ty, results.iter().map(|r| &r.cells[ai]))?;
     }
     // Fold argmin/argmax pairs in iteration order: a block partial with a
     // real index replaces the running best exactly when the normalized
@@ -920,7 +903,8 @@ fn execute_search(
         gr_trace::counter("runtime.fold_partials_merged", (needed * search.folds.len()) as i64);
     }
     for (fi, (slot, &cell)) in search.folds.iter().zip(&fold_objs).enumerate() {
-        merge_fold_partials(mem, cell, slot, outs.iter().take(needed).map(|o| &o.folds[fi]))?;
+        let partials = outs.iter().take(needed).map(|o| &o.folds[fi]);
+        merge_fold_partials(mem, cell, slot.op, slot.ty, partials)?;
     }
     // No hit anywhere: the hit/exit cells keep the defaults the rewritten
     // preheader stored.
@@ -960,28 +944,31 @@ fn run_speculative_chunk(
     Ok((hit, exits, folds))
 }
 
-/// Folds `init ⊕ partial_0 ⊕ … ⊕ partial_k` into a speculative-fold cell
-/// (the cell holds `init` on entry — the rewritten preheader stored it).
+/// Folds `init ⊕ partial_0 ⊕ … ⊕ partial_k` into an accumulator cell of
+/// type `ty`, in iteration order (the cell holds `init` on entry — the
+/// rewritten preheader stored it). Shared by the privatized scalar merge
+/// and the speculative-fold merge.
 fn merge_fold_partials<'a>(
     mem: &mut Memory,
     cell: ObjId,
-    slot: &crate::plan::FoldSlot,
+    op: ReductionOp,
+    ty: Type,
     partials: impl Iterator<Item = &'a Obj>,
 ) -> Result<(), Trap> {
-    match slot.ty {
+    match ty {
         Type::Int | Type::Bool => {
             let mut v = mem.load_i(cell, 0).map_err(Trap::Mem)?;
             for p in partials {
-                let Obj::I(p) = p else { panic!("fold cell type mismatch") };
-                v = slot.op.merge_int(v, p[0]);
+                let Obj::I(p) = p else { panic!("accumulator cell type mismatch") };
+                v = op.merge_int(v, p[0]);
             }
             mem.store_i(cell, 0, v).map_err(Trap::Mem)?;
         }
         _ => {
             let mut v = mem.load_f(cell, 0).map_err(Trap::Mem)?;
             for p in partials {
-                let Obj::F(p) = p else { panic!("fold cell type mismatch") };
-                v = slot.op.merge_float(v, p[0]);
+                let Obj::F(p) = p else { panic!("accumulator cell type mismatch") };
+                v = op.merge_float(v, p[0]);
             }
             mem.store_f(cell, 0, v).map_err(Trap::Mem)?;
         }
@@ -1049,7 +1036,8 @@ fn execute_sequential_fallback(
         search.folds.iter().zip(fold_objs).zip(&folds).enumerate()
     {
         let prefix_partials = completed.iter().map(move |o| &o.folds[fi]);
-        merge_fold_partials(mem, cell, slot, prefix_partials.chain(std::iter::once(tail_partial)))?;
+        let partials = prefix_partials.chain(std::iter::once(tail_partial));
+        merge_fold_partials(mem, cell, slot.op, slot.ty, partials)?;
     }
     Ok(None)
 }

@@ -58,7 +58,10 @@ use gr_analysis::Analyses;
 use gr_core::atoms::MatchCtx;
 use gr_core::detect::PrefixCache;
 use gr_core::spec::registry::IdiomRegistry;
-use gr_core::{function_fingerprint_with, DetectBudget, DetectionReport, DetectionStatus, GrError};
+use gr_core::{
+    detect_with_budget, function_fingerprint_with, DetectBudget, DetectionReport, DetectionStatus,
+    GrError,
+};
 use gr_ir::Module;
 use gr_parallel::pool::Pool;
 
@@ -324,19 +327,10 @@ impl DetectionServer {
 #[must_use]
 pub fn detect_sequential(modules: &[Module], budget: DetectBudget) -> Vec<DetectionReport> {
     let registry = IdiomRegistry::with_default_idioms();
-    let mut out = Vec::new();
-    for module in modules {
-        for func in &module.functions {
-            let analyses = Analyses::new(module, func);
-            let ctx = MatchCtx::new(module, func, &analyses);
-            out.push(registry.detect_in_function_report(
-                &ctx,
-                Some(&mut PrefixCache::new()),
-                budget,
-            ));
-        }
-    }
-    out
+    modules
+        .iter()
+        .flat_map(|module| detect_with_budget(&registry, module, budget))
+        .collect()
 }
 
 /// Renders one function's serving status as the stable one-line form the
