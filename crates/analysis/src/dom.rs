@@ -87,12 +87,6 @@ impl DomTree {
         }
     }
 
-    /// Whether `a` strictly dominates `b`.
-    #[must_use]
-    pub fn strictly_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        a != b && self.dominates(a, b)
-    }
-
     /// Dominator-tree depth of a block (entry = 0).
     #[must_use]
     pub fn depth(&self, b: BlockId) -> u32 {
@@ -220,12 +214,6 @@ impl PostDomTree {
         }
     }
 
-    /// Whether `a` strictly post-dominates `b`.
-    #[must_use]
-    pub fn strictly_postdominates(&self, a: BlockId, b: BlockId) -> bool {
-        a != b && self.postdominates(a, b)
-    }
-
     /// Index of the virtual exit node.
     #[must_use]
     pub fn virtual_exit(&self) -> usize {
@@ -260,8 +248,6 @@ mod tests {
         let then_b = cfg.succs[entry.index()][0];
         assert!(!dom.dominates(then_b, merge));
         assert_eq!(dom.idom[merge.index()], Some(entry));
-        assert!(dom.strictly_dominates(entry, merge));
-        assert!(!dom.strictly_dominates(entry, entry));
     }
 
     #[test]
@@ -276,7 +262,7 @@ mod tests {
         assert!(pd.postdominates(merge, entry));
         let then_b = cfg.succs[entry.index()][0];
         assert!(!pd.postdominates(then_b, entry));
-        assert!(pd.strictly_postdominates(merge, then_b));
+        assert!(pd.postdominates(merge, then_b));
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl PollyReport {
     pub fn reduction_scop_count(&self) -> usize {
         self.scops.iter().filter(|s| s.is_reduction()).count()
     }
-
-    /// Total reductions across SCoPs.
-    #[must_use]
-    pub fn reduction_count(&self) -> usize {
-        self.scops.iter().map(|s| s.reductions).sum()
-    }
 }
 
 /// Runs the Polly model over a module.

@@ -4,7 +4,7 @@
 use crate::program::{Paper, ProgramDef};
 use gr_analysis::Analyses;
 use gr_baselines::{icc_detect, polly_detect};
-use gr_core::{detect_reductions, Reduction, ReductionKind};
+use gr_core::{detect_reductions, ReductionKind};
 use std::time::{Duration, Instant};
 
 /// Detection results for one program, measured against this repository's
@@ -161,12 +161,6 @@ pub fn measure_coverage(p: &ProgramDef, scale: usize) -> CoverageRow {
         scalar_coverage: scalar_insts as f64 / total as f64,
         histogram_coverage: hist_insts as f64 / total as f64,
     }
-}
-
-/// Reductions of one program, for downstream tooling.
-#[must_use]
-pub fn detect_program(p: &ProgramDef) -> Vec<Reduction> {
-    detect_reductions(&p.compile())
 }
 
 #[cfg(test)]

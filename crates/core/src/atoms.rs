@@ -30,8 +30,6 @@ pub enum OpClass {
     Store,
     /// Pointer arithmetic.
     Gep,
-    /// Unconditional branch.
-    Br,
     /// Conditional branch.
     CondBr,
     /// Comparison.
@@ -40,14 +38,8 @@ pub enum OpClass {
     Add,
     /// Any binary arithmetic.
     Bin,
-    /// Any call.
-    Call,
     /// Select.
     Select,
-    /// Cast.
-    Cast,
-    /// Alloca.
-    Alloca,
 }
 
 fn classify(op: &Opcode) -> Vec<OpClass> {
@@ -56,16 +48,17 @@ fn classify(op: &Opcode) -> Vec<OpClass> {
         Opcode::Load => vec![OpClass::Load],
         Opcode::Store => vec![OpClass::Store],
         Opcode::Gep => vec![OpClass::Gep],
-        Opcode::Br => vec![OpClass::Br],
         Opcode::CondBr => vec![OpClass::CondBr],
         Opcode::Cmp(_) => vec![OpClass::Cmp],
         Opcode::Bin(gr_ir::BinOp::Add) => vec![OpClass::Add, OpClass::Bin],
         Opcode::Bin(_) => vec![OpClass::Bin],
-        Opcode::Call(_) => vec![OpClass::Call],
         Opcode::Select => vec![OpClass::Select],
-        Opcode::Cast => vec![OpClass::Cast],
-        Opcode::Alloca => vec![OpClass::Alloca],
-        Opcode::Un(_) | Opcode::Ret => vec![],
+        Opcode::Br
+        | Opcode::Call(_)
+        | Opcode::Cast
+        | Opcode::Alloca
+        | Opcode::Un(_)
+        | Opcode::Ret => vec![],
     }
 }
 
@@ -85,7 +78,6 @@ pub struct MatchCtx<'a> {
     buckets: HashMap<OpClass, Vec<ValueId>>,
     /// Block-label value → loop id for loop headers.
     pub header_loops: HashMap<ValueId, LoopId>,
-    pub(crate) block_labels: Vec<ValueId>,
     /// Integer constant → interned values (the frontend interns constants,
     /// so the list is almost always a singleton).
     const_ints: HashMap<i64, Vec<ValueId>>,
@@ -111,7 +103,6 @@ impl<'a> MatchCtx<'a> {
         for (i, l) in analyses.loops.loops().iter().enumerate() {
             header_loops.insert(func.block(l.header).label, LoopId(i as u32));
         }
-        let block_labels = func.block_ids().map(|b| func.block(b).label).collect();
         let mut const_ints: HashMap<i64, Vec<ValueId>> = HashMap::new();
         for v in func.value_ids() {
             if let ValueKind::ConstInt(c) = func.value(v).kind {
@@ -127,7 +118,6 @@ impl<'a> MatchCtx<'a> {
             inst_blocks: func.inst_blocks(),
             buckets,
             header_loops,
-            block_labels,
             const_ints,
         }
     }
@@ -176,8 +166,6 @@ impl<'a> MatchCtx<'a> {
 /// An atomic constraint over labelled IR values.
 #[derive(Debug, Clone)]
 pub enum Atom {
-    /// The value is a basic-block label.
-    IsBlock(Label),
     /// The value is the header block of a natural loop.
     IsLoopHeader(Label),
     /// The value is an instruction of the given class.
@@ -262,36 +250,12 @@ pub enum Atom {
         /// Dominated.
         b: Label,
     },
-    /// Block `a` strictly dominates block `b`.
-    StrictlyDominates {
-        /// Dominator.
-        a: Label,
-        /// Dominated.
-        b: Label,
-    },
     /// Block `a` post-dominates block `b`.
     Postdominates {
         /// Post-dominator.
         a: Label,
         /// Post-dominated.
         b: Label,
-    },
-    /// Block `a` strictly post-dominates block `b`.
-    StrictlyPostdominates {
-        /// Post-dominator.
-        a: Label,
-        /// Post-dominated.
-        b: Label,
-    },
-    /// Every CFG path from `from` to `to` passes through `avoiding`
-    /// (vacuously true when `to` is unreachable from `from`).
-    NoPathAvoiding {
-        /// Path source block.
-        from: Label,
-        /// Path target block.
-        to: Label,
-        /// Mandatory waypoint block.
-        avoiding: Label,
     },
     /// Block `block` is inside the loop with header `header`.
     InLoopBlock {
@@ -366,24 +330,6 @@ pub enum Atom {
         header: Label,
         /// Permitted accessor instruction labels.
         allowed: Vec<Label>,
-    },
-    /// The value is affine in `iterator` with coefficients invariant in the
-    /// loop at `header`.
-    AffineIn {
-        /// Value label.
-        value: Label,
-        /// Loop-header label.
-        header: Label,
-        /// Induction-variable label.
-        iterator: Label,
-    },
-    /// `a` executes before `b` on every path: same block with `a` earlier,
-    /// or `a`'s block strictly dominates `b`'s.
-    Precedes {
-        /// Earlier instruction label.
-        a: Label,
-        /// Later instruction label.
-        b: Label,
     },
     /// The loop at `header` has exactly `n` exit edges (CFG edges from an
     /// in-loop block to an out-of-loop block). A canonical counted loop
@@ -476,7 +422,6 @@ impl Atom {
     #[must_use]
     pub fn kind_name(&self) -> &'static str {
         match self {
-            Atom::IsBlock(..) => "IsBlock",
             Atom::IsLoopHeader(..) => "IsLoopHeader",
             Atom::Opcode { .. } => "Opcode",
             Atom::TypeScalar(..) => "TypeScalar",
@@ -490,10 +435,7 @@ impl Atom {
             Atom::BlockOf { .. } => "BlockOf",
             Atom::CfgEdge { .. } => "CfgEdge",
             Atom::Dominates { .. } => "Dominates",
-            Atom::StrictlyDominates { .. } => "StrictlyDominates",
             Atom::Postdominates { .. } => "Postdominates",
-            Atom::StrictlyPostdominates { .. } => "StrictlyPostdominates",
-            Atom::NoPathAvoiding { .. } => "NoPathAvoiding",
             Atom::InLoopBlock { .. } => "InLoopBlock",
             Atom::NotInLoopBlock { .. } => "NotInLoopBlock",
             Atom::InLoopInst { .. } => "InLoopInst",
@@ -502,8 +444,6 @@ impl Atom {
             Atom::ComputedOnlyFrom { .. } => "ComputedOnlyFrom",
             Atom::UsesConfinedTo { .. } => "UsesConfinedTo",
             Atom::OnlyObjectAccesses { .. } => "OnlyObjectAccesses",
-            Atom::AffineIn { .. } => "AffineIn",
-            Atom::Precedes { .. } => "Precedes",
             Atom::LoopExitEdges { .. } => "LoopExitEdges",
             Atom::PureInLoop { .. } => "PureInLoop",
             Atom::OnlyTerminator { .. } => "OnlyTerminator",
@@ -520,9 +460,7 @@ impl Atom {
     #[must_use]
     pub fn labels(&self) -> Vec<Label> {
         match self {
-            Atom::IsBlock(l) | Atom::IsLoopHeader(l) | Atom::TypeScalar(l) | Atom::TypeInt(l) => {
-                vec![*l]
-            }
+            Atom::IsLoopHeader(l) | Atom::TypeScalar(l) | Atom::TypeInt(l) => vec![*l],
             Atom::Opcode { l, .. } | Atom::CmpPredIs { l, .. } | Atom::IsConstInt { l, .. } => {
                 vec![*l]
             }
@@ -539,19 +477,15 @@ impl Atom {
             | Atom::BlockOf { inst: a, block: b }
             | Atom::CfgEdge { from: a, to: b }
             | Atom::Dominates { a, b }
-            | Atom::StrictlyDominates { a, b }
             | Atom::Postdominates { a, b }
-            | Atom::StrictlyPostdominates { a, b }
             | Atom::InLoopBlock { block: a, header: b }
             | Atom::NotInLoopBlock { block: a, header: b }
             | Atom::InLoopInst { inst: a, header: b }
             | Atom::AnchoredTo { inst: a, header: b }
-            | Atom::InvariantIn { value: a, header: b }
-            | Atom::Precedes { a, b } => vec![*a, *b],
+            | Atom::InvariantIn { value: a, header: b } => vec![*a, *b],
             Atom::SameTripCount { h1: a, h2: b } | Atom::NoInterveningWrites { from: a, to: b } => {
                 vec![*a, *b]
             }
-            Atom::NoPathAvoiding { from, to, avoiding } => vec![*from, *to, *avoiding],
             Atom::OnlyConsumedBy { ptr, allowed } => {
                 let mut v = vec![*ptr];
                 v.extend(allowed.iter().copied());
@@ -572,7 +506,6 @@ impl Atom {
                 v.extend(allowed.iter().copied());
                 v
             }
-            Atom::AffineIn { value, header, iterator } => vec![*value, *header, *iterator],
         }
     }
 
@@ -582,7 +515,6 @@ impl Atom {
     #[must_use]
     pub fn map_labels(&self, f: &dyn Fn(Label) -> Label) -> Atom {
         match self {
-            Atom::IsBlock(l) => Atom::IsBlock(f(*l)),
             Atom::IsLoopHeader(l) => Atom::IsLoopHeader(f(*l)),
             Atom::TypeScalar(l) => Atom::TypeScalar(f(*l)),
             Atom::TypeInt(l) => Atom::TypeInt(f(*l)),
@@ -606,14 +538,7 @@ impl Atom {
             Atom::BlockOf { inst, block } => Atom::BlockOf { inst: f(*inst), block: f(*block) },
             Atom::CfgEdge { from, to } => Atom::CfgEdge { from: f(*from), to: f(*to) },
             Atom::Dominates { a, b } => Atom::Dominates { a: f(*a), b: f(*b) },
-            Atom::StrictlyDominates { a, b } => Atom::StrictlyDominates { a: f(*a), b: f(*b) },
             Atom::Postdominates { a, b } => Atom::Postdominates { a: f(*a), b: f(*b) },
-            Atom::StrictlyPostdominates { a, b } => {
-                Atom::StrictlyPostdominates { a: f(*a), b: f(*b) }
-            }
-            Atom::NoPathAvoiding { from, to, avoiding } => {
-                Atom::NoPathAvoiding { from: f(*from), to: f(*to), avoiding: f(*avoiding) }
-            }
             Atom::InLoopBlock { block, header } => {
                 Atom::InLoopBlock { block: f(*block), header: f(*header) }
             }
@@ -647,10 +572,6 @@ impl Atom {
                 header: f(*header),
                 allowed: allowed.iter().map(|l| f(*l)).collect(),
             },
-            Atom::AffineIn { value, header, iterator } => {
-                Atom::AffineIn { value: f(*value), header: f(*header), iterator: f(*iterator) }
-            }
-            Atom::Precedes { a, b } => Atom::Precedes { a: f(*a), b: f(*b) },
             Atom::SameTripCount { h1, h2 } => Atom::SameTripCount { h1: f(*h1), h2: f(*h2) },
             Atom::NoInterveningWrites { from, to } => {
                 Atom::NoInterveningWrites { from: f(*from), to: f(*to) }
@@ -667,7 +588,6 @@ impl Atom {
     pub fn check(&self, ctx: &MatchCtx<'_>, asg: &[ValueId]) -> bool {
         let get = |l: Label| asg[l.index()];
         match self {
-            Atom::IsBlock(l) => ctx.as_block(get(*l)).is_some(),
             Atom::IsLoopHeader(l) => ctx.loop_of_header(get(*l)).is_some(),
             Atom::Opcode { l, class } => ctx
                 .func
@@ -712,22 +632,8 @@ impl Atom {
             }
             Atom::Dominates { a, b } => both_blocks(ctx, get(*a), get(*b))
                 .is_some_and(|(x, y)| ctx.analyses.dom.dominates(x, y)),
-            Atom::StrictlyDominates { a, b } => both_blocks(ctx, get(*a), get(*b))
-                .is_some_and(|(x, y)| ctx.analyses.dom.strictly_dominates(x, y)),
             Atom::Postdominates { a, b } => both_blocks(ctx, get(*a), get(*b))
                 .is_some_and(|(x, y)| ctx.analyses.postdom.postdominates(x, y)),
-            Atom::StrictlyPostdominates { a, b } => both_blocks(ctx, get(*a), get(*b))
-                .is_some_and(|(x, y)| ctx.analyses.postdom.strictly_postdominates(x, y)),
-            Atom::NoPathAvoiding { from, to, avoiding } => {
-                let (Some(f), Some(t), Some(x)) = (
-                    ctx.as_block(get(*from)),
-                    ctx.as_block(get(*to)),
-                    ctx.as_block(get(*avoiding)),
-                ) else {
-                    return false;
-                };
-                no_path_avoiding(ctx.func, &ctx.analyses.cfg, f, t, x)
-            }
             Atom::InLoopBlock { block, header } => {
                 ctx.as_block(get(*block)).is_some_and(|b| ctx.block_in_loop(b, get(*header)))
             }
@@ -888,25 +794,6 @@ impl Atom {
                 }
                 true
             }
-            Atom::AffineIn { value, header, iterator } => {
-                let Some(lid) = ctx.loop_of_header(get(*header)) else { return false };
-                let is_inv = |v: ValueId| ctx.invariance.is_invariant(lid, v);
-                gr_analysis::scev::is_affine(ctx.func, &[get(*iterator)], &is_inv, get(*value))
-            }
-            Atom::Precedes { a, b } => {
-                let (Some(&ba), Some(&bb)) =
-                    (ctx.inst_blocks.get(&get(*a)), ctx.inst_blocks.get(&get(*b)))
-                else {
-                    return false;
-                };
-                if ba != bb {
-                    return ctx.analyses.dom.strictly_dominates(ba, bb);
-                }
-                let insts = &ctx.func.block(ba).insts;
-                let pa = insts.iter().position(|&i| i == get(*a));
-                let pb = insts.iter().position(|&i| i == get(*b));
-                matches!((pa, pb), (Some(x), Some(y)) if x < y)
-            }
             Atom::LoopExitEdges { header, n } => {
                 let Some(lid) = ctx.loop_of_header(get(*header)) else { return false };
                 let l = ctx.analyses.loops.get(lid);
@@ -996,7 +883,6 @@ impl Atom {
     ) -> Option<Vec<ValueId>> {
         let get = |l: Label| asg[l.index()];
         match self {
-            Atom::IsBlock(l) if *l == target => Some(ctx.block_labels.clone()),
             Atom::IsLoopHeader(l) if *l == target => {
                 Some(ctx.header_loops.keys().copied().collect())
             }
@@ -1168,7 +1054,6 @@ impl Atom {
     pub fn estimate(&self, ctx: &MatchCtx<'_>, asg: &[ValueId], target: Label) -> Option<usize> {
         let get = |l: Label| asg[l.index()];
         match self {
-            Atom::IsBlock(l) if *l == target => Some(ctx.block_labels.len()),
             Atom::IsLoopHeader(l) if *l == target => Some(ctx.header_loops.len()),
             Atom::Opcode { l, class } if *l == target => Some(ctx.bucket(*class).len()),
             Atom::Equal { a, b } if *a != *b => (*a == target || *b == target).then_some(1),
@@ -1269,7 +1154,6 @@ impl Atom {
             | Atom::Equal { .. }
             | Atom::TypeScalar(_)
             | Atom::TypeInt(_)
-            | Atom::IsBlock(_)
             | Atom::IsLoopHeader(_)
             | Atom::Opcode { .. }
             | Atom::CmpPredIs { .. }
@@ -1283,18 +1167,13 @@ impl Atom {
             | Atom::OnlyTerminator { .. }
             | Atom::CfgEdge { .. } => 1,
             Atom::Dominates { .. }
-            | Atom::StrictlyDominates { .. }
             | Atom::Postdominates { .. }
-            | Atom::StrictlyPostdominates { .. }
             | Atom::InLoopBlock { .. }
             | Atom::NotInLoopBlock { .. }
             | Atom::InLoopInst { .. }
             | Atom::AnchoredTo { .. }
-            | Atom::InvariantIn { .. }
-            | Atom::Precedes { .. } => 2,
-            Atom::NoPathAvoiding { .. }
-            | Atom::AffineIn { .. }
-            | Atom::LoopExitEdges { .. }
+            | Atom::InvariantIn { .. } => 2,
+            Atom::LoopExitEdges { .. }
             | Atom::SameTripCount { .. }
             | Atom::NoInterveningWrites { .. }
             | Atom::PureInLoop { .. } => 3,
@@ -1371,34 +1250,6 @@ fn no_intervening_writes(ctx: &MatchCtx<'_>, from: BlockId, to: BlockId) -> bool
     })
 }
 
-/// BFS check that every path `from → to` passes through `avoiding`.
-fn no_path_avoiding(
-    func: &Function,
-    cfg: &gr_analysis::cfg::Cfg,
-    from: BlockId,
-    to: BlockId,
-    avoiding: BlockId,
-) -> bool {
-    if from == avoiding {
-        return true;
-    }
-    let mut seen = vec![false; func.blocks.len()];
-    let mut work = vec![from];
-    seen[from.index()] = true;
-    while let Some(b) = work.pop() {
-        if b == to {
-            return false;
-        }
-        for &s in &cfg.succs[b.index()] {
-            if s != avoiding && !seen[s.index()] {
-                seen[s.index()] = true;
-                work.push(s);
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1471,33 +1322,6 @@ mod tests {
     }
 
     #[test]
-    fn no_path_avoiding_blocks_header() {
-        with_ctx(LOOP_SRC, |ctx| {
-            // In `for.body -> for.latch -> for.header`, every path from the
-            // latch back to the body passes through the header.
-            let header_label = *ctx.header_loops.keys().next().unwrap();
-            let lid = ctx.loop_of_header(header_label).unwrap();
-            let l = ctx.analyses.loops.get(lid);
-            let latch = l.latches[0];
-            let body = ctx.analyses.cfg.succs[l.header.index()]
-                .iter()
-                .copied()
-                .find(|b| l.contains(*b))
-                .unwrap();
-            let atom = Atom::NoPathAvoiding { from: Label(0), to: Label(1), avoiding: Label(2) };
-            let asg = [ctx.func.block(latch).label, ctx.func.block(body).label, header_label];
-            assert!(atom.check(ctx, &asg));
-            // But body reaches the latch directly, without the header.
-            let asg2 = [ctx.func.block(body).label, ctx.func.block(latch).label, header_label];
-            assert!(!atom.check(ctx, &asg2));
-            // Negative case: header reaches the body directly, so the latch
-            // is not a mandatory waypoint on header->body paths.
-            let asg3 = [header_label, ctx.func.block(body).label, ctx.func.block(latch).label];
-            assert!(!atom.check(ctx, &asg3));
-        });
-    }
-
-    #[test]
     fn invariant_atom() {
         with_ctx(LOOP_SRC, |ctx| {
             let header_label = *ctx.header_loops.keys().next().unwrap();
@@ -1507,26 +1331,5 @@ mod tests {
             let load = ctx.bucket(OpClass::Load)[0];
             assert!(!atom.check(ctx, &[load, header_label]));
         });
-    }
-
-    #[test]
-    fn precedes_atom() {
-        with_ctx(
-            "void h(int* b, int* k, int n) { for (int i = 0; i < n; i++) b[k[i]]++; }",
-            |ctx| {
-                let store = ctx.bucket(OpClass::Store)[0];
-                // the load through the same gep precedes the store
-                let gep = ctx.func.value(store).kind.operands()[1];
-                let load = ctx
-                    .bucket(OpClass::Load)
-                    .iter()
-                    .copied()
-                    .find(|&l| ctx.func.value(l).kind.operands()[0] == gep)
-                    .unwrap();
-                let atom = Atom::Precedes { a: Label(0), b: Label(1) };
-                assert!(atom.check(ctx, &[load, store]));
-                assert!(!atom.check(ctx, &[store, load]));
-            },
-        );
     }
 }

@@ -4,8 +4,8 @@
 //! A specification consists of a set of labels *I* and a predicate *c* over
 //! `values(F)^I` (paper §3.2). The predicate is a tree of conjunctions,
 //! disjunctions and [`Atom`]s. The embedded-DSL style of the paper's
-//! Figure 7 maps to [`SpecBuilder`]: composed constraints like `SESE` are
-//! plain Rust functions that add atoms over shared labels.
+//! Figure 7 maps to [`SpecBuilder`]: composed constraints like the for-loop
+//! are plain Rust functions that add atoms over shared labels.
 
 use crate::atoms::Atom;
 
@@ -355,7 +355,10 @@ mod tests {
         let a = b.label("a");
         let c = b.label("c");
         b.atom(Atom::NotEqual { a, b: c });
-        b.any(vec![Constraint::Atom(Atom::IsBlock(a)), Constraint::Atom(Atom::IsBlock(c))]);
+        b.any(vec![
+            Constraint::Atom(Atom::IsLoopHeader(a)),
+            Constraint::Atom(Atom::IsLoopHeader(c)),
+        ]);
         let s = b.finish();
         assert_eq!(s.root.max_label(), Some(1));
         assert_eq!(s.root.atoms().len(), 3);

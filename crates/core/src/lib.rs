@@ -98,7 +98,4 @@ pub use detect::{
 pub use error::{ErrorPhase, GrError};
 pub use fingerprint::{function_fingerprint, function_fingerprint_with, module_fingerprints};
 pub use report::{Reduction, ReductionKind, ReductionOp};
-// `sese` is a free function in `spec`'s module root (not a submodule);
-// re-exported here so composites can reach it without the `spec::` path.
 pub use spec::registry::{IdiomEntry, IdiomRegistry, RegistryError};
-pub use spec::sese;

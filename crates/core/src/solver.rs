@@ -322,9 +322,9 @@ fn mandatory_atoms(c: &Constraint) -> Vec<&Atom> {
 /// Whether `a`, once its other labels are placed, pins `target` (which it
 /// mentions exactly once) to at most one candidate: `Equal`, a value-slot
 /// `OperandIs`, a block-slot `BlockOf`, `IsConstInt`, or a singleton opcode
-/// bucket, block list or loop-header list. Only a label-ordering test — the
-/// dynamic [`Atom::estimate`] still picks the generator at each node, and a
-/// label wrongly judged here is merely visited at a different level, never
+/// bucket or loop-header list. Only a label-ordering test — the dynamic
+/// [`Atom::estimate`] still picks the generator at each node, and a label
+/// wrongly judged here is merely visited at a different level, never
 /// solved incorrectly.
 fn forces(a: &Atom, ctx: &MatchCtx<'_>, target: Label) -> bool {
     match a {
@@ -332,7 +332,6 @@ fn forces(a: &Atom, ctx: &MatchCtx<'_>, target: Label) -> bool {
         Atom::OperandIs { value, .. } => *value == target,
         Atom::BlockOf { block, .. } => *block == target,
         Atom::Opcode { class, .. } => ctx.bucket(*class).len() <= 1,
-        Atom::IsBlock(_) => ctx.block_labels.len() <= 1,
         Atom::IsLoopHeader(_) => ctx.header_loops.len() <= 1,
         _ => false,
     }
@@ -874,9 +873,11 @@ mod tests {
             assert!(sols.is_empty());
             assert!(!stats.truncated);
 
-            let mut b = SpecBuilder::new("all-blocks");
-            let l = b.label("x");
-            b.atom(Atom::IsBlock(l));
+            let mut b = SpecBuilder::new("loop-insts");
+            let h = b.label("header");
+            let x = b.label("x");
+            b.atom(Atom::IsLoopHeader(h));
+            b.atom(Atom::InLoopInst { inst: x, header: h });
             let spec = b.finish();
             let (sols, stats) =
                 solve(&spec, ctx, SolveOptions { max_solutions: 2, ..SolveOptions::default() });
@@ -887,21 +888,21 @@ mod tests {
 
     #[test]
     fn generator_fallback_still_finds_solutions() {
-        // A spec whose only atom cannot generate (Dominates): falls back to
-        // enumerating all values.
+        // A spec whose atoms cannot generate (Dominates, NotEqual): falls
+        // back to enumerating all values.
         with_ctx(LOOP_SRC, |ctx| {
             let mut b = SpecBuilder::new("dom-pair");
             let x = b.label("x");
             let y = b.label("y");
-            b.atom(Atom::IsBlock(x));
-            b.atom(Atom::IsBlock(y));
-            b.atom(Atom::StrictlyDominates { a: x, b: y });
+            b.atom(Atom::Dominates { a: x, b: y });
+            b.atom(Atom::NotEqual { a: x, b: y });
             let spec = b.finish();
             let (sols, _) = solve(&spec, ctx, SolveOptions::default());
             // entry strictly dominates all 4 others, header dominates 3, ...
             assert!(!sols.is_empty());
             for s in &sols {
-                assert!(Atom::StrictlyDominates { a: x, b: y }.check(ctx, s));
+                assert!(Atom::Dominates { a: x, b: y }.check(ctx, s));
+                assert_ne!(s[x.index()], s[y.index()]);
             }
         });
     }

@@ -19,14 +19,10 @@
 //! * [`registry`] — the pluggable [`registry::IdiomRegistry`] the generic
 //!   detection driver iterates.
 //!
-//! The [`sese`] *function* (not a module — it is defined right here) adds
-//! the single-entry single-exit composite of the paper's Figure 7 to a
-//! builder, reusable by downstream idioms.
-//!
 //! Composition works exactly like the paper's embedded C++ DSL: a composite
 //! is a plain function that adds atoms over shared labels to a
-//! [`SpecBuilder`]. Composites that form a reusable *stem* — the for-loop
-//! is the canonical one — additionally call
+//! [`SpecBuilder`](crate::constraint::SpecBuilder). Composites that form a
+//! reusable *stem* — the for-loop is the canonical one — additionally call
 //! [`SpecBuilder::mark_prefix`](crate::constraint::SpecBuilder::mark_prefix),
 //! which lets the detection driver solve the stem once per function and
 //! resume every idiom built on it from the cached solutions (see
@@ -55,27 +51,3 @@ pub use scan::{scan_spec, ScanLabels};
 pub use search::{
     any_all_of_spec, find_first_spec, find_last_spec, find_min_index_spec, SearchLabels,
 };
-
-use crate::atoms::Atom;
-use crate::constraint::{Label, SpecBuilder};
-
-/// Adds the SESE (single-entry single-exit) region constraints of the
-/// paper's Figure 7 over four block labels: `precursor → [begin … end] →
-/// successor`.
-///
-/// The region property: control enters only through `begin` (from
-/// `precursor`), leaves only through `end` (to `successor`), `begin`
-/// dominates `end`, `end` post-dominates `begin`, and the region cannot be
-/// re-entered without passing its boundary blocks.
-pub fn sese(b: &mut SpecBuilder, precursor: Label, begin: Label, end: Label, successor: Label) {
-    b.atom(Atom::CfgEdge { from: precursor, to: begin });
-    b.atom(Atom::CfgEdge { from: end, to: successor });
-    b.atom(Atom::Dominates { a: begin, b: end });
-    b.atom(Atom::Postdominates { a: end, b: begin });
-    b.atom(Atom::StrictlyDominates { a: precursor, b: begin });
-    b.atom(Atom::StrictlyPostdominates { a: successor, b: end });
-    // Re-entry protection: paths back into `begin` must pass the precursor,
-    // and paths from the successor back into the region must pass `end`.
-    b.atom(Atom::NoPathAvoiding { from: end, to: begin, avoiding: precursor });
-    b.atom(Atom::NoPathAvoiding { from: successor, to: begin, avoiding: end });
-}

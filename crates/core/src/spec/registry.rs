@@ -421,7 +421,7 @@ mod tests {
     fn dummy_entry(name: &'static str) -> IdiomEntry {
         let mut b = SpecBuilder::new(name);
         let x = b.label("x");
-        b.atom(crate::atoms::Atom::IsBlock(x));
+        b.atom(crate::atoms::Atom::IsLoopHeader(x));
         IdiomEntry::new(
             name,
             b.finish(),

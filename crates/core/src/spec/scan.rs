@@ -17,9 +17,10 @@
 //! * `out_base` — loop-invariant and accessed by nothing else in the loop
 //!   (no cross-iteration reads of the output, so the only loop-carried
 //!   dependence is the accumulator itself),
-//! * `idx` — affine in the iterator; the post-check sharpens this to
-//!   *strided* (nonzero slope), so distinct iterations write distinct
-//!   cells and thread blocks write disjoint output regions,
+//! * `idx` — the output index, which the post-check requires to be
+//!   *strided* in the iterator (affine with a nonzero slope), so distinct
+//!   iterations write distinct cells and thread blocks write disjoint
+//!   output regions,
 //! * the accumulator's uses are confined to its own update chain plus the
 //!   output store.
 //!
@@ -106,7 +107,6 @@ pub fn scan_spec() -> (Spec, ScanLabels) {
     // the accumulator.
     b.atom(Atom::InvariantIn { value: out_base, header: fl.header });
     b.atom(Atom::OnlyObjectAccesses { ptr: out_base, header: fl.header, allowed: vec![store] });
-    b.atom(Atom::AffineIn { value: idx, header: fl.header, iterator: fl.iterator });
 
     // Privatization safety: the accumulator leaks only into its own update
     // chain and the output store.
@@ -128,8 +128,9 @@ fn anchor(spec: &Spec, s: &[ValueId]) -> (ValueId, ValueId) {
 
 /// Post-check: the update must be associative (any of the four operators
 /// works under the two-pass template) and the output index must be
-/// *strided* in the iterator — affinity alone admits a constant index,
-/// which is a redundantly-stored scalar reduction, not a scan.
+/// *strided* in the iterator. The spec leaves the index free: a
+/// data-dependent index is not affine, and an affine but constant index
+/// is a redundantly-stored scalar reduction, not a scan.
 fn post_check(ctx: &MatchCtx<'_>, spec: &Spec, s: &[ValueId]) -> Option<ReductionOp> {
     let header = s[spec.label("header").index()];
     let lid = ctx.loop_of_header(header)?;
@@ -296,21 +297,23 @@ mod tests {
 
     #[test]
     fn rejects_data_dependent_output_index() {
-        assert_eq!(
-            scans_found(
-                "void f(float* a, int* k, float* out, int n) {
+        // `out[k[i]] = s` satisfies the structural constraints (the spec
+        // leaves the output index free) and is rejected by the strided
+        // post-check.
+        let src = "void f(float* a, int* k, float* out, int n) {
                      float s = 0.0;
                      for (int i = 0; i < n; i++) { s += a[i]; out[k[i]] = s; }
-                 }"
-            ),
-            0
-        );
+                 }";
+        assert_eq!(scans_found(src), 1);
+        let m = compile(src).unwrap();
+        let rs = crate::detect::detect_reductions(&m);
+        assert!(rs.iter().all(|r| r.kind != ReductionKind::Scan), "{rs:?}");
     }
 
     #[test]
     fn constant_index_passes_spec_but_fails_post_check() {
-        // `out[0] = s` is affine (slope 0) so the *spec* matches; the
-        // strided post-check rejects it — detect-level coverage lives in
+        // The *spec* matches `out[0] = s`; the strided post-check rejects
+        // its constant (slope 0) index — detect-level coverage lives in
         // `detect::tests`.
         assert_eq!(
             scans_found(

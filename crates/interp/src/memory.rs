@@ -44,14 +44,6 @@ impl Obj {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Grows to at least `n` elements, filling with `fill_i`/`fill_f`.
-    pub fn grow_to(&mut self, n: usize, fill_i: i64, fill_f: f64) {
-        match self {
-            Obj::I(v) => v.resize(n.max(v.len()), fill_i),
-            Obj::F(v) => v.resize(n.max(v.len()), fill_f),
-        }
-    }
 }
 
 /// Memory access errors (reported as [`crate::machine::Trap`]).
@@ -274,14 +266,5 @@ mod tests {
         assert!(matches!(mem.load_i(a, -1), Err(MemError::OutOfBounds { .. })));
         assert!(matches!(mem.store_i(a, 100, 1), Err(MemError::OutOfBounds { .. })));
         assert!(matches!(mem.load_i(ObjId(9), 0), Err(MemError::BadObject(_))));
-    }
-
-    #[test]
-    fn grow_preserves_prefix() {
-        let mut o = Obj::I(vec![1, 2]);
-        o.grow_to(5, 0, 0.0);
-        assert_eq!(o, Obj::I(vec![1, 2, 0, 0, 0]));
-        o.grow_to(2, 0, 0.0); // never shrinks
-        assert_eq!(o.len(), 5);
     }
 }

@@ -24,8 +24,8 @@
 //! * [`pool`] — the helper threads an owner keeps parked between calls;
 //!   job 0 of every run is the caller's own,
 //! * [`runtime`] — the recursive-bisection executor with identity-seeded
-//!   privatized accumulators, element-wise merging and dynamic histogram
-//!   growth, run on each handler's [`pool::Pool`], and the **cancellable
+//!   privatized accumulators and histograms merged element-wise, run on
+//!   each handler's [`pool::Pool`], and the **cancellable
 //!   speculative** path for early-exit loops: chunked execution (a
 //!   geometric front-ramp of [`runtime::SPECULATIVE_CHUNKS_PER_WORKER`]
 //!   chunks per worker) polling an [`sync::EarlyExitToken`], merged by

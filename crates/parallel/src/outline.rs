@@ -563,7 +563,6 @@ fn outline_folds(
                 arg_index: closure_slot(root),
                 elem: ty_of(*root).elem().unwrap_or(Type::Float),
                 op: r.op,
-                growable: false,
             })
             .collect(),
         scans: scan_rs

@@ -44,8 +44,8 @@ impl SharedRaw {
     }
 
     fn len(&self) -> usize {
-        // SAFETY: length is never mutated concurrently (no growth for
-        // disjoint-shared objects).
+        // SAFETY: length is never mutated (no overlay access resizes an
+        // object).
         unsafe { (*self.data.get()).len() }
     }
 
@@ -99,16 +99,11 @@ impl SharedRaw {
 /// Where a redirected object lives.
 #[derive(Debug, Clone)]
 pub enum Redirect {
-    /// Thread-private copy (index into the overlay's private vector).
+    /// Thread-private copy (index into the overlay's private vector). An
+    /// access past its end traps, exactly as on the original object.
     Private {
         /// Slot in the private store.
         slot: usize,
-        /// Grow on out-of-bounds access instead of trapping.
-        growable: bool,
-        /// Fill element for growth (identity of the merge op).
-        fill_i: i64,
-        /// Fill element for growth (identity of the merge op).
-        fill_f: f64,
     },
     /// Unsynchronized shared storage (disjoint writes).
     Raw(Arc<SharedRaw>),
@@ -156,17 +151,10 @@ impl<'b> OverlayMemory<'b> {
     }
 
     /// Redirects `obj` to a private copy seeded with `seed`.
-    pub fn redirect_private(
-        &mut self,
-        obj: ObjId,
-        seed: Obj,
-        growable: bool,
-        fill_i: i64,
-        fill_f: f64,
-    ) {
+    pub fn redirect_private(&mut self, obj: ObjId, seed: Obj) {
         let slot = self.private.len();
         self.private.push(seed);
-        self.set_redirect(obj, Redirect::Private { slot, growable, fill_i, fill_f });
+        self.set_redirect(obj, Redirect::Private { slot });
     }
 
     /// Redirects `obj` to raw shared storage.
@@ -194,7 +182,7 @@ impl<'b> OverlayMemory<'b> {
     #[must_use]
     pub fn take_private(&mut self, obj: ObjId) -> Obj {
         match self.redirect_of(obj) {
-            Some(Redirect::Private { slot, .. }) => {
+            Some(Redirect::Private { slot }) => {
                 let slot = *slot;
                 std::mem::replace(&mut self.private[slot], Obj::I(Vec::new()))
             }
@@ -223,13 +211,7 @@ impl MemBackend for OverlayMemory<'_> {
                 }
                 self.base.load_i(obj, index)
             }
-            Some(Redirect::Private { slot, growable, fill_i, .. }) => {
-                let o = &self.private[*slot];
-                if *growable && index >= 0 && index as usize >= o.len() {
-                    return Ok(*fill_i);
-                }
-                read_obj_i(o, obj, index)
-            }
+            Some(Redirect::Private { slot }) => read_obj_i(&self.private[*slot], obj, index),
             Some(Redirect::Raw(s)) => {
                 let i = Self::check_raw(s, obj, index)?;
                 Ok(s.read_i(i))
@@ -254,13 +236,7 @@ impl MemBackend for OverlayMemory<'_> {
                 }
                 self.base.load_f(obj, index)
             }
-            Some(Redirect::Private { slot, growable, fill_f, .. }) => {
-                let o = &self.private[*slot];
-                if *growable && index >= 0 && index as usize >= o.len() {
-                    return Ok(*fill_f);
-                }
-                read_obj_f(o, obj, index)
-            }
+            Some(Redirect::Private { slot }) => read_obj_f(&self.private[*slot], obj, index),
             Some(Redirect::Raw(s)) => {
                 let i = Self::check_raw(s, obj, index)?;
                 Ok(s.read_f(i))
@@ -286,13 +262,8 @@ impl MemBackend for OverlayMemory<'_> {
                 // bug; surface it as a memory error rather than racing.
                 Err(MemError::BadObject(obj))
             }
-            Some(Redirect::Private { slot, growable, fill_i, fill_f }) => {
-                let (g, fi, ff) = (*growable, *fill_i, *fill_f);
-                let o = &mut self.private[*slot];
-                if g && index >= 0 && index as usize >= o.len() {
-                    o.grow_to(index as usize + 1, fi, ff);
-                }
-                write_obj_i(o, obj, index, v)
+            Some(Redirect::Private { slot }) => {
+                write_obj_i(&mut self.private[*slot], obj, index, v)
             }
             Some(Redirect::Raw(s)) => {
                 let i = Self::check_raw(s, obj, index)?;
@@ -318,13 +289,8 @@ impl MemBackend for OverlayMemory<'_> {
                 }
                 Err(MemError::BadObject(obj))
             }
-            Some(Redirect::Private { slot, growable, fill_i, fill_f }) => {
-                let (g, fi, ff) = (*growable, *fill_i, *fill_f);
-                let o = &mut self.private[*slot];
-                if g && index >= 0 && index as usize >= o.len() {
-                    o.grow_to(index as usize + 1, fi, ff);
-                }
-                write_obj_f(o, obj, index, v)
+            Some(Redirect::Private { slot }) => {
+                write_obj_f(&mut self.private[*slot], obj, index, v)
             }
             Some(Redirect::Raw(s)) => {
                 let i = Self::check_raw(s, obj, index)?;
@@ -421,23 +387,12 @@ mod tests {
     fn private_redirect_reads_and_writes() {
         let b = base();
         let mut ov = OverlayMemory::new(&b);
-        ov.redirect_private(ObjId(0), Obj::I(vec![0; 3]), false, 0, 0.0);
+        ov.redirect_private(ObjId(0), Obj::I(vec![0; 3]));
         ov.store_i(ObjId(0), 2, 7).unwrap();
         assert_eq!(ov.load_i(ObjId(0), 2), Ok(7));
         // base object is untouched
         assert_eq!(b.ints(ObjId(0)), &[10, 20, 30]);
         assert_eq!(ov.take_private(ObjId(0)), Obj::I(vec![0, 0, 7]));
-    }
-
-    #[test]
-    fn growable_private_grows_on_oob() {
-        let b = base();
-        let mut ov = OverlayMemory::new(&b);
-        ov.redirect_private(ObjId(0), Obj::I(vec![0; 2]), true, 0, 0.0);
-        // Load past the end returns the identity fill.
-        assert_eq!(ov.load_i(ObjId(0), 10), Ok(0));
-        ov.store_i(ObjId(0), 5, 9).unwrap();
-        assert_eq!(ov.take_private(ObjId(0)), Obj::I(vec![0, 0, 0, 0, 0, 9]));
     }
 
     #[test]

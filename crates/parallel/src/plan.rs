@@ -15,7 +15,9 @@ pub struct AccSlot {
     pub op: ReductionOp,
 }
 
-/// A histogram array slot.
+/// A histogram array slot. Each thread bins into a private copy of the
+/// original's length, seeded with the merge operator's identity, and the
+/// merge folds the copies into the original element-wise.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSlot {
     /// Position of the histogram pointer in the intrinsic argument list.
@@ -24,9 +26,6 @@ pub struct HistSlot {
     pub elem: Type,
     /// Merge operator.
     pub op: ReductionOp,
-    /// Whether threads may grow their private copy when a bin index
-    /// exceeds the current size (paper §4: dynamic boundary checking).
-    pub growable: bool,
 }
 
 /// A prefix-scan slot: the carried running value plus the output array the

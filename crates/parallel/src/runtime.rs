@@ -8,8 +8,8 @@
 //!
 //! * scalar accumulators: cells seeded with the operator identity, merged
 //!   with the original initial value after the join;
-//! * histograms: private copies (optionally grown dynamically on
-//!   out-of-bounds bin indices), merged element-wise;
+//! * histograms: identity-seeded private copies of the original's length,
+//!   merged element-wise;
 //! * prefix scans: the **two-pass block scan** — a partials pass runs
 //!   every block from the identity with the output array privatized and
 //!   discarded, the runtime folds the block partials into per-block
@@ -294,16 +294,10 @@ fn run_pass(
             piece_args[1] = RtVal::I(clamp_hi(plan, p_hi, hi, step, start + len == count));
             let mut overlay = OverlayMemory::new(mem);
             for (&cell, acc) in objs.cells.iter().zip(&plan.accs) {
-                overlay.redirect_private(
-                    cell,
-                    SeedVal::identity(acc.op, acc.ty).into_obj(),
-                    false,
-                    0,
-                    0.0,
-                );
+                overlay.redirect_private(cell, SeedVal::identity(acc.op, acc.ty).into_obj());
             }
             for (&cell, seed) in objs.scan_cells.iter().zip(&scan_seeds[pi]) {
-                overlay.redirect_private(cell, seed.into_obj(), false, 0, 0.0);
+                overlay.redirect_private(cell, seed.into_obj());
             }
             for (si, &out) in objs.scan_outs.iter().enumerate() {
                 match scan_shared {
@@ -315,25 +309,18 @@ fn run_pass(
                 }
             }
             for (&vobj, slot) in objs.arg_vals.iter().zip(&plan.args) {
-                overlay.redirect_private(
-                    vobj,
-                    SeedVal::identity(slot.op, slot.ty).into_obj(),
-                    false,
-                    0,
-                    0.0,
-                );
+                overlay.redirect_private(vobj, SeedVal::identity(slot.op, slot.ty).into_obj());
             }
             for &iobj in &objs.arg_idxs {
-                overlay.redirect_private(iobj, Obj::I(vec![ARG_IDX_SENTINEL]), false, 0, 0.0);
+                overlay.redirect_private(iobj, Obj::I(vec![ARG_IDX_SENTINEL]));
             }
             for (&hobj, h) in objs.hists.iter().zip(&plan.hists) {
-                let len = if h.growable { 1 } else { mem.object(hobj).len() };
-                let (fill_i, fill_f) = (h.op.identity_int(), h.op.identity_float());
+                let len = mem.object(hobj).len();
                 let seed = match h.elem {
-                    Type::Int => Obj::I(vec![fill_i; len]),
-                    _ => Obj::F(vec![fill_f; len]),
+                    Type::Int => Obj::I(vec![h.op.identity_int(); len]),
+                    _ => Obj::F(vec![h.op.identity_float(); len]),
                 };
-                overlay.redirect_private(hobj, seed, h.growable, fill_i, fill_f);
+                overlay.redirect_private(hobj, seed);
             }
             for ((&wobj, w), raw) in objs.written.iter().zip(&plan.written).zip(written_raw) {
                 match (w.policy, raw) {
@@ -341,7 +328,7 @@ fn run_pass(
                         overlay.redirect_raw(wobj, Arc::clone(raw));
                     }
                     _ => {
-                        overlay.redirect_private(wobj, mem.object(wobj).clone(), false, 0, 0.0);
+                        overlay.redirect_private(wobj, mem.object(wobj).clone());
                     }
                 }
             }
@@ -582,16 +569,8 @@ fn execute(
         }
         mem.store_i(icell, 0, best_i).map_err(Trap::Mem)?;
     }
-    // Merge histograms element-wise (growing the original if needed).
+    // Merge histograms element-wise.
     for (hi_idx, (&hobj, h)) in objs.hists.iter().zip(&plan.hists).enumerate() {
-        let max_len = results
-            .iter()
-            .map(|r| r.hists[hi_idx].len())
-            .max()
-            .unwrap_or(0)
-            .max(mem.object(hobj).len());
-        mem.object_mut(hobj)
-            .grow_to(max_len, h.op.identity_int(), h.op.identity_float());
         for r in &results {
             merge_obj(mem.object_mut(hobj), &r.hists[hi_idx], h.op);
         }
@@ -926,9 +905,9 @@ fn run_speculative_chunk(
     fold_objs: &[ObjId],
 ) -> Result<(i64, Vec<Obj>, Vec<Obj>), Trap> {
     let mut overlay = OverlayMemory::new(base);
-    overlay.redirect_private(hit_obj, Obj::I(vec![SEARCH_NO_HIT]), false, 0, 0.0);
+    overlay.redirect_private(hit_obj, Obj::I(vec![SEARCH_NO_HIT]));
     for &o in exit_objs.iter().chain(fold_objs.iter()) {
-        overlay.redirect_private(o, base.object(o).clone(), false, 0, 0.0);
+        overlay.redirect_private(o, base.object(o).clone());
     }
     let mut machine = Machine::new(module, overlay);
     machine.call(chunk_fn, args)?;
@@ -1211,29 +1190,6 @@ mod tests {
             .call("rank", &[RtVal::ptr(bins), RtVal::ptr(k), RtVal::I(keys.len() as i64)])
             .unwrap();
         assert_eq!(machine.mem.ints(bins), expect.as_slice());
-    }
-
-    #[test]
-    fn growable_histogram_expands() {
-        let keys: Vec<i64> = vec![1, 5, 9, 9, 9, 2];
-        let m = compile(
-            "void rank(int* bins, int* keys, int n) { for (int i = 0; i < n; i++) bins[keys[i]]++; }",
-        )
-        .unwrap();
-        let rs = detect_reductions(&m);
-        let (pm, mut plan) = parallelize(&m, "rank", &rs).unwrap();
-        plan.hists[0].growable = true;
-        let mut mem = Memory::new(&pm);
-        // Original histogram is big enough; private copies start at 1 and
-        // grow dynamically (the paper's reallocation scheme).
-        let bins = mem.alloc_int(&[0; 10]);
-        let k = mem.alloc_int(&keys);
-        let mut machine = Machine::new(&pm, mem);
-        machine.set_handler(handler(&pm, plan, 3));
-        machine
-            .call("rank", &[RtVal::ptr(bins), RtVal::ptr(k), RtVal::I(keys.len() as i64)])
-            .unwrap();
-        assert_eq!(machine.mem.ints(bins), &[0, 1, 1, 0, 0, 1, 0, 0, 0, 3]);
     }
 
     #[test]

@@ -32,13 +32,17 @@
 //!
 //! Run it alone with `cargo test --release --test spec_irredundancy --
 //! --nocapture` to see the search-cost keepers.
+//!
+//! The same holds one level down, for the constraint language itself:
+//! every `Atom` kind must appear in some default spec, so a kind that no
+//! spec uses is deleted rather than kept in every match over `Atom`.
 
 mod near_misses;
 
 use gr_analysis::Analyses;
 use gr_benchsuite::fuzz::{generate, synthetic_corpus, CORPUS_SEED};
 use gr_benchsuite::rng::StdRng;
-use gr_core::atoms::MatchCtx;
+use gr_core::atoms::{Atom, MatchCtx};
 use gr_core::constraint::{Constraint, Spec};
 use gr_core::detect::PrefixCache;
 use gr_core::spec::{for_loop_early_exit_spec, for_loop_spec};
@@ -71,9 +75,6 @@ const UNWITNESSED: &[&str] = &[
     "any-all-of: PhiArity { phi: res, n: 2 }",
     "map-reduce-fusion: AnchoredTo { inst: p_store, header: header }",
     "map-reduce-fusion: InvariantIn { value: tmp_base, header: header }",
-    // Implied by the post-check's strided index, but the spec-level test
-    // `rejects_data_dependent_output_index` pins it in the spec.
-    "prefix-scan: AffineIn { value: idx, header: header, iterator: iterator }",
 ];
 
 /// One compiled corpus program with its per-function analyses.
@@ -375,5 +376,70 @@ fn every_spec_conjunct_changes_some_report() {
     assert!(
         stale.is_empty(),
         "UNWITNESSED names conjuncts that are gone or now change a report; drop them:\n  {stale:?}"
+    );
+}
+
+/// Lists every `Atom` kind by its `kind_name`. The generated match has no
+/// wildcard arm, so a new `Atom` variant does not compile until it is
+/// listed here.
+macro_rules! atom_kinds {
+    ($($kind:ident),* $(,)?) => {
+        const ATOM_KINDS: &[&str] = &[$(stringify!($kind)),*];
+
+        fn listed_kind(a: &Atom) -> &'static str {
+            match a {
+                $(Atom::$kind { .. } => stringify!($kind),)*
+            }
+        }
+    };
+}
+
+atom_kinds!(
+    IsLoopHeader,
+    Opcode,
+    TypeScalar,
+    TypeInt,
+    PhiArity,
+    OperandOf,
+    OperandIs,
+    PhiIncoming,
+    NotEqual,
+    Equal,
+    BlockOf,
+    CfgEdge,
+    Dominates,
+    Postdominates,
+    InLoopBlock,
+    NotInLoopBlock,
+    InLoopInst,
+    AnchoredTo,
+    InvariantIn,
+    ComputedOnlyFrom,
+    UsesConfinedTo,
+    OnlyObjectAccesses,
+    LoopExitEdges,
+    PureInLoop,
+    OnlyTerminator,
+    CmpPredIs,
+    IsConstInt,
+    ConstIntNegative,
+    SameTripCount,
+    NoInterveningWrites,
+    OnlyConsumedBy,
+);
+
+#[test]
+fn every_atom_kind_has_a_default_spec_user() {
+    let registry = IdiomRegistry::with_default_idioms();
+    let mut used = Vec::new();
+    for atom in registry.entries().flat_map(|e| e.spec.root.atoms()) {
+        assert_eq!(listed_kind(atom), atom.kind_name());
+        used.push(atom.kind_name());
+    }
+    let unused: Vec<&str> = ATOM_KINDS.iter().copied().filter(|k| !used.contains(k)).collect();
+    assert!(
+        unused.is_empty(),
+        "no default spec uses these atom kinds; delete them or land them with the spec that \
+         uses them: {unused:?}"
     );
 }
