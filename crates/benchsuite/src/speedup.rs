@@ -17,7 +17,7 @@ use crate::workload::Workload;
 use gr_core::detect_reductions;
 use gr_interp::machine::Machine;
 use gr_interp::memory::{Memory, ObjId};
-use gr_interp::RtVal;
+use gr_interp::{Program, RtVal};
 use gr_ir::Module;
 use gr_parallel::overlay::OverlayMemory;
 use gr_parallel::runtime::{bisect, handler};
@@ -131,11 +131,13 @@ fn run_range_parallel(
         .map(|&o| (o, Arc::new(gr_parallel::overlay::SharedRaw::new(mem.object(o).clone()))))
         .collect();
     let pieces = bisect(count, threads);
+    let program = Program::new(module);
     std::thread::scope(|scope| {
         for &(start, len) in &pieces {
             let locked_shared = locked_shared.clone();
             let raw_shared = raw_shared.clone();
             let base: &Memory = &*mem;
+            let program = &program;
             let mut args = fixed_args.to_vec();
             scope.spawn(move || {
                 let mut overlay = OverlayMemory::new(base);
@@ -147,7 +149,7 @@ fn run_range_parallel(
                 }
                 args.push(RtVal::I(start));
                 args.push(RtVal::I(start + len));
-                let mut machine = Machine::new(module, overlay);
+                let mut machine = Machine::from_program(program, overlay);
                 machine
                     .call(func, &args)
                     .unwrap_or_else(|e| panic!("{func}: range-parallel trapped: {e}"));

@@ -2,37 +2,52 @@
 
 use crate::value::RtVal;
 
-/// Evaluates builtin `name` on `args`, or `None` for unknown names.
+/// A builtin's evaluation: arguments in, result out.
+pub type BuiltinFn = fn(&[RtVal]) -> RtVal;
+
+/// The evaluation of builtin `name`, or `None` for unknown names. The
+/// machine resolves each call site once, when it decodes the module.
 ///
-/// # Panics
-/// Panics when argument types do not match the builtin's signature (the
-/// frontend inserts coercions, so this indicates a toolchain bug).
+/// The returned function panics when argument types do not match the
+/// builtin's signature (the frontend inserts coercions, so this indicates
+/// a toolchain bug).
 #[must_use]
-pub fn eval_builtin(name: &str, args: &[RtVal]) -> Option<RtVal> {
-    let f1 = |f: fn(f64) -> f64| RtVal::F(f(args[0].as_f()));
-    let f2 = |f: fn(f64, f64) -> f64| RtVal::F(f(args[0].as_f(), args[1].as_f()));
-    Some(match name {
-        "sqrt" => f1(f64::sqrt),
-        "log" => f1(f64::ln),
-        "exp" => f1(f64::exp),
-        "fabs" => f1(f64::abs),
-        "sin" => f1(f64::sin),
-        "cos" => f1(f64::cos),
-        "floor" => f1(f64::floor),
-        "ceil" => f1(f64::ceil),
-        "pow" => f2(f64::powf),
-        "fmin" => f2(f64::min),
-        "fmax" => f2(f64::max),
-        "iabs" => RtVal::I(args[0].as_i().wrapping_abs()),
-        "imin" => RtVal::I(args[0].as_i().min(args[1].as_i())),
-        "imax" => RtVal::I(args[0].as_i().max(args[1].as_i())),
+pub fn builtin(name: &str) -> Option<BuiltinFn> {
+    let f: BuiltinFn = match name {
+        "sqrt" => |a| f1(a, f64::sqrt),
+        "log" => |a| f1(a, f64::ln),
+        "exp" => |a| f1(a, f64::exp),
+        "fabs" => |a| f1(a, f64::abs),
+        "sin" => |a| f1(a, f64::sin),
+        "cos" => |a| f1(a, f64::cos),
+        "floor" => |a| f1(a, f64::floor),
+        "ceil" => |a| f1(a, f64::ceil),
+        "pow" => |a| f2(a, f64::powf),
+        "fmin" => |a| f2(a, f64::min),
+        "fmax" => |a| f2(a, f64::max),
+        "iabs" => |a| RtVal::I(a[0].as_i().wrapping_abs()),
+        "imin" => |a| RtVal::I(a[0].as_i().min(a[1].as_i())),
+        "imax" => |a| RtVal::I(a[0].as_i().max(a[1].as_i())),
         _ => return None,
-    })
+    };
+    Some(f)
+}
+
+fn f1(args: &[RtVal], f: fn(f64) -> f64) -> RtVal {
+    RtVal::F(f(args[0].as_f()))
+}
+
+fn f2(args: &[RtVal], f: fn(f64, f64) -> f64) -> RtVal {
+    RtVal::F(f(args[0].as_f(), args[1].as_f()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn eval_builtin(name: &str, args: &[RtVal]) -> Option<RtVal> {
+        builtin(name).map(|f| f(args))
+    }
 
     #[test]
     fn float_builtins() {

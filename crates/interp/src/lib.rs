@@ -7,9 +7,17 @@
 //! simulated "original parallel versions" all run on identical substrate
 //! and their wall-clock ratios are meaningful.
 //!
-//! * [`machine::Machine`] — the evaluator, generic over a
-//!   [`memory::MemBackend`] so threads can run over shared read-only
-//!   memory with private overlays (see `gr-parallel`),
+//! * [`decode::Program`] — a module decoded once for execution: operands
+//!   become frame slots, branch targets block indices, phis per-edge
+//!   parallel copies, loads are typed by their result and each call
+//!   target is resolved to a builtin, a module function or a handler
+//!   name,
+//! * [`machine::Machine`] — the evaluator, one loop over that decoded
+//!   form, generic over a [`memory::MemBackend`] so threads can run over
+//!   shared read-only memory with private overlays (see `gr-parallel`).
+//!   [`Machine::new`] decodes its module; machines that share one decode
+//!   start from [`Machine::from_program`], as the parallel runtime's
+//!   pieces do,
 //! * [`memory::Memory`] — the owned backend used for sequential runs,
 //! * [`profile`] — per-block execution counts, giving exact instruction
 //!   counts per loop (the runtime-coverage figures of the paper),
@@ -34,11 +42,13 @@
 //! ```
 
 pub mod builtins;
+pub mod decode;
 pub mod machine;
 pub mod memory;
 pub mod profile;
 pub mod value;
 
+pub use decode::Program;
 pub use machine::{Machine, Trap};
 pub use memory::{MemBackend, Memory, ObjId};
 pub use value::RtVal;

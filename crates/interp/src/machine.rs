@@ -1,12 +1,14 @@
-//! The IR evaluator.
+//! The evaluator: a loop over the decoded form of a module
+//! ([`crate::decode`]).
 
-use crate::builtins::eval_builtin;
+use crate::decode::{Callee, EdgeKind, Func, Op, Program, Slot};
 use crate::memory::{MemBackend, MemError, ObjId};
 use crate::profile::Profile;
 use crate::value::RtVal;
-use gr_ir::{BinOp, BlockId, CmpPred, Function, Module, Opcode, Type, UnOp, ValueId, ValueKind};
-use std::collections::HashMap;
+use gr_ir::{BinOp, BlockId, CmpPred, Module, Type, UnOp};
+use std::borrow::Cow;
 use std::fmt;
+use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// An execution error.
@@ -20,8 +22,6 @@ pub enum Trap {
     UnknownFunction(String),
     /// `call` target does not exist in the module.
     NoSuchFunction(String),
-    /// The fuel limit was exhausted (guards non-terminating programs).
-    OutOfFuel,
 }
 
 impl fmt::Display for Trap {
@@ -31,7 +31,6 @@ impl fmt::Display for Trap {
             Trap::DivByZero => f.write_str("integer division by zero"),
             Trap::UnknownFunction(n) => write!(f, "call to unknown function `{n}`"),
             Trap::NoSuchFunction(n) => write!(f, "no function named `{n}`"),
-            Trap::OutOfFuel => f.write_str("fuel exhausted"),
         }
     }
 }
@@ -45,35 +44,41 @@ impl From<MemError> for Trap {
 }
 
 /// Intercepts calls the interpreter cannot resolve (the parallel runtime's
-/// `__parrun_*` intrinsics). Returns `None` to decline. The lifetime allows
-/// handlers to capture the module they execute chunks from.
+/// `__parrun_*` intrinsics). Returns `None` to decline. The lifetime lets
+/// a handler borrow what it runs with.
 pub type IntrinsicHandler<'m, M> =
     dyn Fn(&str, &[RtVal], &mut M) -> Option<Result<Option<RtVal>, Trap>> + Send + Sync + 'm;
 
-/// The interpreter: a module plus a memory backend.
+/// The interpreter: a decoded module plus a memory backend.
+///
+/// [`Machine::new`] decodes its module ([`Program::new`]);
+/// [`Machine::from_program`] runs a decode that many machines share, which
+/// is how the parallel runtime starts a machine per chunk without decoding
+/// anything. Each function call runs one loop over the decoded ops of its
+/// function. That loop is generic over the memory backend, so each crate
+/// that runs a backend compiles its own copy; the helpers it calls on
+/// every op are forced inline so that every copy is as fast.
 pub struct Machine<'m, M: MemBackend = crate::memory::Memory> {
-    module: &'m Module,
+    program: Cow<'m, Program>,
     /// The memory backend (public so harnesses can inspect results).
     pub mem: M,
-    fn_index: HashMap<&'m str, usize>,
     /// Optional profiling (enable with [`Machine::enable_profile`]).
     pub profile: Option<Profile>,
-    fuel: u64,
     handler: Option<Arc<IntrinsicHandler<'m, M>>>,
 }
 
 impl<'m, M: MemBackend> Machine<'m, M> {
-    /// Creates a machine over `module` with the given memory.
+    /// Decodes `module` and creates a machine over it with the given
+    /// memory.
     #[must_use]
     pub fn new(module: &'m Module, mem: M) -> Machine<'m, M> {
-        let fn_index =
-            module.functions.iter().enumerate().map(|(i, f)| (f.name.as_str(), i)).collect();
-        Machine { module, mem, fn_index, profile: None, fuel: u64::MAX, handler: None }
+        Machine { program: Cow::Owned(Program::new(module)), mem, profile: None, handler: None }
     }
 
-    /// Limits execution to `fuel` instructions.
-    pub fn set_fuel(&mut self, fuel: u64) {
-        self.fuel = fuel;
+    /// Creates a machine that runs an already decoded module.
+    #[must_use]
+    pub fn from_program(program: &'m Program, mem: M) -> Machine<'m, M> {
+        Machine { program: Cow::Borrowed(program), mem, profile: None, handler: None }
     }
 
     /// Starts recording per-block execution counts.
@@ -92,207 +97,282 @@ impl<'m, M: MemBackend> Machine<'m, M> {
     /// Returns a [`Trap`] on runtime errors; `Trap::NoSuchFunction` if the
     /// name is not defined.
     pub fn call(&mut self, name: &str, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
-        let idx = *self.fn_index.get(name).ok_or_else(|| Trap::NoSuchFunction(name.to_string()))?;
-        self.exec_function(idx, args)
-    }
-
-    fn exec_function(&mut self, idx: usize, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
-        let func: &Function = &self.module.functions[idx];
-        let mut frame: Vec<RtVal> = vec![RtVal::Undef; func.values.len()];
-        // Pre-populate non-instruction values.
-        for v in func.value_ids() {
-            match &func.value(v).kind {
-                ValueKind::ConstInt(c) => frame[v.index()] = RtVal::I(*c),
-                ValueKind::ConstFloat(c) => frame[v.index()] = RtVal::F(*c),
-                ValueKind::ConstBool(c) => frame[v.index()] = RtVal::B(*c),
-                ValueKind::Argument(i) => frame[v.index()] = args[*i],
-                ValueKind::GlobalRef(g) => frame[v.index()] = RtVal::ptr(ObjId(g.0)),
-                _ => {}
-            }
-        }
-        let mut cur = func.entry();
-        let mut prev: Option<BlockId> = None;
-        let nblocks = func.blocks.len();
-        // Scratch reused by every block and call of this frame.
-        let mut phi_updates: Vec<(ValueId, RtVal)> = Vec::new();
-        let mut call_args: Vec<RtVal> = Vec::new();
-        loop {
-            if let Some(p) = self.profile.as_mut() {
-                p.record(idx, cur, nblocks);
-            }
-            let insts = &func.block(cur).insts;
-            // Phase 1: evaluate all phis against the incoming edge
-            // simultaneously (SSA parallel-copy semantics).
-            phi_updates.clear();
-            let mut first_non_phi = 0;
-            for (i, &inst) in insts.iter().enumerate() {
-                let data = func.value(inst);
-                if data.kind.opcode() != Some(&Opcode::Phi) {
-                    first_non_phi = i;
-                    break;
-                }
-                first_non_phi = i + 1;
-                let from = prev.expect("phi in entry block");
-                let from_label = func.block(from).label;
-                let ops = data.kind.operands();
-                let mut chosen = None;
-                for pair in ops.chunks(2) {
-                    if pair[1] == from_label {
-                        chosen = Some(frame[pair[0].index()]);
-                        break;
-                    }
-                }
-                let val = chosen.expect("phi has no incoming for executed edge");
-                phi_updates.push((inst, val));
-            }
-            for &(inst, val) in &phi_updates {
-                frame[inst.index()] = val;
-            }
-            // Phase 2: straight-line execution.
-            let mut next: Option<BlockId> = None;
-            for &inst in &insts[first_non_phi..] {
-                if self.fuel == 0 {
-                    return Err(Trap::OutOfFuel);
-                }
-                self.fuel -= 1;
-                let data = func.value(inst);
-                let ValueKind::Inst { opcode, operands } = &data.kind else { unreachable!() };
-                let get = |v: ValueId| frame[v.index()];
-                match opcode {
-                    Opcode::Phi => unreachable!("phis are grouped at block start"),
-                    Opcode::Bin(op) => {
-                        frame[inst.index()] = eval_bin(*op, get(operands[0]), get(operands[1]))?;
-                    }
-                    Opcode::Un(op) => {
-                        frame[inst.index()] = match (op, get(operands[0])) {
-                            (UnOp::Neg, RtVal::I(v)) => RtVal::I(v.wrapping_neg()),
-                            (UnOp::Neg, RtVal::F(v)) => RtVal::F(-v),
-                            (UnOp::Not, RtVal::B(v)) => RtVal::B(!v),
-                            (op, v) => panic!("bad unop {op:?} on {v:?}"),
-                        };
-                    }
-                    Opcode::Cmp(pred) => {
-                        frame[inst.index()] =
-                            RtVal::B(eval_cmp(*pred, get(operands[0]), get(operands[1])));
-                    }
-                    Opcode::Br => {
-                        next = Some(func.block_of_label(operands[0]));
-                    }
-                    Opcode::CondBr => {
-                        let c = get(operands[0]).as_b();
-                        let target = if c { operands[1] } else { operands[2] };
-                        next = Some(func.block_of_label(target));
-                    }
-                    Opcode::Ret => {
-                        return Ok(operands.first().map(|&v| get(v)));
-                    }
-                    Opcode::Load => {
-                        let RtVal::P { obj, off } = get(operands[0]) else {
-                            panic!("load through non-pointer")
-                        };
-                        frame[inst.index()] = match data.ty {
-                            Type::Int => RtVal::I(self.mem.load_i(obj, off)?),
-                            _ => RtVal::F(self.mem.load_f(obj, off)?),
-                        };
-                    }
-                    Opcode::Store => {
-                        let RtVal::P { obj, off } = get(operands[1]) else {
-                            panic!("store through non-pointer")
-                        };
-                        match get(operands[0]) {
-                            RtVal::I(v) => self.mem.store_i(obj, off, v)?,
-                            RtVal::F(v) => self.mem.store_f(obj, off, v)?,
-                            RtVal::B(v) => self.mem.store_i(obj, off, i64::from(v))?,
-                            other => panic!("cannot store {other:?}"),
-                        }
-                    }
-                    Opcode::Gep => {
-                        let RtVal::P { obj, off } = get(operands[0]) else {
-                            panic!("gep on non-pointer")
-                        };
-                        let idx = get(operands[1]).as_i();
-                        frame[inst.index()] = RtVal::P { obj, off: off.wrapping_add(idx) };
-                    }
-                    Opcode::Call(name) => {
-                        call_args.clear();
-                        call_args.extend(operands.iter().map(|&v| get(v)));
-                        let result = self.dispatch_call(name, &call_args)?;
-                        if data.ty != Type::Void {
-                            frame[inst.index()] = coerce(result.unwrap_or(RtVal::Undef), data.ty);
-                        }
-                    }
-                    Opcode::Cast => {
-                        frame[inst.index()] = coerce(get(operands[0]), data.ty);
-                    }
-                    Opcode::Select => {
-                        let c = get(operands[0]).as_b();
-                        frame[inst.index()] = if c { get(operands[1]) } else { get(operands[2]) };
-                    }
-                    Opcode::Alloca => {
-                        let len = get(operands[0]).as_i().max(0) as usize;
-                        let elem = data.ty.elem().expect("alloca yields pointer");
-                        let obj = self.mem.alloc(elem, len);
-                        frame[inst.index()] = RtVal::ptr(obj);
-                    }
-                }
-            }
-            match next {
-                Some(n) => {
-                    prev = Some(cur);
-                    cur = n;
-                }
-                None => panic!("block {cur} fell through without terminator"),
-            }
-        }
-    }
-
-    fn dispatch_call(&mut self, name: &str, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
-        if let Some(v) = eval_builtin(name, args) {
-            return Ok(Some(v));
-        }
-        if let Some(&idx) = self.fn_index.get(name) {
-            return self.exec_function(idx, args);
-        }
-        if let Some(h) = self.handler.clone() {
-            if let Some(r) = h(name, args, &mut self.mem) {
-                return r;
-            }
-        }
-        Err(Trap::UnknownFunction(name.to_string()))
+        let program: &Program = &self.program;
+        let idx = *program.index.get(name).ok_or_else(|| Trap::NoSuchFunction(name.to_string()))?;
+        let mut run = Run {
+            program,
+            mem: &mut self.mem,
+            profile: &mut self.profile,
+            handler: self.handler.as_deref(),
+        };
+        run.function(idx, args)
     }
 }
 
+/// A function's frame: one slot per value of its arena.
+struct Frame(Vec<RtVal>);
+
+impl Index<Slot> for Frame {
+    type Output = RtVal;
+    #[inline(always)]
+    fn index(&self, s: Slot) -> &RtVal {
+        &self.0[s as usize]
+    }
+}
+
+impl IndexMut<Slot> for Frame {
+    #[inline(always)]
+    fn index_mut(&mut self, s: Slot) -> &mut RtVal {
+        &mut self.0[s as usize]
+    }
+}
+
+/// What one [`Machine::call`] runs with.
+struct Run<'a, 'm, M: MemBackend> {
+    program: &'a Program,
+    mem: &'a mut M,
+    profile: &'a mut Option<Profile>,
+    handler: Option<&'a IntrinsicHandler<'m, M>>,
+}
+
+impl<M: MemBackend> Run<'_, '_, M> {
+    fn function(&mut self, idx: usize, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
+        let program = self.program;
+        let func = &program.funcs[idx];
+        let mut frame = Frame(func.template.to_vec());
+        for &(s, i) in &func.args {
+            frame[s] = args[i];
+        }
+        assert!(!func.block_start.is_empty(), "function has no blocks");
+        self.record(idx, func, 0);
+        assert!(!func.entry_phis, "phi in entry block");
+        // Reused by every call and parallel copy of this frame.
+        let mut buf: Vec<RtVal> = Vec::new();
+        let mut deferred = 0;
+        let ops = &func.ops[..];
+        let mut pc = 0;
+        loop {
+            let op = ops[pc];
+            pc += 1;
+            match op {
+                Op::IntBin { op, d, a, b } => {
+                    frame[d] = match (frame[a], frame[b]) {
+                        (RtVal::I(x), RtVal::I(y)) => RtVal::I(int_bin(op, x, y)?),
+                        (x, y) => eval_bin(op, x, y)?,
+                    };
+                }
+                Op::FloatBin { op, d, a, b } => {
+                    frame[d] = match (frame[a], frame[b]) {
+                        (RtVal::F(x), RtVal::F(y)) => RtVal::F(float_bin(op, x, y)),
+                        (x, y) => eval_bin(op, x, y)?,
+                    };
+                }
+                Op::Bin { op, d, a, b } => frame[d] = eval_bin(op, frame[a], frame[b])?,
+                Op::IntCmp { pred, d, a, b } => {
+                    frame[d] = RtVal::B(match (frame[a], frame[b]) {
+                        (RtVal::I(x), RtVal::I(y)) => compare(pred, x, y),
+                        (x, y) => eval_cmp(pred, x, y),
+                    });
+                }
+                Op::FloatCmp { pred, d, a, b } => {
+                    frame[d] = RtVal::B(match (frame[a], frame[b]) {
+                        (RtVal::F(x), RtVal::F(y)) => compare(pred, x, y),
+                        (x, y) => eval_cmp(pred, x, y),
+                    });
+                }
+                Op::Cmp { pred, d, a, b } => {
+                    frame[d] = RtVal::B(eval_cmp(pred, frame[a], frame[b]))
+                }
+                Op::Un { op, d, a } => {
+                    frame[d] = match (op, frame[a]) {
+                        (UnOp::Neg, RtVal::I(v)) => RtVal::I(v.wrapping_neg()),
+                        (UnOp::Neg, RtVal::F(v)) => RtVal::F(-v),
+                        (UnOp::Not, RtVal::B(v)) => RtVal::B(!v),
+                        (op, v) => panic!("bad unop {op:?} on {v:?}"),
+                    };
+                }
+                Op::LoadI { d, ptr } => {
+                    let (obj, off) = pointer(frame[ptr], "load through non-pointer");
+                    frame[d] = RtVal::I(self.mem.load_i(obj, off)?);
+                }
+                Op::LoadF { d, ptr } => {
+                    let (obj, off) = pointer(frame[ptr], "load through non-pointer");
+                    frame[d] = RtVal::F(self.mem.load_f(obj, off)?);
+                }
+                Op::Store { val, ptr } => {
+                    let (obj, off) = pointer(frame[ptr], "store through non-pointer");
+                    match frame[val] {
+                        RtVal::I(v) => self.mem.store_i(obj, off, v)?,
+                        RtVal::F(v) => self.mem.store_f(obj, off, v)?,
+                        RtVal::B(v) => self.mem.store_i(obj, off, i64::from(v))?,
+                        other => panic!("cannot store {other:?}"),
+                    }
+                }
+                Op::Gep { d, ptr, idx } => {
+                    let (obj, off) = pointer(frame[ptr], "gep on non-pointer");
+                    frame[d] = RtVal::P { obj, off: off.wrapping_add(frame[idx].as_i()) };
+                }
+                Op::Cast { d, a, ty } => frame[d] = coerce(frame[a], ty),
+                Op::Select { d, c, t, e } => {
+                    frame[d] = if frame[c].as_b() { frame[t] } else { frame[e] };
+                }
+                Op::Alloca { d, len, ty } => {
+                    let len = frame[len].as_i().max(0) as usize;
+                    let elem = ty.elem().expect("alloca yields pointer");
+                    frame[d] = RtVal::ptr(self.mem.alloc(elem, len));
+                }
+                Op::Call(site) => {
+                    let site = &func.calls[site as usize];
+                    buf.clear();
+                    buf.extend(site.args.iter().map(|&s| frame[s]));
+                    let result = match &site.callee {
+                        Callee::Builtin(f) => Some(f(&buf)),
+                        Callee::Func(callee) => self.function(*callee, &buf)?,
+                        Callee::Handler(name) => self.intrinsic(name, &buf)?,
+                    };
+                    if let Some((d, ty)) = site.ret {
+                        frame[d] = coerce(result.unwrap_or(RtVal::Undef), ty);
+                    }
+                }
+                Op::Jump(e) => pc = self.enter(idx, func, e, &mut frame, &mut buf),
+                Op::Branch { c, then, els } => {
+                    let e = if frame[c].as_b() { then } else { els };
+                    pc = self.enter(idx, func, e, &mut frame, &mut buf);
+                }
+                Op::Ret(v) => return Ok(v.map(|s| frame[s])),
+                Op::DeferJump(e) => deferred = check_target(func, e),
+                Op::DeferBranch { c, then, els } => {
+                    deferred = check_target(func, if frame[c].as_b() { then } else { els });
+                }
+                Op::TakeDeferred => pc = self.enter(idx, func, deferred, &mut frame, &mut buf),
+                Op::Defect(m) => panic!("{}", func.defects[m as usize]),
+            }
+        }
+    }
+
+    /// Counts one execution of block `b` of function `idx`.
+    #[inline(always)]
+    fn record(&mut self, idx: usize, func: &Func, b: u32) {
+        if let Some(p) = self.profile.as_mut() {
+            p.record(idx, BlockId(b), func.block_start.len());
+        }
+    }
+
+    /// Takes edge `e` of function `idx`: enters its target block and runs
+    /// the target's phis as one parallel copy. Returns the target's first
+    /// op.
+    #[inline(always)]
+    fn enter(
+        &mut self,
+        idx: usize,
+        func: &Func,
+        e: u32,
+        frame: &mut Frame,
+        buf: &mut Vec<RtVal>,
+    ) -> usize {
+        let edge = &func.edges[check_target(func, e) as usize];
+        self.record(idx, func, edge.to);
+        let copies = &func.copies[edge.copies.0 as usize..edge.copies.1 as usize];
+        match edge.kind {
+            EdgeKind::InOrder => {
+                for &(phi, incoming) in copies {
+                    frame[phi] = frame[incoming];
+                }
+            }
+            EdgeKind::Parallel => {
+                buf.clear();
+                buf.extend(copies.iter().map(|&(_, incoming)| frame[incoming]));
+                for (&(phi, _), &v) in copies.iter().zip(buf.iter()) {
+                    frame[phi] = v;
+                }
+            }
+            EdgeKind::NoIncoming => panic!("phi has no incoming for executed edge"),
+            EdgeKind::NotALabel(_) => unreachable!("checked above"),
+        }
+        func.block_start[edge.to as usize] as usize
+    }
+
+    /// Offers a call the module cannot resolve to the handler.
+    fn intrinsic(&mut self, name: &str, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
+        let handler = self.handler;
+        match handler.and_then(|h| h(name, args, self.mem)) {
+            Some(r) => r,
+            None => Err(Trap::UnknownFunction(name.to_string())),
+        }
+    }
+}
+
+/// Edge `e`, after panicking if its branch target is not a block label.
+#[inline(always)]
+fn check_target(func: &Func, e: u32) -> u32 {
+    if let EdgeKind::NotALabel(m) = func.edges[e as usize].kind {
+        panic!("{}", func.defects[m as usize]);
+    }
+    e
+}
+
+#[inline(always)]
+fn pointer(v: RtVal, what: &str) -> (ObjId, i64) {
+    let RtVal::P { obj, off } = v else { panic!("{what}") };
+    (obj, off)
+}
+
+#[inline(always)]
+fn int_bin(op: BinOp, x: i64, y: i64) -> Result<i64, Trap> {
+    Ok(match op {
+        BinOp::Add => x.wrapping_add(y),
+        BinOp::Sub => x.wrapping_sub(y),
+        BinOp::Mul => x.wrapping_mul(y),
+        BinOp::Div => {
+            if y == 0 {
+                return Err(Trap::DivByZero);
+            }
+            x.wrapping_div(y)
+        }
+        BinOp::Rem => {
+            if y == 0 {
+                return Err(Trap::DivByZero);
+            }
+            x.wrapping_rem(y)
+        }
+        BinOp::And => x & y,
+        BinOp::Or => x | y,
+        BinOp::Xor => x ^ y,
+        BinOp::Shl => x.wrapping_shl(y as u32),
+        BinOp::Shr => x.wrapping_shr(y as u32),
+    })
+}
+
+#[inline(always)]
+fn float_bin(op: BinOp, x: f64, y: f64) -> f64 {
+    match op {
+        BinOp::Add => x + y,
+        BinOp::Sub => x - y,
+        BinOp::Mul => x * y,
+        BinOp::Div => x / y,
+        other => panic!("float {other} not supported"),
+    }
+}
+
+#[inline(always)]
+fn compare<T: PartialOrd>(pred: CmpPred, x: T, y: T) -> bool {
+    match pred {
+        CmpPred::Eq => x == y,
+        CmpPred::Ne => x != y,
+        CmpPred::Lt => x < y,
+        CmpPred::Le => x <= y,
+        CmpPred::Gt => x > y,
+        CmpPred::Ge => x >= y,
+    }
+}
+
+/// A binary op on operands of any runtime kind: the slow path of the
+/// typed ops, and the only path for booleans.
+#[inline(never)]
 fn eval_bin(op: BinOp, a: RtVal, b: RtVal) -> Result<RtVal, Trap> {
     Ok(match (a, b) {
-        (RtVal::I(x), RtVal::I(y)) => RtVal::I(match op {
-            BinOp::Add => x.wrapping_add(y),
-            BinOp::Sub => x.wrapping_sub(y),
-            BinOp::Mul => x.wrapping_mul(y),
-            BinOp::Div => {
-                if y == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                x.wrapping_div(y)
-            }
-            BinOp::Rem => {
-                if y == 0 {
-                    return Err(Trap::DivByZero);
-                }
-                x.wrapping_rem(y)
-            }
-            BinOp::And => x & y,
-            BinOp::Or => x | y,
-            BinOp::Xor => x ^ y,
-            BinOp::Shl => x.wrapping_shl(y as u32),
-            BinOp::Shr => x.wrapping_shr(y as u32),
-        }),
-        (RtVal::F(x), RtVal::F(y)) => RtVal::F(match op {
-            BinOp::Add => x + y,
-            BinOp::Sub => x - y,
-            BinOp::Mul => x * y,
-            BinOp::Div => x / y,
-            other => panic!("float {other} not supported"),
-        }),
+        (RtVal::I(x), RtVal::I(y)) => RtVal::I(int_bin(op, x, y)?),
+        (RtVal::F(x), RtVal::F(y)) => RtVal::F(float_bin(op, x, y)),
         (RtVal::B(x), RtVal::B(y)) => RtVal::B(match op {
             BinOp::And => x && y,
             BinOp::Or => x || y,
@@ -303,24 +383,12 @@ fn eval_bin(op: BinOp, a: RtVal, b: RtVal) -> Result<RtVal, Trap> {
     })
 }
 
+/// A comparison on operands of any runtime kind.
+#[inline(never)]
 fn eval_cmp(pred: CmpPred, a: RtVal, b: RtVal) -> bool {
     match (a, b) {
-        (RtVal::I(x), RtVal::I(y)) => match pred {
-            CmpPred::Eq => x == y,
-            CmpPred::Ne => x != y,
-            CmpPred::Lt => x < y,
-            CmpPred::Le => x <= y,
-            CmpPred::Gt => x > y,
-            CmpPred::Ge => x >= y,
-        },
-        (RtVal::F(x), RtVal::F(y)) => match pred {
-            CmpPred::Eq => x == y,
-            CmpPred::Ne => x != y,
-            CmpPred::Lt => x < y,
-            CmpPred::Le => x <= y,
-            CmpPred::Gt => x > y,
-            CmpPred::Ge => x >= y,
-        },
+        (RtVal::I(x), RtVal::I(y)) => compare(pred, x, y),
+        (RtVal::F(x), RtVal::F(y)) => compare(pred, x, y),
         (RtVal::B(x), RtVal::B(y)) => match pred {
             CmpPred::Eq => x == y,
             CmpPred::Ne => x != y,
@@ -330,6 +398,7 @@ fn eval_cmp(pred: CmpPred, a: RtVal, b: RtVal) -> bool {
     }
 }
 
+#[inline(always)]
 fn coerce(v: RtVal, to: Type) -> RtVal {
     match (v, to) {
         (RtVal::I(x), Type::Float) => RtVal::F(x as f64),
@@ -345,6 +414,7 @@ fn coerce(v: RtVal, to: Type) -> RtVal {
 mod tests {
     use super::*;
     use crate::memory::Memory;
+    use gr_ir::builder::FunctionBuilder;
 
     fn run(
         src: &str,
@@ -444,36 +514,103 @@ mod tests {
     }
 
     #[test]
-    fn fuel_limits_runaway_loops() {
-        let m = gr_frontend::compile("void f() { while (1 > 0) { } }").unwrap();
-        let mem = Memory::new(&m);
-        let mut machine = Machine::new(&m, mem);
-        machine.set_fuel(10_000);
-        assert_eq!(machine.call("f", &[]), Err(Trap::OutOfFuel));
-    }
-
-    #[test]
     fn unknown_function_traps_without_handler() {
         let err = run("int f() { return 0; }", "g", |_| vec![]).unwrap_err();
         assert_eq!(err, Trap::NoSuchFunction("g".into()));
     }
 
+    /// A module whose `f(x)` returns `callee(x)`; the frontend refuses
+    /// unknown callees, so it is built directly.
+    fn calling(callee: &str) -> Module {
+        let mut b = FunctionBuilder::new("f", &[("x", Type::Int)], Type::Int);
+        let r = b.call(callee, &[b.arg(0)], Type::Int);
+        b.ret(Some(r));
+        let mut m = Module::new();
+        m.push_function(b.finish());
+        m
+    }
+
     #[test]
     fn handler_intercepts_intrinsics() {
-        let m = gr_frontend::compile("int f() { return 0; }").unwrap();
-        let mem = Memory::new(&m);
+        let m = calling("__magic");
+        let handled = |m| {
+            let mut machine = Machine::new(m, Memory::new(m));
+            machine.set_handler(Arc::new(|name: &str, args: &[RtVal], _mem: &mut Memory| {
+                (name == "__magic").then(|| Ok(Some(RtVal::I(args[0].as_i() * 2))))
+            }));
+            machine.call("f", &[RtVal::I(21)])
+        };
+        assert_eq!(handled(&m), Ok(Some(RtVal::I(42))));
+        // A declined call traps, as does any call without a handler.
+        let other = calling("__other");
+        assert_eq!(handled(&other), Err(Trap::UnknownFunction("__other".into())));
+        let mut bare = Machine::new(&m, Memory::new(&m));
+        assert_eq!(bare.call("f", &[RtVal::I(21)]), Err(Trap::UnknownFunction("__magic".into())));
+    }
+
+    #[test]
+    fn phis_copy_in_parallel() {
+        // The swap makes each phi the other's incoming value on the back
+        // edge, so copying them one after the other would lose one.
+        let src = "int f(int n) { int a = 1; int b = 2; \
+                   for (int i = 0; i < n; i++) { int t = a; a = b; b = t; } return a * 10 + b; }";
+        for (n, expect) in [(0, 12), (1, 21), (2, 12), (3, 21)] {
+            assert_eq!(run(src, "f", |_| vec![RtVal::I(n)]), Ok(Some(RtVal::I(expect))));
+        }
+    }
+
+    #[test]
+    fn ir_defects_panic_when_executed_not_when_decoded() {
+        // f: entry: condbr x, ok, via; ok: ret 1; via: br join; join's
+        // phi lists no incoming for the edge from `via`.
+        let mut b = FunctionBuilder::new("f", &[("x", Type::Bool)], Type::Int);
+        let (ok, via, join) = (b.new_block("ok"), b.new_block("via"), b.new_block("join"));
+        let entry = b.current_block();
+        b.cond_br(b.arg(0), ok, via);
+        b.switch_to(ok);
+        let one = b.const_int(1);
+        b.ret(Some(one));
+        b.switch_to(via);
+        b.br(join);
+        b.switch_to(join);
+        let p = b.phi(Type::Int, &[(one, entry)]);
+        b.ret(Some(p));
+        // g: a lone block without a terminator.
+        let mut g = FunctionBuilder::new("g", &[("x", Type::Int)], Type::Int);
+        g.binop(BinOp::Add, g.arg(0), g.arg(0));
+        // h: a branch before the block's last instruction, which still
+        // runs before the block is left.
+        let mut h = FunctionBuilder::new("h", &[("p", Type::PtrInt)], Type::Void);
+        let exit = h.new_block("exit");
+        h.br(exit);
+        let seven = h.const_int(7);
+        h.store(seven, h.arg(0));
+        h.switch_to(exit);
+        h.ret(None);
+        let mut m = Module::new();
+        m.push_function(b.finish());
+        m.push_function(g.finish());
+        m.push_function(h.finish());
+        let mut mem = Memory::new(&m);
+        let cell = mem.alloc_int(&[0]);
         let mut machine = Machine::new(&m, mem);
-        machine.set_handler(Arc::new(|name: &str, args: &[RtVal], _mem: &mut Memory| {
-            (name == "__magic").then(|| Ok(Some(RtVal::I(args[0].as_i() * 2))))
-        }));
-        // No IR calls __magic here; invoke dispatch through a module with one.
-        let m2 = gr_frontend::compile("int f() { return 0; }").unwrap();
-        let _ = m2;
-        // Direct check of the dispatch path:
-        let r = machine.dispatch_call("__magic", &[RtVal::I(21)]).unwrap();
-        assert_eq!(r, Some(RtVal::I(42)));
-        let e = machine.dispatch_call("__other", &[]).unwrap_err();
-        assert!(matches!(e, Trap::UnknownFunction(_)));
+        assert_eq!(machine.call("f", &[RtVal::B(true)]), Ok(Some(RtVal::I(1))));
+        assert_eq!(machine.call("h", &[RtVal::ptr(cell)]), Ok(None));
+        assert_eq!(machine.mem.ints(cell), &[7]);
+        let mut panic_of = |name: &str, arg: RtVal| {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                machine.call(name, &[arg])
+            }))
+            .expect_err("the defect panics");
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
+        };
+        let no_incoming = panic_of("f", RtVal::B(false));
+        assert_eq!(no_incoming.as_deref(), Some("phi has no incoming for executed edge"));
+        let fell_through = panic_of("g", RtVal::I(1));
+        assert_eq!(fell_through.as_deref(), Some("block bb0 fell through without terminator"));
     }
 
     #[test]

@@ -182,6 +182,7 @@ impl Memory {
         }
     }
 
+    #[inline]
     fn check(&self, obj: ObjId, index: i64) -> Result<usize, MemError> {
         let o = self.objects.get(obj.index()).ok_or(MemError::BadObject(obj))?;
         if index < 0 || index as usize >= o.len() {
@@ -192,6 +193,7 @@ impl Memory {
 }
 
 impl MemBackend for Memory {
+    #[inline]
     fn load_i(&self, obj: ObjId, index: i64) -> Result<i64, MemError> {
         let i = self.check(obj, index)?;
         match &self.objects[obj.index()] {
@@ -200,6 +202,7 @@ impl MemBackend for Memory {
         }
     }
 
+    #[inline]
     fn load_f(&self, obj: ObjId, index: i64) -> Result<f64, MemError> {
         let i = self.check(obj, index)?;
         match &self.objects[obj.index()] {
@@ -208,6 +211,7 @@ impl MemBackend for Memory {
         }
     }
 
+    #[inline]
     fn store_i(&mut self, obj: ObjId, index: i64, v: i64) -> Result<(), MemError> {
         let i = self.check(obj, index)?;
         match &mut self.objects[obj.index()] {
@@ -217,6 +221,7 @@ impl MemBackend for Memory {
         Ok(())
     }
 
+    #[inline]
     fn store_f(&mut self, obj: ObjId, index: i64, v: f64) -> Result<(), MemError> {
         let i = self.check(obj, index)?;
         match &mut self.objects[obj.index()] {

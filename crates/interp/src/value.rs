@@ -26,6 +26,7 @@ pub enum RtVal {
 
 impl RtVal {
     /// Pointer to the start of an object.
+    #[inline]
     #[must_use]
     pub fn ptr(obj: ObjId) -> RtVal {
         RtVal::P { obj, off: 0 }
@@ -35,6 +36,7 @@ impl RtVal {
     ///
     /// # Panics
     /// Panics if the value is not an integer.
+    #[inline]
     #[must_use]
     pub fn as_i(self) -> i64 {
         match self {
@@ -47,6 +49,7 @@ impl RtVal {
     ///
     /// # Panics
     /// Panics if the value is not a float.
+    #[inline]
     #[must_use]
     pub fn as_f(self) -> f64 {
         match self {
@@ -59,6 +62,7 @@ impl RtVal {
     ///
     /// # Panics
     /// Panics if the value is not a boolean.
+    #[inline]
     #[must_use]
     pub fn as_b(self) -> bool {
         match self {

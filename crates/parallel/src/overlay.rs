@@ -43,12 +43,14 @@ impl SharedRaw {
         SharedRaw { data: UnsafeCell::new(obj) }
     }
 
+    #[inline]
     fn len(&self) -> usize {
         // SAFETY: length is never mutated (no overlay access resizes an
         // object).
         unsafe { (*self.data.get()).len() }
     }
 
+    #[inline]
     fn read_i(&self, i: usize) -> i64 {
         // SAFETY: see type-level contract.
         unsafe {
@@ -59,6 +61,7 @@ impl SharedRaw {
         }
     }
 
+    #[inline]
     fn read_f(&self, i: usize) -> f64 {
         // SAFETY: see type-level contract.
         unsafe {
@@ -69,6 +72,7 @@ impl SharedRaw {
         }
     }
 
+    #[inline]
     fn write_i(&self, i: usize, v: i64) {
         // SAFETY: see type-level contract.
         unsafe {
@@ -79,6 +83,7 @@ impl SharedRaw {
         }
     }
 
+    #[inline]
     fn write_f(&self, i: usize, v: f64) {
         // SAFETY: see type-level contract.
         unsafe {
@@ -190,6 +195,7 @@ impl<'b> OverlayMemory<'b> {
         }
     }
 
+    #[inline]
     fn check_raw(shared: &SharedRaw, obj: ObjId, index: i64) -> Result<usize, MemError> {
         if index < 0 || index as usize >= shared.len() {
             return Err(MemError::OutOfBounds { obj, index, len: shared.len() });
@@ -199,6 +205,7 @@ impl<'b> OverlayMemory<'b> {
 }
 
 impl MemBackend for OverlayMemory<'_> {
+    #[inline]
     fn load_i(&self, obj: ObjId, index: i64) -> Result<i64, MemError> {
         match self.redirect_of(obj) {
             None => {
@@ -224,6 +231,7 @@ impl MemBackend for OverlayMemory<'_> {
         }
     }
 
+    #[inline]
     fn load_f(&self, obj: ObjId, index: i64) -> Result<f64, MemError> {
         match self.redirect_of(obj) {
             None => {
@@ -249,6 +257,7 @@ impl MemBackend for OverlayMemory<'_> {
         }
     }
 
+    #[inline]
     fn store_i(&mut self, obj: ObjId, index: i64, v: i64) -> Result<(), MemError> {
         match self.redirects.get_mut(obj.index()).and_then(Option::as_mut) {
             None => {
@@ -278,6 +287,7 @@ impl MemBackend for OverlayMemory<'_> {
         }
     }
 
+    #[inline]
     fn store_f(&mut self, obj: ObjId, index: i64, v: f64) -> Result<(), MemError> {
         match self.redirects.get_mut(obj.index()).and_then(Option::as_mut) {
             None => {
@@ -315,6 +325,7 @@ impl MemBackend for OverlayMemory<'_> {
     }
 }
 
+#[inline]
 fn read_obj_i(o: &Obj, obj: ObjId, index: i64) -> Result<i64, MemError> {
     if index < 0 || index as usize >= o.len() {
         return Err(MemError::OutOfBounds { obj, index, len: o.len() });
@@ -325,6 +336,7 @@ fn read_obj_i(o: &Obj, obj: ObjId, index: i64) -> Result<i64, MemError> {
     })
 }
 
+#[inline]
 fn read_obj_f(o: &Obj, obj: ObjId, index: i64) -> Result<f64, MemError> {
     if index < 0 || index as usize >= o.len() {
         return Err(MemError::OutOfBounds { obj, index, len: o.len() });
@@ -335,6 +347,7 @@ fn read_obj_f(o: &Obj, obj: ObjId, index: i64) -> Result<f64, MemError> {
     })
 }
 
+#[inline]
 fn write_obj_i(o: &mut Obj, obj: ObjId, index: i64, v: i64) -> Result<(), MemError> {
     if index < 0 || index as usize >= o.len() {
         return Err(MemError::OutOfBounds { obj, index, len: o.len() });
@@ -346,6 +359,7 @@ fn write_obj_i(o: &mut Obj, obj: ObjId, index: i64, v: i64) -> Result<(), MemErr
     Ok(())
 }
 
+#[inline]
 fn write_obj_f(o: &mut Obj, obj: ObjId, index: i64, v: f64) -> Result<(), MemError> {
     if index < 0 || index as usize >= o.len() {
         return Err(MemError::OutOfBounds { obj, index, len: o.len() });

@@ -43,7 +43,10 @@
 //! like any worker; the other `threads − 1` workers are helpers the
 //! handler spawns on its first call, parks between calls and joins when
 //! it drops. So a call wakes parked threads instead of spawning fresh
-//! ones, and a call at one thread runs on the caller alone.
+//! ones, and a call at one thread runs on the caller alone. A handler
+//! likewise decodes its module once, when it is built
+//! ([`gr_interp::Program`]), and every piece, speculative chunk and
+//! sequential fallback runs on a machine over that decode.
 
 use crate::overlay::{OverlayMemory, SharedRaw};
 use crate::plan::{ReductionPlan, SearchSlot, WrittenPolicy, ARG_IDX_SENTINEL, SEARCH_NO_HIT};
@@ -52,6 +55,7 @@ use crate::sync::EarlyExitToken;
 use gr_core::{GrError, ReductionOp};
 use gr_interp::machine::{IntrinsicHandler, Machine, Trap};
 use gr_interp::memory::{MemBackend, Memory, Obj, ObjId};
+use gr_interp::Program;
 use gr_interp::RtVal;
 use gr_ir::{CmpPred, Module, Type};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,6 +65,8 @@ use std::sync::Arc;
 /// Builds the intrinsic handler for `plan`, executing on up to `threads`
 /// OS threads: the calling thread plus `threads − 1` helpers that the
 /// handler spawns on its first call and keeps parked until it drops.
+/// It decodes `module` once, here: every piece, speculative chunk and
+/// sequential fallback of every call runs on a machine over that decode.
 #[must_use]
 pub fn handler<'m>(
     module: &'m Module,
@@ -69,11 +75,12 @@ pub fn handler<'m>(
 ) -> Arc<IntrinsicHandler<'m, Memory>> {
     let threads = threads.max(1);
     let pool = Pool::default();
+    let program = Program::new(module);
     Arc::new(move |name: &str, args: &[RtVal], mem: &mut Memory| {
         if name != plan.intrinsic {
             return None;
         }
-        Some(execute(module, &plan, &pool, threads, args, mem))
+        Some(execute(&program, &plan, &pool, threads, args, mem))
     })
 }
 
@@ -248,7 +255,7 @@ impl PlanObjects {
 /// which the partials pass uses to keep every side effect off the base).
 #[allow(clippy::too_many_arguments)]
 fn run_pass(
-    module: &Module,
+    program: &Program,
     plan: &ReductionPlan,
     pool: &Pool,
     args: &[RtVal],
@@ -332,7 +339,7 @@ fn run_pass(
                     }
                 }
             }
-            let mut machine = Machine::new(module, overlay);
+            let mut machine = Machine::from_program(program, overlay);
             machine.call(chunk_fn, &piece_args)?;
             let mut overlay = machine.mem;
             let take = |ov: &mut OverlayMemory<'_>, objs: &[ObjId]| -> Vec<Obj> {
@@ -386,7 +393,7 @@ struct ChunkOut {
 }
 
 fn execute(
-    module: &Module,
+    program: &Program,
     plan: &ReductionPlan,
     pool: &Pool,
     threads: usize,
@@ -394,7 +401,7 @@ fn execute(
     mem: &mut Memory,
 ) -> Result<Option<RtVal>, Trap> {
     if let Some(search) = &plan.search {
-        return execute_search(module, plan, pool, search, threads, args, mem);
+        return execute_search(program, plan, pool, search, threads, args, mem);
     }
     let lo = args[0].as_i();
     let hi = args[1].as_i();
@@ -424,7 +431,7 @@ fn execute(
 
     let results = if plan.scans.is_empty() {
         match run_pass(
-            module,
+            program,
             plan,
             pool,
             args,
@@ -437,14 +444,14 @@ fn execute(
             None,
         ) {
             Ok(r) => r,
-            Err(f) => return recover_pass_failure(module, plan, args, mem, f),
+            Err(f) => return recover_pass_failure(program, plan, args, mem, f),
         }
     } else {
         // Two-pass block scan. Pass one computes per-block partials with
         // all side effects privatized and discarded.
         let no_raw = vec![None; plan.written.len()];
         let partials = match run_pass(
-            module,
+            program,
             plan,
             pool,
             args,
@@ -457,7 +464,7 @@ fn execute(
             None,
         ) {
             Ok(r) => r,
-            Err(f) => return recover_pass_failure(module, plan, args, mem, f),
+            Err(f) => return recover_pass_failure(program, plan, args, mem, f),
         };
         // Fold block partials into per-block offsets: block 0 starts from
         // the original initial value, block t from offset(t-1) ⊕
@@ -490,7 +497,7 @@ fn execute(
             .map(|&o| Arc::new(SharedRaw::new(mem.object(o).clone())))
             .collect();
         let replay = match run_pass(
-            module,
+            program,
             plan,
             pool,
             args,
@@ -509,7 +516,7 @@ fn execute(
                 // so partially written copies are simply dropped here and
                 // the sequential re-run starts from pristine state.
                 drop(scan_raws);
-                return recover_pass_failure(module, plan, args, mem, f);
+                return recover_pass_failure(program, plan, args, mem, f);
             }
         };
         // Output writeback and the final accumulator values (the running
@@ -611,7 +618,7 @@ fn execute(
 /// failure was genuine — and the base memory is only replaced once the
 /// re-run succeeds.
 fn recover_pass_failure(
-    module: &Module,
+    program: &Program,
     plan: &ReductionPlan,
     args: &[RtVal],
     mem: &mut Memory,
@@ -626,7 +633,7 @@ fn recover_pass_failure(
                 gr_trace::counter("runtime.panic_fallbacks", 1);
                 gr_trace::instant("runtime.panic_fallback", vec![("chunk", piece.into())]);
             }
-            let mut machine = Machine::new(module, mem.clone());
+            let mut machine = Machine::from_program(program, mem.clone());
             machine.call(&plan.chunk_fn, args)?;
             *mem = machine.mem;
             Ok(None)
@@ -668,7 +675,7 @@ fn recover_pass_failure(
 /// sequential semantics, including the trap if the original program
 /// really would have faulted (ROADMAP's bounds-aware fallback).
 fn execute_search(
-    module: &Module,
+    program: &Program,
     plan: &ReductionPlan,
     pool: &Pool,
     search: &SearchSlot,
@@ -754,7 +761,7 @@ fn execute_search(
                     seams.maybe_panic(c);
                 }
                 run_speculative_chunk(
-                    module,
+                    program,
                     &plan.chunk_fn,
                     &piece_args,
                     base,
@@ -849,7 +856,7 @@ fn execute_search(
             );
         }
         return execute_sequential_fallback(
-            module,
+            program,
             plan,
             search,
             args,
@@ -896,7 +903,7 @@ fn execute_search(
 /// Returns the hit value ([`SEARCH_NO_HIT`] when the chunk completed),
 /// the exit-cell values (empty unless it hit) and the fold partials.
 fn run_speculative_chunk(
-    module: &Module,
+    program: &Program,
     chunk_fn: &str,
     args: &[RtVal],
     base: &Memory,
@@ -909,7 +916,7 @@ fn run_speculative_chunk(
     for &o in exit_objs.iter().chain(fold_objs.iter()) {
         overlay.redirect_private(o, base.object(o).clone());
     }
-    let mut machine = Machine::new(module, overlay);
+    let mut machine = Machine::from_program(program, overlay);
     machine.call(chunk_fn, args)?;
     let mut overlay = machine.mem;
     let Obj::I(hit) = overlay.take_private(hit_obj) else { panic!("hit cell type mismatch") };
@@ -983,7 +990,7 @@ fn completed_prefix(outs: &[ChunkOut], trapped_min: i64) -> usize {
 /// trapping call leaves the rewritten preheader's seeds intact.
 #[allow(clippy::too_many_arguments)]
 fn execute_sequential_fallback(
-    module: &Module,
+    program: &Program,
     plan: &ReductionPlan,
     search: &SearchSlot,
     args: &[RtVal],
@@ -997,7 +1004,7 @@ fn execute_sequential_fallback(
     let mut tail_args = args.to_vec();
     tail_args[0] = RtVal::I(restart_lo);
     let (hit, exits, folds) = run_speculative_chunk(
-        module,
+        program,
         &plan.chunk_fn,
         &tail_args,
         mem,

@@ -10,7 +10,7 @@
 
 use general_reductions::core::atoms::{Atom, MatchCtx, OpClass};
 use general_reductions::core::constraint::{Spec, SpecBuilder};
-use general_reductions::core::report::{Reduction, ReductionKind};
+use general_reductions::core::report::{Reduction, ReductionKind, ReductionOp};
 use general_reductions::core::solver::{solve, SolveOptions};
 use general_reductions::core::spec::add_for_loop;
 use general_reductions::core::{detect_with, IdiomEntry, IdiomRegistry};
@@ -68,6 +68,7 @@ fn main() {
     )
     .expect("compiles");
     let spec = dot_product_spec();
+    let mut matches = Vec::new();
     for func in &module.functions {
         let analyses = Analyses::new(&module, func);
         let ctx = MatchCtx::new(&module, func, &analyses);
@@ -78,8 +79,11 @@ fn main() {
             solutions.len(),
             stats.steps
         );
+        matches.push((func.name.as_str(), solutions.len()));
     }
-    // @dot matches; @not_dot does not (both operands from the same array).
+    // @dot matches once; @not_dot does not (both operands from the same
+    // array).
+    assert_eq!(matches, [("dot", 1), ("not_dot", 0)], "dot-product match counts");
 
     // Plug the idiom into the registry: the generic driver now reports
     // dot products alongside the default idioms, with no detector code.
@@ -121,7 +125,13 @@ fn main() {
     let mut registry = IdiomRegistry::empty();
     registry.register(entry).expect("fresh name");
     println!("\nthrough the registry driver:");
-    for r in detect_with(&registry, &module) {
+    let reductions = detect_with(&registry, &module);
+    for r in &reductions {
         println!("  {r}");
     }
+    // The registry reports exactly @dot's accumulator, as a `+` scalar
+    // reduction.
+    let reported: Vec<(&str, ReductionKind, ReductionOp)> =
+        reductions.iter().map(|r| (r.function.as_str(), r.kind, r.op)).collect();
+    assert_eq!(reported, [("dot", ReductionKind::Scalar, ReductionOp::Add)], "registry report");
 }
