@@ -15,6 +15,7 @@
 //! executes, as walking the IR did, and never while decoding.
 
 use crate::builtins::{builtin, BuiltinFn};
+use crate::machine::Frame;
 use crate::memory::ObjId;
 use crate::value::RtVal;
 use gr_ir::{BinOp, BlockId, CmpPred, Function, Module, Opcode, Type, UnOp, ValueId, ValueKind};
@@ -27,6 +28,13 @@ pub(crate) type Slot = u32;
 /// the operand type the IR declares; operands of another runtime kind
 /// take the generic path, so results and panics match the IR's dynamic
 /// semantics whatever the operands hold.
+///
+/// Two pairs of adjacent instructions decode to one fused op, which saves
+/// a dispatch: a typed compare followed by its block's final branch on
+/// the compare's result, and a `gep` followed by a load or store through
+/// its result. A fused op still writes the compare's or the gep's own
+/// slot, so later readers of it need no use analysis, and it runs the
+/// pair's reads, writes, panics and traps in the pair's order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Op {
     /// `d = a op b` on integer operands.
@@ -41,6 +49,10 @@ pub(crate) enum Op {
     FloatCmp { pred: CmpPred, d: Slot, a: Slot, b: Slot },
     /// `d = a pred b` on operands of any other type.
     Cmp { pred: CmpPred, d: Slot, a: Slot, b: Slot },
+    /// [`Op::IntCmp`], then [`Op::Branch`] on `d`.
+    IntCmpBranch { pred: CmpPred, d: Slot, a: Slot, b: Slot, then: u32, els: u32 },
+    /// [`Op::FloatCmp`], then [`Op::Branch`] on `d`.
+    FloatCmpBranch { pred: CmpPred, d: Slot, a: Slot, b: Slot, then: u32, els: u32 },
     /// `d = op a`.
     Un { op: UnOp, d: Slot, a: Slot },
     /// `d = *ptr`, an integer load.
@@ -51,6 +63,12 @@ pub(crate) enum Op {
     Store { val: Slot, ptr: Slot },
     /// `d = ptr + idx`.
     Gep { d: Slot, ptr: Slot, idx: Slot },
+    /// `g = ptr + idx; d = *g`, an integer load.
+    GepLoadI { d: Slot, g: Slot, ptr: Slot, idx: Slot },
+    /// `g = ptr + idx; d = *g`, a float load.
+    GepLoadF { d: Slot, g: Slot, ptr: Slot, idx: Slot },
+    /// `g = ptr + idx; *g = val`.
+    GepStore { val: Slot, g: Slot, ptr: Slot, idx: Slot },
     /// `d = a` converted to `ty`.
     Cast { d: Slot, a: Slot, ty: Type },
     /// `d = c ? t : e`.
@@ -77,6 +95,10 @@ pub(crate) enum Op {
     /// An IR defect: panics with message [`Func::defects`]`[i]`.
     Defect(u32),
 }
+
+// Every executed op is copied out of the op stream: a new variant must not
+// widen all of them.
+const _: () = assert!(std::mem::size_of::<Op>() <= 24);
 
 /// How an edge's phi copies run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,7 +155,7 @@ pub(crate) struct CallSite {
 pub(crate) struct Func {
     /// The frame on entry, before the arguments: constants and globals in
     /// their slots, `Undef` elsewhere.
-    pub(crate) template: Box<[RtVal]>,
+    pub(crate) template: Frame,
     /// `(slot, argument position)` of every argument value.
     pub(crate) args: Box<[(Slot, usize)]>,
     /// The ops of every block, concatenated in block order.
@@ -178,6 +200,28 @@ fn slot(v: ValueId) -> Slot {
 
 fn index_u32(i: usize) -> u32 {
     u32::try_from(i).expect("decoded tables fit u32 indices")
+}
+
+/// The op that runs `prev` and then `op`, where the pair has one.
+fn fused(prev: Op, op: Op) -> Option<Op> {
+    Some(match (prev, op) {
+        (Op::IntCmp { pred, d, a, b }, Op::Branch { c, then, els }) if c == d => {
+            Op::IntCmpBranch { pred, d, a, b, then, els }
+        }
+        (Op::FloatCmp { pred, d, a, b }, Op::Branch { c, then, els }) if c == d => {
+            Op::FloatCmpBranch { pred, d, a, b, then, els }
+        }
+        (Op::Gep { d: g, ptr, idx }, Op::LoadI { d, ptr: p }) if p == g => {
+            Op::GepLoadI { d, g, ptr, idx }
+        }
+        (Op::Gep { d: g, ptr, idx }, Op::LoadF { d, ptr: p }) if p == g => {
+            Op::GepLoadF { d, g, ptr, idx }
+        }
+        (Op::Gep { d: g, ptr, idx }, Op::Store { val, ptr: p }) if p == g => {
+            Op::GepStore { val, g, ptr, idx }
+        }
+        _ => return None,
+    })
 }
 
 /// The phis a block starts with.
@@ -233,7 +277,7 @@ impl<'f> Decoder<'f> {
             })
             .collect();
         Func {
-            template: template.into(),
+            template: Frame::new(&template),
             args: args.into(),
             ops: d.ops.into(),
             block_start,
@@ -255,12 +299,26 @@ impl<'f> Decoder<'f> {
     fn block(&mut self, b: BlockId) {
         let insts = &self.f.block(b).insts;
         let body = &insts[leading_phis(self.f, b).len()..];
+        let start = self.ops.len();
         let mut deferred = false;
         for (k, &inst) in body.iter().enumerate() {
             let op = self.inst(b, inst, k + 1 == body.len());
+            // A pair with a fused form replaces the block's previous op.
+            let op = match self.ops[start..].last().and_then(|&prev| fused(prev, op)) {
+                Some(pair) => {
+                    self.ops.pop();
+                    pair
+                }
+                None => op,
+            };
             self.ops.push(op);
             match op {
-                Op::Ret(_) | Op::Jump(_) | Op::Branch { .. } | Op::Defect(_) => return,
+                Op::Ret(_)
+                | Op::Jump(_)
+                | Op::Branch { .. }
+                | Op::IntCmpBranch { .. }
+                | Op::FloatCmpBranch { .. }
+                | Op::Defect(_) => return,
                 Op::DeferJump(_) | Op::DeferBranch { .. } => deferred = true,
                 _ => {}
             }
@@ -385,5 +443,63 @@ impl<'f> Decoder<'f> {
         };
         self.edges.push(edge);
         index_u32(self.edges.len() - 1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn compares_before_their_branch_and_geps_before_their_access_fuse() {
+        let m = gr_frontend::compile(
+            "void tpacf(int* bins, float* binb, float* dots, int n, int nbins) {
+                 for (int i = 0; i < n; i++) {
+                     float d = dots[i];
+                     int lo = 0;
+                     int hi = nbins;
+                     while (hi > lo + 1) {
+                         int mid = (lo + hi) / 2;
+                         if (d >= binb[mid]) { hi = mid; } else { lo = mid; }
+                     }
+                     bins[lo] = bins[lo] + 1;
+                 }
+             }",
+        )
+        .unwrap();
+        let func = &Program::new(&m).funcs[0];
+        let blocks: Vec<String> = (0..func.block_start.len())
+            .map(|b| {
+                let end = func.block_start.get(b + 1).map_or(func.ops.len(), |&e| e as usize);
+                let ops = &func.ops[func.block_start[b] as usize..end];
+                let kinds: Vec<String> = ops
+                    .iter()
+                    .map(|op| format!("{op:?}").split([' ', '(']).next().unwrap().to_string())
+                    .collect();
+                kinds.join(" ")
+            })
+            .collect();
+        // The histogram store's gep is not the op before it, so the store
+        // stays unfused.
+        let expect = [
+            "Jump",
+            "IntCmpBranch",
+            "GepLoadF Jump",
+            "IntBin Jump",
+            "Ret",
+            "IntBin IntCmpBranch",
+            "IntBin IntBin GepLoadF FloatCmpBranch",
+            "Gep GepLoadI IntBin Store Jump",
+            "Jump",
+            "Jump",
+            "Jump",
+        ];
+        assert_eq!(blocks, expect);
+        // The fused op writes the gep's slot as well as the load's.
+        let Op::GepLoadF { d, g, .. } = func.ops[func.block_start[2] as usize] else {
+            unreachable!("checked above")
+        };
+        let insts = &m.functions[0].block(BlockId(2)).insts;
+        assert_eq!((g, d), (slot(insts[0]), slot(insts[1])));
     }
 }

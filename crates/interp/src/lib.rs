@@ -11,13 +11,20 @@
 //!   become frame slots, branch targets block indices, phis per-edge
 //!   parallel copies, loads are typed by their result and each call
 //!   target is resolved to a builtin, a module function or a handler
-//!   name,
+//!   name. A typed compare followed by its block's final branch on it,
+//!   and a `gep` followed by a load or store through it, decode to one
+//!   fused op each,
 //! * [`machine::Machine`] — the evaluator, one loop over that decoded
 //!   form, generic over a [`memory::MemBackend`] so threads can run over
 //!   shared read-only memory with private overlays (see `gr-parallel`).
 //!   [`Machine::new`] decodes its module; machines that share one decode
 //!   start from [`Machine::from_program`], as the parallel runtime's
-//!   pieces do,
+//!   pieces do. A call's frame is two word arrays, a kind tag and a
+//!   payload per slot, and the loop reads and writes a slot only with
+//!   8-byte accesses, so the CPU forwards each store to the op that
+//!   loads the slot next. A frame of [`RtVal`]s would be written with
+//!   partial stores and read with one 16-byte load the CPU cannot forward
+//!   from them, a stall that costs more than dispatch,
 //! * [`memory::Memory`] — the owned backend used for sequential runs,
 //! * [`profile`] — per-block execution counts, giving exact instruction
 //!   counts per loop (the runtime-coverage figures of the paper),

@@ -8,7 +8,6 @@ use crate::value::RtVal;
 use gr_ir::{BinOp, BlockId, CmpPred, Module, Type, UnOp};
 use std::borrow::Cow;
 use std::fmt;
-use std::ops::{Index, IndexMut};
 use std::sync::Arc;
 
 /// An execution error.
@@ -109,21 +108,149 @@ impl<'m, M: MemBackend> Machine<'m, M> {
     }
 }
 
-/// A function's frame: one slot per value of its arena.
-struct Frame(Vec<RtVal>);
+/// Kind tags of a frame slot's head word. A pointer's head also holds its
+/// object id, in the high half.
+const UNDEF: u64 = 0;
+const INT: u64 = 1;
+const FLOAT: u64 = 2;
+const BOOL: u64 = 3;
+const PTR: u64 = 4;
 
-impl Index<Slot> for Frame {
-    type Output = RtVal;
-    #[inline(always)]
-    fn index(&self, s: Slot) -> &RtVal {
-        &self.0[s as usize]
-    }
+/// A function's frame: one slot per value of its arena, held as two word
+/// arrays. A slot's *head* word is its kind tag, plus the object id for a
+/// pointer; its *payload* word is the int, the float's bits, the bool or
+/// the pointer's offset.
+///
+/// The loop reads and writes slots only through the word-sized accessors
+/// below, so every slot is stored and loaded with the same 8-byte
+/// accesses and the CPU forwards each store to the next load of the slot.
+/// Slots held as [`RtVal`]s would be written in partial stores (a tag
+/// byte, payload pieces) and read back with one 16-byte load that the CPU
+/// cannot forward from them, a stall that costs more than dispatch. Two
+/// separate arrays also keep the compiler from merging a slot's two words
+/// into one such load. [`Frame::get`] and [`Frame::set`] convert to and
+/// from [`RtVal`] at calls, returns, casts and the slow paths of the
+/// typed ops.
+#[derive(Debug, Clone)]
+pub(crate) struct Frame {
+    head: Box<[u64]>,
+    pay: Box<[u64]>,
 }
 
-impl IndexMut<Slot> for Frame {
+impl Frame {
+    /// A frame holding `values`.
+    pub(crate) fn new(values: &[RtVal]) -> Frame {
+        let mut frame =
+            Frame { head: vec![UNDEF; values.len()].into(), pay: vec![0; values.len()].into() };
+        for (s, &v) in (0..).zip(values) {
+            frame.set(s, v);
+        }
+        frame
+    }
+
+    /// The value in slot `s`.
     #[inline(always)]
-    fn index_mut(&mut self, s: Slot) -> &mut RtVal {
-        &mut self.0[s as usize]
+    fn get(&self, s: Slot) -> RtVal {
+        let (head, pay) = (self.head[s as usize], self.pay[s as usize]);
+        match head as u32 as u64 {
+            INT => RtVal::I(pay as i64),
+            FLOAT => RtVal::F(f64::from_bits(pay)),
+            BOOL => RtVal::B(pay != 0),
+            PTR => RtVal::P { obj: ObjId((head >> 32) as u32), off: pay as i64 },
+            _ => RtVal::Undef,
+        }
+    }
+
+    /// Stores `v` in slot `s`.
+    #[inline(always)]
+    fn set(&mut self, s: Slot, v: RtVal) {
+        let (head, pay) = match v {
+            RtVal::I(x) => (INT, x as u64),
+            RtVal::F(x) => (FLOAT, x.to_bits()),
+            RtVal::B(x) => (BOOL, u64::from(x)),
+            RtVal::P { obj, off } => (PTR | u64::from(obj.0) << 32, off as u64),
+            RtVal::Undef => (UNDEF, 0),
+        };
+        self.put(s, head, pay);
+    }
+
+    #[inline(always)]
+    fn put(&mut self, s: Slot, head: u64, pay: u64) {
+        self.head[s as usize] = head;
+        self.pay[s as usize] = pay;
+    }
+
+    /// The int in slot `s`, if it holds one.
+    #[inline(always)]
+    fn int(&self, s: Slot) -> Option<i64> {
+        (self.head[s as usize] == INT).then(|| self.pay[s as usize] as i64)
+    }
+
+    /// The float in slot `s`, if it holds one.
+    #[inline(always)]
+    fn float(&self, s: Slot) -> Option<f64> {
+        (self.head[s as usize] == FLOAT).then(|| f64::from_bits(self.pay[s as usize]))
+    }
+
+    /// The int in slot `s`.
+    ///
+    /// # Panics
+    /// Panics if the slot holds no int.
+    #[inline(always)]
+    fn as_int(&self, s: Slot) -> i64 {
+        self.int(s).unwrap_or_else(|| self.get(s).as_i())
+    }
+
+    /// The bool in slot `s`.
+    ///
+    /// # Panics
+    /// Panics if the slot holds no bool.
+    #[inline(always)]
+    fn cond(&self, s: Slot) -> bool {
+        if self.head[s as usize] == BOOL {
+            self.pay[s as usize] != 0
+        } else {
+            self.get(s).as_b()
+        }
+    }
+
+    /// The object and offset of the pointer in slot `s`.
+    ///
+    /// # Panics
+    /// Panics with `what` if the slot holds no pointer.
+    #[inline(always)]
+    fn ptr(&self, s: Slot, what: &str) -> (ObjId, i64) {
+        let head = self.head[s as usize];
+        if head as u32 as u64 != PTR {
+            panic!("{what}");
+        }
+        (ObjId((head >> 32) as u32), self.pay[s as usize] as i64)
+    }
+
+    #[inline(always)]
+    fn set_i(&mut self, s: Slot, v: i64) {
+        self.put(s, INT, v as u64);
+    }
+
+    #[inline(always)]
+    fn set_f(&mut self, s: Slot, v: f64) {
+        self.put(s, FLOAT, v.to_bits());
+    }
+
+    #[inline(always)]
+    fn set_b(&mut self, s: Slot, v: bool) {
+        self.put(s, BOOL, u64::from(v));
+    }
+
+    #[inline(always)]
+    fn set_p(&mut self, s: Slot, obj: ObjId, off: i64) {
+        self.put(s, PTR | u64::from(obj.0) << 32, off as u64);
+    }
+
+    /// Copies slot `from` into slot `to`.
+    #[inline(always)]
+    fn copy(&mut self, to: Slot, from: Slot) {
+        self.put(to, self.head[from as usize], self.pay[from as usize]);
     }
 }
 
@@ -139,9 +266,9 @@ impl<M: MemBackend> Run<'_, '_, M> {
     fn function(&mut self, idx: usize, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
         let program = self.program;
         let func = &program.funcs[idx];
-        let mut frame = Frame(func.template.to_vec());
+        let mut frame = func.template.clone();
         for &(s, i) in &func.args {
-            frame[s] = args[i];
+            frame.set(s, args[i]);
         }
         assert!(!func.block_start.is_empty(), "function has no blocks");
         self.record(idx, func, 0);
@@ -155,99 +282,124 @@ impl<M: MemBackend> Run<'_, '_, M> {
             let op = ops[pc];
             pc += 1;
             match op {
-                Op::IntBin { op, d, a, b } => {
-                    frame[d] = match (frame[a], frame[b]) {
-                        (RtVal::I(x), RtVal::I(y)) => RtVal::I(int_bin(op, x, y)?),
-                        (x, y) => eval_bin(op, x, y)?,
-                    };
-                }
-                Op::FloatBin { op, d, a, b } => {
-                    frame[d] = match (frame[a], frame[b]) {
-                        (RtVal::F(x), RtVal::F(y)) => RtVal::F(float_bin(op, x, y)),
-                        (x, y) => eval_bin(op, x, y)?,
-                    };
-                }
-                Op::Bin { op, d, a, b } => frame[d] = eval_bin(op, frame[a], frame[b])?,
+                Op::IntBin { op, d, a, b } => match (frame.int(a), frame.int(b)) {
+                    (Some(x), Some(y)) => frame.set_i(d, int_bin(op, x, y)?),
+                    _ => frame.set(d, eval_bin(op, frame.get(a), frame.get(b))?),
+                },
+                Op::FloatBin { op, d, a, b } => match (frame.float(a), frame.float(b)) {
+                    (Some(x), Some(y)) => frame.set_f(d, float_bin(op, x, y)),
+                    _ => frame.set(d, eval_bin(op, frame.get(a), frame.get(b))?),
+                },
+                Op::Bin { op, d, a, b } => frame.set(d, eval_bin(op, frame.get(a), frame.get(b))?),
                 Op::IntCmp { pred, d, a, b } => {
-                    frame[d] = RtVal::B(match (frame[a], frame[b]) {
-                        (RtVal::I(x), RtVal::I(y)) => compare(pred, x, y),
-                        (x, y) => eval_cmp(pred, x, y),
-                    });
+                    let c = int_cmp(&frame, pred, a, b);
+                    frame.set_b(d, c);
                 }
                 Op::FloatCmp { pred, d, a, b } => {
-                    frame[d] = RtVal::B(match (frame[a], frame[b]) {
-                        (RtVal::F(x), RtVal::F(y)) => compare(pred, x, y),
-                        (x, y) => eval_cmp(pred, x, y),
-                    });
+                    let c = float_cmp(&frame, pred, a, b);
+                    frame.set_b(d, c);
                 }
                 Op::Cmp { pred, d, a, b } => {
-                    frame[d] = RtVal::B(eval_cmp(pred, frame[a], frame[b]))
+                    frame.set_b(d, eval_cmp(pred, frame.get(a), frame.get(b)));
+                }
+                Op::IntCmpBranch { pred, d, a, b, then, els } => {
+                    let c = int_cmp(&frame, pred, a, b);
+                    frame.set_b(d, c);
+                    let e = if c { then } else { els };
+                    pc = self.enter(idx, func, e, &mut frame, &mut buf);
+                }
+                Op::FloatCmpBranch { pred, d, a, b, then, els } => {
+                    let c = float_cmp(&frame, pred, a, b);
+                    frame.set_b(d, c);
+                    let e = if c { then } else { els };
+                    pc = self.enter(idx, func, e, &mut frame, &mut buf);
                 }
                 Op::Un { op, d, a } => {
-                    frame[d] = match (op, frame[a]) {
+                    let v = match (op, frame.get(a)) {
                         (UnOp::Neg, RtVal::I(v)) => RtVal::I(v.wrapping_neg()),
                         (UnOp::Neg, RtVal::F(v)) => RtVal::F(-v),
                         (UnOp::Not, RtVal::B(v)) => RtVal::B(!v),
                         (op, v) => panic!("bad unop {op:?} on {v:?}"),
                     };
+                    frame.set(d, v);
                 }
                 Op::LoadI { d, ptr } => {
-                    let (obj, off) = pointer(frame[ptr], "load through non-pointer");
-                    frame[d] = RtVal::I(self.mem.load_i(obj, off)?);
+                    let (obj, off) = frame.ptr(ptr, "load through non-pointer");
+                    frame.set_i(d, self.mem.load_i(obj, off)?);
                 }
                 Op::LoadF { d, ptr } => {
-                    let (obj, off) = pointer(frame[ptr], "load through non-pointer");
-                    frame[d] = RtVal::F(self.mem.load_f(obj, off)?);
+                    let (obj, off) = frame.ptr(ptr, "load through non-pointer");
+                    frame.set_f(d, self.mem.load_f(obj, off)?);
                 }
                 Op::Store { val, ptr } => {
-                    let (obj, off) = pointer(frame[ptr], "store through non-pointer");
-                    match frame[val] {
-                        RtVal::I(v) => self.mem.store_i(obj, off, v)?,
-                        RtVal::F(v) => self.mem.store_f(obj, off, v)?,
-                        RtVal::B(v) => self.mem.store_i(obj, off, i64::from(v))?,
-                        other => panic!("cannot store {other:?}"),
-                    }
+                    let (obj, off) = frame.ptr(ptr, "store through non-pointer");
+                    self.store(&frame, val, obj, off)?;
                 }
                 Op::Gep { d, ptr, idx } => {
-                    let (obj, off) = pointer(frame[ptr], "gep on non-pointer");
-                    frame[d] = RtVal::P { obj, off: off.wrapping_add(frame[idx].as_i()) };
+                    gep(&mut frame, d, ptr, idx);
                 }
-                Op::Cast { d, a, ty } => frame[d] = coerce(frame[a], ty),
-                Op::Select { d, c, t, e } => {
-                    frame[d] = if frame[c].as_b() { frame[t] } else { frame[e] };
+                Op::GepLoadI { d, g, ptr, idx } => {
+                    let (obj, off) = gep(&mut frame, g, ptr, idx);
+                    frame.set_i(d, self.mem.load_i(obj, off)?);
                 }
+                Op::GepLoadF { d, g, ptr, idx } => {
+                    let (obj, off) = gep(&mut frame, g, ptr, idx);
+                    frame.set_f(d, self.mem.load_f(obj, off)?);
+                }
+                Op::GepStore { val, g, ptr, idx } => {
+                    let (obj, off) = gep(&mut frame, g, ptr, idx);
+                    self.store(&frame, val, obj, off)?;
+                }
+                Op::Cast { d, a, ty } => frame.set(d, coerce(frame.get(a), ty)),
+                Op::Select { d, c, t, e } => frame.copy(d, if frame.cond(c) { t } else { e }),
                 Op::Alloca { d, len, ty } => {
-                    let len = frame[len].as_i().max(0) as usize;
+                    let len = frame.as_int(len).max(0) as usize;
                     let elem = ty.elem().expect("alloca yields pointer");
-                    frame[d] = RtVal::ptr(self.mem.alloc(elem, len));
+                    frame.set_p(d, self.mem.alloc(elem, len), 0);
                 }
                 Op::Call(site) => {
                     let site = &func.calls[site as usize];
                     buf.clear();
-                    buf.extend(site.args.iter().map(|&s| frame[s]));
+                    buf.extend(site.args.iter().map(|&s| frame.get(s)));
                     let result = match &site.callee {
                         Callee::Builtin(f) => Some(f(&buf)),
                         Callee::Func(callee) => self.function(*callee, &buf)?,
                         Callee::Handler(name) => self.intrinsic(name, &buf)?,
                     };
                     if let Some((d, ty)) = site.ret {
-                        frame[d] = coerce(result.unwrap_or(RtVal::Undef), ty);
+                        frame.set(d, coerce(result.unwrap_or(RtVal::Undef), ty));
                     }
                 }
                 Op::Jump(e) => pc = self.enter(idx, func, e, &mut frame, &mut buf),
                 Op::Branch { c, then, els } => {
-                    let e = if frame[c].as_b() { then } else { els };
+                    let e = if frame.cond(c) { then } else { els };
                     pc = self.enter(idx, func, e, &mut frame, &mut buf);
                 }
-                Op::Ret(v) => return Ok(v.map(|s| frame[s])),
+                Op::Ret(v) => return Ok(v.map(|s| frame.get(s))),
                 Op::DeferJump(e) => deferred = check_target(func, e),
                 Op::DeferBranch { c, then, els } => {
-                    deferred = check_target(func, if frame[c].as_b() { then } else { els });
+                    deferred = check_target(func, if frame.cond(c) { then } else { els });
                 }
                 Op::TakeDeferred => pc = self.enter(idx, func, deferred, &mut frame, &mut buf),
                 Op::Defect(m) => panic!("{}", func.defects[m as usize]),
             }
         }
+    }
+
+    /// Stores the value in slot `val` at element `off` of `obj`.
+    #[inline(always)]
+    fn store(&mut self, frame: &Frame, val: Slot, obj: ObjId, off: i64) -> Result<(), Trap> {
+        if let Some(v) = frame.int(val) {
+            self.mem.store_i(obj, off, v)?;
+        } else if let Some(v) = frame.float(val) {
+            self.mem.store_f(obj, off, v)?;
+        } else {
+            match frame.get(val) {
+                RtVal::B(v) => self.mem.store_i(obj, off, i64::from(v))?,
+                other => panic!("cannot store {other:?}"),
+            }
+        }
+        Ok(())
     }
 
     /// Counts one execution of block `b` of function `idx`.
@@ -276,14 +428,14 @@ impl<M: MemBackend> Run<'_, '_, M> {
         match edge.kind {
             EdgeKind::InOrder => {
                 for &(phi, incoming) in copies {
-                    frame[phi] = frame[incoming];
+                    frame.copy(phi, incoming);
                 }
             }
             EdgeKind::Parallel => {
                 buf.clear();
-                buf.extend(copies.iter().map(|&(_, incoming)| frame[incoming]));
+                buf.extend(copies.iter().map(|&(_, incoming)| frame.get(incoming)));
                 for (&(phi, _), &v) in copies.iter().zip(buf.iter()) {
-                    frame[phi] = v;
+                    frame.set(phi, v);
                 }
             }
             EdgeKind::NoIncoming => panic!("phi has no incoming for executed edge"),
@@ -311,10 +463,31 @@ fn check_target(func: &Func, e: u32) -> u32 {
     e
 }
 
+/// `d = ptr + idx`; returns the object and offset it stored.
 #[inline(always)]
-fn pointer(v: RtVal, what: &str) -> (ObjId, i64) {
-    let RtVal::P { obj, off } = v else { panic!("{what}") };
+fn gep(frame: &mut Frame, d: Slot, ptr: Slot, idx: Slot) -> (ObjId, i64) {
+    let (obj, off) = frame.ptr(ptr, "gep on non-pointer");
+    let off = off.wrapping_add(frame.as_int(idx));
+    frame.set_p(d, obj, off);
     (obj, off)
+}
+
+/// `a pred b`, decoded for int operands.
+#[inline(always)]
+fn int_cmp(frame: &Frame, pred: CmpPred, a: Slot, b: Slot) -> bool {
+    match (frame.int(a), frame.int(b)) {
+        (Some(x), Some(y)) => compare(pred, x, y),
+        _ => eval_cmp(pred, frame.get(a), frame.get(b)),
+    }
+}
+
+/// `a pred b`, decoded for float operands.
+#[inline(always)]
+fn float_cmp(frame: &Frame, pred: CmpPred, a: Slot, b: Slot) -> bool {
+    match (frame.float(a), frame.float(b)) {
+        (Some(x), Some(y)) => compare(pred, x, y),
+        _ => eval_cmp(pred, frame.get(a), frame.get(b)),
+    }
 }
 
 #[inline(always)]
@@ -428,6 +601,18 @@ mod tests {
         machine.call(name, &args)
     }
 
+    /// The panic message of `f`.
+    fn panic_of<R>(f: impl FnOnce() -> R) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .err()
+            .expect("the call panics");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
+            .expect("a string payload")
+    }
+
     #[test]
     fn arithmetic_and_control_flow() {
         let r = run(
@@ -500,11 +685,19 @@ mod tests {
 
     #[test]
     fn out_of_bounds_traps() {
-        let err = run("int f(int* a) { return a[5]; }", "f", |mem| {
-            vec![RtVal::ptr(mem.alloc_int(&[1, 2]))]
-        })
-        .unwrap_err();
-        assert!(matches!(err, Trap::Mem(MemError::OutOfBounds { .. })));
+        // Each access is a gep fused with the load or store through it.
+        let oob = |src: &str, float: bool| {
+            let m = gr_frontend::compile(src).unwrap();
+            let mut mem = Memory::new(&m);
+            let a = if float { mem.alloc_float(&[1.0, 2.0]) } else { mem.alloc_int(&[1, 2]) };
+            let mut machine = Machine::new(&m, mem);
+            let err = machine.call("f", &[RtVal::ptr(a), RtVal::I(5)]).unwrap_err();
+            assert_eq!(err, Trap::Mem(MemError::OutOfBounds { obj: a, index: 5, len: 2 }));
+        };
+        oob("int f(int* a, int i) { return a[i]; }", false);
+        oob("float f(float* a, int i) { return a[i]; }", true);
+        oob("void f(int* a, int i) { a[i] = 7; }", false);
+        oob("void f(float* a, int i) { a[i] = 7.0; }", true);
     }
 
     #[test]
@@ -597,20 +790,105 @@ mod tests {
         assert_eq!(machine.call("f", &[RtVal::B(true)]), Ok(Some(RtVal::I(1))));
         assert_eq!(machine.call("h", &[RtVal::ptr(cell)]), Ok(None));
         assert_eq!(machine.mem.ints(cell), &[7]);
-        let mut panic_of = |name: &str, arg: RtVal| {
-            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                machine.call(name, &[arg])
-            }))
-            .expect_err("the defect panics");
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
-        };
-        let no_incoming = panic_of("f", RtVal::B(false));
-        assert_eq!(no_incoming.as_deref(), Some("phi has no incoming for executed edge"));
-        let fell_through = panic_of("g", RtVal::I(1));
-        assert_eq!(fell_through.as_deref(), Some("block bb0 fell through without terminator"));
+        let no_incoming = panic_of(|| machine.call("f", &[RtVal::B(false)]));
+        assert_eq!(no_incoming, "phi has no incoming for executed edge");
+        let fell_through = panic_of(|| machine.call("g", &[RtVal::I(1)]));
+        assert_eq!(fell_through, "block bb0 fell through without terminator");
+    }
+
+    #[test]
+    fn typed_ops_take_the_generic_path_for_other_kinds() {
+        // Decoded as an int add and an int compare feeding a branch; the
+        // caller passes floats, or an int and a float.
+        let add = "int f(int a, int b) { return a + b; }";
+        let lt = "int f(int a, int b) { int r = 0; if (a < b) r = 1; return r; }";
+        let (x, y) = (RtVal::F(1.5), RtVal::F(2.25));
+        let sum = eval_bin(BinOp::Add, x, y).unwrap();
+        assert_eq!(sum, RtVal::F(3.75));
+        assert_eq!(run(add, "f", |_| vec![x, y]), Ok(Some(sum)));
+        for (a, b) in [(x, y), (y, x), (x, x)] {
+            let expect = i64::from(eval_cmp(CmpPred::Lt, a, b));
+            assert_eq!(run(lt, "f", |_| vec![a, b]), Ok(Some(RtVal::I(expect))));
+        }
+        let mixed = [RtVal::I(1), RtVal::F(2.5)];
+        let message = panic_of(|| run(add, "f", |_| mixed.to_vec()));
+        assert_eq!(message, "mixed binop operands I(1) F(2.5)");
+        let message = panic_of(|| run(lt, "f", |_| mixed.to_vec()));
+        assert_eq!(message, "mixed cmp operands I(1) F(2.5)");
+    }
+
+    #[test]
+    fn compare_and_gep_results_stay_readable_after_their_use() {
+        // f(a, b): c = a < b; condbr c, yes, no; yes: ret (int) c;
+        // no: ret select c, 5, 7. The branch is not c's last reader.
+        let mut f = FunctionBuilder::new("f", &[("a", Type::Int), ("b", Type::Int)], Type::Int);
+        let (yes, no) = (f.new_block("yes"), f.new_block("no"));
+        let c = f.icmp(CmpPred::Lt, f.arg(0), f.arg(1));
+        f.cond_br(c, yes, no);
+        f.switch_to(yes);
+        let r = f.cast(c, Type::Int);
+        f.ret(Some(r));
+        f.switch_to(no);
+        let (five, seven) = (f.const_int(5), f.const_int(7));
+        let s = f.select(c, five, seven);
+        f.ret(Some(s));
+        // g(a, i): p = a + i; v = *p; *p = v + 1.5; q = a + i; ret *q * 2:
+        // the store reuses the address the load's gep made.
+        let mut g =
+            FunctionBuilder::new("g", &[("a", Type::PtrFloat), ("i", Type::Int)], Type::Float);
+        let p = g.gep(g.arg(0), g.arg(1));
+        let v = g.load(p);
+        let step = g.const_float(1.5);
+        let w = g.binop(BinOp::Add, v, step);
+        g.store(w, p);
+        let q = g.gep(g.arg(0), g.arg(1));
+        let back = g.load(q);
+        let two = g.const_float(2.0);
+        let r = g.binop(BinOp::Mul, back, two);
+        g.ret(Some(r));
+        let mut m = Module::new();
+        m.push_function(f.finish());
+        m.push_function(g.finish());
+        let mut mem = Memory::new(&m);
+        let a = mem.alloc_float(&[1.0, 2.0, 3.0]);
+        let mut machine = Machine::new(&m, mem);
+        assert_eq!(machine.call("f", &[RtVal::I(1), RtVal::I(2)]), Ok(Some(RtVal::I(1))));
+        assert_eq!(machine.call("f", &[RtVal::I(2), RtVal::I(1)]), Ok(Some(RtVal::I(7))));
+        assert_eq!(machine.call("g", &[RtVal::ptr(a), RtVal::I(1)]), Ok(Some(RtVal::F(7.0))));
+        assert_eq!(machine.mem.floats(a), &[1.0, 3.5, 3.0]);
+    }
+
+    #[test]
+    fn wrong_kind_operands_panic_with_their_messages() {
+        let indexed = "float f(float* a, int i) { return a[i]; }";
+        let message = panic_of(|| run(indexed, "f", |_| vec![RtVal::I(3), RtVal::I(0)]));
+        assert_eq!(message, "gep on non-pointer");
+        let message = panic_of(|| {
+            run(indexed, "f", |mem| vec![RtVal::ptr(mem.alloc_float(&[1.0])), RtVal::F(0.0)])
+        });
+        assert_eq!(message, "expected int, got F(0.0)");
+        // Loads, stores and branches straight on the arguments.
+        let mut f = FunctionBuilder::new("load", &[("p", Type::PtrInt)], Type::Int);
+        let v = f.load(f.arg(0));
+        f.ret(Some(v));
+        let mut g = FunctionBuilder::new("store", &[("p", Type::PtrInt)], Type::Void);
+        let one = g.const_int(1);
+        g.store(one, g.arg(0));
+        g.ret(None);
+        let mut h = FunctionBuilder::new("branch", &[("c", Type::Bool)], Type::Void);
+        let exit = h.new_block("exit");
+        h.cond_br(h.arg(0), exit, exit);
+        h.switch_to(exit);
+        h.ret(None);
+        let mut m = Module::new();
+        m.push_function(f.finish());
+        m.push_function(g.finish());
+        m.push_function(h.finish());
+        let mut machine = Machine::new(&m, Memory::new(&m));
+        let mut message = |name: &str| panic_of(|| machine.call(name, &[RtVal::I(3)]));
+        assert_eq!(message("load"), "load through non-pointer");
+        assert_eq!(message("store"), "store through non-pointer");
+        assert_eq!(message("branch"), "expected bool, got I(3)");
     }
 
     #[test]
