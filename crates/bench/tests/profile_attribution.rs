@@ -9,7 +9,7 @@ fn collapsed_attribution_is_nested_and_pinned_corpus_wide() {
     let profile = measure_profile();
     // Every collapsed line ends in its self value; their sum is every
     // solver step of the session. The same trend bound
-    // `trace_substrate.rs` pins (measured 168 with the trie-backed
+    // `trace_substrate.rs` pins (measured 203 with the trie-backed
     // extension search).
     let steps: i64 = profile
         .collapsed

@@ -4,10 +4,11 @@
 //! The step counts are fully deterministic: candidate lists are sorted
 //! before use and the search is depth-first, so the totals only move when
 //! candidate generation or the specs change. The bounds leave headroom
-//! over the measured values (micro 6, corpus 168 with the ten-idiom
+//! over the measured values (micro 6, corpus 203 with the ten-idiom
 //! registry, both prefixes, the fusion pair-resume, forced-move-free
-//! accounting and the priority label order) so spec growth does not trip
-//! them spuriously, while a genuine candidate-generation regression does.
+//! accounting and labels searched in declaration order) so spec growth
+//! does not trip them spuriously, while a genuine candidate-generation
+//! regression does.
 //!
 //! `trace_substrate.rs` re-asserts the corpus pin through the `gr-trace`
 //! counters, proving the detection reports and the trace count the same
@@ -24,8 +25,8 @@ use gr_core::{DetectBudget, ReductionKind};
 /// sharing landed, over the same corpus (NAS + Parboil + Rodinia + Micro),
 /// measured at commit `6996b9c` with the registry's shared-prefix solve
 /// per function. The acceptance bar for prefix sharing was a ≥3× reduction;
-/// the extension search (forced moves free, priority order) now sits two
-/// orders of magnitude under it.
+/// the extension search (forced moves free, declaration order) now sits
+/// two orders of magnitude under it.
 const MAIN_BASELINE_STEPS: usize = 12_185;
 
 fn shared_steps(suite: Suite) -> usize {
@@ -73,8 +74,8 @@ fn suite_reductions(suite: Suite) -> Vec<gr_core::Reduction> {
 fn micro_corpus_steps_are_pinned() {
     let steps = shared_steps(Suite::Micro);
     // Measured 6 with the nine micro programs (scan ×2, argmin, search ×4,
-    // speculative fold, fusion pair): nearly every label is a forced move
-    // under the priority order, and forced moves are free.
+    // speculative fold, fusion pair): nearly every label is a forced move,
+    // and forced moves are free.
     assert!(
         steps <= 60,
         "micro-corpus solver steps regressed: {steps} > 60 — candidate \
@@ -92,9 +93,9 @@ fn corpus_steps_drop_3x_vs_pre_sharing_main() {
          with only four idioms; nine now ride on the shared prefixes)",
         MAIN_BASELINE_STEPS / 3
     );
-    // Tighter trend guard over the measured 168 (ten idioms over 49
-    // programs, forced moves free, priority-ordered labels): the pre-trie
-    // ledger charged 3259 for the identical work.
+    // Tighter trend guard over the measured 203 (ten idioms over 49
+    // programs, forced moves free, labels in declaration order): the
+    // pre-trie ledger charged 3259 for the identical work.
     assert!(total <= 300, "corpus steps regressed: {total} > 300");
 }
 
@@ -104,9 +105,8 @@ fn fusion_extension_stays_free_and_still_fires() {
     // fusible pair: its cross-loop conditions are *residual* conjuncts,
     // decided per resumed (producer, consumer) pair before any extension
     // label is searched, so non-fusible functions cost zero extension
-    // steps — and under the priority order the one real fusion extension
-    // is all forced moves, so the steps ledger alone can no longer prove
-    // the extension ran. The detection result does: the micro fusion pair
+    // steps — and the one real fusion extension is all forced moves, so
+    // the steps ledger alone cannot prove the extension ran. The detection result does: the micro fusion pair
     // must still be found.
     let registry = IdiomRegistry::with_default_idioms();
     let mut fusion_ext = 0usize;
@@ -260,7 +260,7 @@ fn sharing_beats_unshared_solves_on_every_suite() {
     // Forced moves are free on both paths, which shrinks the prefix's
     // share of each unshared solve; per-suite the gain varies (NAS is
     // prefix-light), but across the corpus sharing must still win at
-    // least 1.5× (measured: 168 shared vs 336 unshared).
+    // least 1.5× (measured: 203 shared vs 379 unshared).
     assert!(
         shared_total * 3 <= unshared_total * 2,
         "sharing gained less than 1.5x corpus-wide ({shared_total} vs {unshared_total})"
@@ -299,7 +299,7 @@ fn server_cold_steps_are_pinned() {
     // cache without touching the solver.
     let server = gr_bench::stats::measure_server_throughput(gr_benchsuite::fuzz::CORPUS_SEED, 256);
     assert_eq!(server.corpus_functions, 256);
-    // Measured 174 cold steps over the 240 distinct fuzz functions.
+    // Measured 230 cold steps over the 240 distinct fuzz functions.
     assert!(server.cold_steps <= 250, "cold steps regressed: {} > 250", server.cold_steps);
     assert_eq!(server.warm_steps, 0, "warm batch must cost zero steps");
     assert_eq!(server.warm_hit_permil, 1000, "warm batch must hit fully");

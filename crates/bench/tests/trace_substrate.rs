@@ -41,8 +41,8 @@ fn corpus_trace_steps_match_reports_and_stay_pinned() {
         "the trace and the detection reports must count the same steps"
     );
     // Same trend guard as `corpus_steps_drop_3x_vs_pre_sharing_main`,
-    // asserted on the trace counter (measured 168 with the extension
-    // search: forced moves free, priority label order).
+    // asserted on the trace counter (measured 203 with the extension
+    // search: forced moves free, labels in declaration order).
     assert!(trace.counter("solver.steps") <= 300, "corpus steps regressed on trace substrate");
     // The deepest assignment the corpus search reaches; a jump means a
     // spec grew a label chain the candidate ordering no longer prunes.

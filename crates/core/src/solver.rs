@@ -2,25 +2,22 @@
 //! (Figure 6).
 //!
 //! Given a specification with labels `i1 … in` and predicate `c`, the
-//! solver assigns labels one per search level. At step `k` it evaluates
-//! `c_k`: the predicate with every atom that mentions a not-yet-assigned
-//! label replaced by `true` (paper §3.3, step 2). Candidates for the next
-//! label are produced by the atoms themselves ([`Atom::enumerate`]) —
-//! falling back to the full `values(F)` enumeration only when no atom can
-//! generate. This is the "smarter approach that utilizes knowledge about
-//! the composition of the predicate" of §3.2, sharpened in three ways:
+//! solver assigns labels one per search level, in the order the spec
+//! declares them: level `k` assigns label `k`, so the spec author picks
+//! the search order (§3.3: "first looking for the loop header"). At step
+//! `k` it evaluates `c_k`: the predicate with every atom that mentions a
+//! not-yet-assigned label replaced by `true` (paper §3.3, step 2).
+//! Candidates for the next label are produced by the atoms themselves
+//! ([`Atom::enumerate`]) — falling back to the full `values(F)`
+//! enumeration only when no atom can generate. This is the "smarter
+//! approach that utilizes knowledge about the composition of the
+//! predicate" of §3.2, sharpened in two ways:
 //!
 //! * **indexed candidate generation** — every generating atom reports the
 //!   cardinality of its candidate set from the precomputed indexes on
 //!   [`MatchCtx`] ([`Atom::estimate`]); only the most selective generator
 //!   is materialized, the rest act as membership filters, so the candidate
 //!   set equals the full intersection without building every list;
-//! * **forced moves first** — past any marked prefix, a label that a
-//!   mandatory atom pins to at most one candidate once the atom's other
-//!   labels are placed is assigned next; every other label keeps its
-//!   declaration order. Solutions are reported in lexicographic label
-//!   order regardless of the internal assignment order, so reordering
-//!   never changes observable output;
 //! * **disjunction generators** — an `Or` conjunct generates candidates as
 //!   the union of its branches' candidate sets whenever every branch can
 //!   generate, which keeps specs with alternative shapes (e.g. the
@@ -136,26 +133,19 @@ enum Resolved<'g, 's> {
 }
 
 /// The per-level search tables for one (sub-)specification, built once per
-/// solver run. Levels are *positions* in the priority order, not label
-/// indexes: `order[pos]` is the label assigned at position `pos`, and
-/// every table below is indexed by position.
+/// solver run. Level `k` assigns label `k`, and every table below is
+/// indexed by label.
 struct SearchPlan<'s> {
     spec: &'s Spec,
-    /// First position this plan assigns (0 for a full solve, the prefix
-    /// arity for an extension solve). Positions below `start` hold the
-    /// resumed prefix labels, in label order.
+    /// First label this plan assigns (0 for a full solve, the prefix arity
+    /// for an extension solve); the labels below it hold the resumed
+    /// prefix.
     start: usize,
-    /// Position → label index. Positions `0..pin` are always the identity
-    /// (`pin` covers a marked prefix), so prefix assignments land in their
-    /// declared slots on both the full and the resumed path.
-    order: Vec<usize>,
-    /// Label index → position (inverse of `order`).
-    place: Vec<usize>,
-    /// Conjunct atoms decided at each position, cheapest-first.
+    /// Conjunct atoms decided at each label, cheapest-first.
     checkers: Vec<Vec<&'s Atom>>,
-    /// Candidate-generation sources per position.
+    /// Candidate-generation sources per label.
     generators: Vec<Vec<Gen<'s>>>,
-    /// `Or` conjuncts with the position deciding them, partially evaluated
+    /// `Or` conjuncts with the label deciding them, partially evaluated
     /// while they are not yet fully decided.
     partials: Vec<(&'s Constraint, usize)>,
     /// Conjuncts past the prefix mark whose labels all lie inside the
@@ -164,28 +154,11 @@ struct SearchPlan<'s> {
 }
 
 impl<'s> SearchPlan<'s> {
-    fn new(
-        spec: &'s Spec,
-        ctx: &MatchCtx<'_>,
-        start: usize,
-        skip_conjuncts: usize,
-    ) -> SearchPlan<'s> {
+    fn new(spec: &'s Spec, start: usize, skip_conjuncts: usize) -> SearchPlan<'s> {
         let n = spec.arity();
-        // The identity-pinned region: a marked prefix keeps declaration
-        // order on both the full-solve and the resumed path, so the two
-        // visit the same nodes level for level and the step decomposition
-        // `prefix + extension == full` holds exactly.
-        let pin = spec.prefix.map_or(start, |p| p.total_labels()).max(start).min(n);
-        let order = priority_order(spec, ctx, pin);
-        let mut place = vec![0usize; n];
-        for (pos, &l) in order.iter().enumerate() {
-            place[l] = pos;
-        }
         let mut plan = SearchPlan {
             spec,
             start,
-            order,
-            place,
             checkers: vec![Vec::new(); n],
             generators: (0..n).map(|_| Vec::new()).collect(),
             partials: Vec::new(),
@@ -200,17 +173,6 @@ impl<'s> SearchPlan<'s> {
         plan
     }
 
-    /// The latest position among a constraint's labels — the level at
-    /// which the constraint is fully decided.
-    fn max_place(&self, c: &Constraint) -> Option<usize> {
-        match c {
-            Constraint::Atom(a) => a.labels().iter().map(|l| self.place[l.index()]).max(),
-            Constraint::And(cs) | Constraint::Or(cs) => {
-                cs.iter().filter_map(|c| self.max_place(c)).max()
-            }
-        }
-    }
-
     fn add_conjunct(&mut self, c: &'s Constraint) {
         match c {
             Constraint::And(cs) => {
@@ -220,19 +182,18 @@ impl<'s> SearchPlan<'s> {
             }
             Constraint::Atom(a) => {
                 let labels = a.labels();
-                let Some(pos) = labels.iter().map(|l| self.place[l.index()]).max() else { return };
-                if pos < self.start {
+                let Some(decided) = labels.iter().map(|l| l.index()).max() else { return };
+                if decided < self.start {
                     self.residual.push(c);
                     return;
                 }
-                self.checkers[pos].push(a);
-                let decided = self.order[pos];
+                self.checkers[decided].push(a);
                 if labels.iter().filter(|l| l.index() == decided).count() == 1 {
-                    self.generators[pos].push(Gen::Atom(a));
+                    self.generators[decided].push(Gen::Atom(a));
                 }
             }
             Constraint::Or(branches) => {
-                let Some(max) = self.max_place(c) else { return };
+                let Some(max) = c.max_label() else { return };
                 if max < self.start {
                     self.residual.push(c);
                     return;
@@ -241,15 +202,14 @@ impl<'s> SearchPlan<'s> {
                 // Mandatory atoms per branch (nested `And`s flattened,
                 // nested `Or`s skipped — their atoms are optional).
                 let flat: Vec<Vec<&'s Atom>> = branches.iter().map(mandatory_atoms).collect();
-                for pos in self.start..=max {
-                    let decided = self.order[pos];
+                for decided in self.start..=max {
                     let mut per_branch = Vec::with_capacity(flat.len());
                     let mut all_generate = true;
                     for atoms in &flat {
                         let decidable: Vec<&'s Atom> = atoms
                             .iter()
                             .copied()
-                            .filter(|a| a.labels().iter().all(|l| self.place[l.index()] <= pos))
+                            .filter(|a| a.labels().iter().all(|l| l.index() <= decided))
                             .collect();
                         let enumerators: Vec<&'s Atom> = decidable
                             .iter()
@@ -266,7 +226,7 @@ impl<'s> SearchPlan<'s> {
                         per_branch.push(OrBranchGen { decidable, enumerators });
                     }
                     if all_generate {
-                        self.generators[pos].push(Gen::Or(per_branch));
+                        self.generators[decided].push(Gen::Or(per_branch));
                     }
                 }
             }
@@ -275,36 +235,29 @@ impl<'s> SearchPlan<'s> {
 
     /// Partial evaluation of the not-yet-decided `Or` conjuncts. Conjunct
     /// atoms are covered exactly once by `checkers`; an `Or` decided at an
-    /// earlier position was evaluated exactly there and cannot change.
-    fn partials_hold(&self, ctx: &MatchCtx<'_>, asg: &[ValueId], pos: usize) -> bool {
+    /// earlier label was evaluated exactly there and cannot change.
+    fn partials_hold(&self, ctx: &MatchCtx<'_>, asg: &[ValueId], label: usize) -> bool {
         self.partials
             .iter()
-            .filter(|(_, max)| *max >= pos)
-            .all(|(c, _)| self.eval_partial(c, ctx, asg, pos))
+            .filter(|(_, max)| *max >= label)
+            .all(|(c, _)| eval_partial(c, ctx, asg, label))
     }
+}
 
-    /// Optimistic evaluation: atoms mentioning a label placed after `pos`
-    /// count as true (this is the substitution defining `c_k` in the
-    /// paper). Boundness is positional — under a priority order a label's
-    /// index says nothing about when it is assigned.
-    fn eval_partial(
-        &self,
-        c: &Constraint,
-        ctx: &MatchCtx<'_>,
-        asg: &[ValueId],
-        pos: usize,
-    ) -> bool {
-        match c {
-            Constraint::Atom(a) => {
-                if a.labels().iter().all(|l| self.place[l.index()] <= pos) {
-                    a.check(ctx, asg)
-                } else {
-                    true
-                }
+/// Optimistic evaluation once labels `0..=label` are assigned: atoms
+/// mentioning a later label count as true (this is the substitution
+/// defining `c_k` in the paper).
+fn eval_partial(c: &Constraint, ctx: &MatchCtx<'_>, asg: &[ValueId], label: usize) -> bool {
+    match c {
+        Constraint::Atom(a) => {
+            if a.labels().iter().all(|l| l.index() <= label) {
+                a.check(ctx, asg)
+            } else {
+                true
             }
-            Constraint::And(cs) => cs.iter().all(|c| self.eval_partial(c, ctx, asg, pos)),
-            Constraint::Or(cs) => cs.iter().any(|c| self.eval_partial(c, ctx, asg, pos)),
         }
+        Constraint::And(cs) => cs.iter().all(|c| eval_partial(c, ctx, asg, label)),
+        Constraint::Or(cs) => cs.iter().any(|c| eval_partial(c, ctx, asg, label)),
     }
 }
 
@@ -319,67 +272,6 @@ fn mandatory_atoms(c: &Constraint) -> Vec<&Atom> {
     }
 }
 
-/// Whether `a`, once its other labels are placed, pins `target` (which it
-/// mentions exactly once) to at most one candidate: `Equal`, a value-slot
-/// `OperandIs`, a block-slot `BlockOf`, `IsConstInt`, or a singleton opcode
-/// bucket or loop-header list. Only a label-ordering test — the dynamic
-/// [`Atom::estimate`] still picks the generator at each node, and a label
-/// wrongly judged here is merely visited at a different level, never
-/// solved incorrectly.
-fn forces(a: &Atom, ctx: &MatchCtx<'_>, target: Label) -> bool {
-    match a {
-        Atom::Equal { .. } | Atom::IsConstInt { .. } => true,
-        Atom::OperandIs { value, .. } => *value == target,
-        Atom::BlockOf { block, .. } => *block == target,
-        Atom::Opcode { class, .. } => ctx.bucket(*class).len() <= 1,
-        Atom::IsLoopHeader(_) => ctx.header_loops.len() <= 1,
-        _ => false,
-    }
-}
-
-/// The priority order: positions `0..pin` keep declaration order (the
-/// marked-prefix region); after that, any unplaced label that a
-/// placed-anchored atom [`forces`] is hoisted next — binding it is a
-/// forced move, costs no search steps, and arms its membership filters for
-/// every later position. Only **mandatory** atoms count as forcing: an atom
-/// inside an `Or` pins the label in its own branch only, and hoisting on
-/// it would push the sibling branch of the union generator into the
-/// whole-domain fallback. When no label is forced the order falls back to
-/// declaration order: hand-written specs chain each label off its
-/// predecessors.
-fn priority_order(spec: &Spec, ctx: &MatchCtx<'_>, pin: usize) -> Vec<usize> {
-    let n = spec.arity();
-    let mut order: Vec<usize> = (0..pin.min(n)).collect();
-    // Force records, precomputed once: `(target, anchors)` where some
-    // mandatory atom mentioning `target` exactly once forces it, and
-    // `anchors` are the atom's other labels — the move is forced as soon
-    // as every anchor is placed.
-    let mut force: Vec<(usize, Vec<usize>)> = Vec::new();
-    for a in spec.conjuncts().iter().flat_map(mandatory_atoms) {
-        let ls = a.labels();
-        for x in &ls {
-            let l = x.index();
-            if ls.iter().filter(|y| y.index() == l).count() == 1 && forces(a, ctx, *x) {
-                force.push((l, ls.iter().map(|y| y.index()).filter(|&o| o != l).collect()));
-            }
-        }
-    }
-    let mut placed = vec![false; n];
-    for &l in &order {
-        placed[l] = true;
-    }
-    while order.len() < n {
-        let forced = (0..n).filter(|&l| !placed[l]).find(|&l| {
-            force.iter().any(|(t, anchors)| *t == l && anchors.iter().all(|&o| placed[o]))
-        });
-        let l =
-            forced.unwrap_or_else(|| (0..n).find(|&l| !placed[l]).expect("some label is unplaced"));
-        placed[l] = true;
-        order.push(l);
-    }
-    order
-}
-
 /// Enumerates every assignment satisfying `spec` (up to the limits in
 /// `opts`), in lexicographic order.
 #[must_use]
@@ -391,7 +283,7 @@ pub fn solve(spec: &Spec, ctx: &MatchCtx<'_>, opts: SolveOptions) -> (Vec<Assign
     if spec.arity() == 0 {
         return (solutions, stats);
     }
-    let plan = SearchPlan::new(spec, ctx, 0, 0);
+    let plan = SearchPlan::new(spec, 0, 0);
     let mut asg: Assignment = vec![ValueId(0); spec.arity()];
     search(&plan, ctx, &mut asg, 0, &mut solutions, &mut stats, opts);
     stats.record_steps();
@@ -432,12 +324,12 @@ pub fn solve_extend(
     let p = spec.prefix.expect("solve_extend requires a spec with a marked prefix");
     let _sp = gr_trace::enabled()
         .then(|| gr_trace::span_with("extend", vec![("spec", spec.name.as_str().into())]));
-    let plan = SearchPlan::new(spec, ctx, p.total_labels(), p.total_conjuncts());
     let mut solutions = Vec::new();
     let mut stats = SolveStats::default();
     if prefix_solutions.is_empty() {
         return (solutions, stats);
     }
+    let plan = SearchPlan::new(spec, p.total_labels(), p.total_conjuncts());
     // Residual conjuncts bucketed by the last prefix instance they read:
     // checked as soon as that digit of the product is bound.
     let mut residual_at: Vec<Vec<&Constraint>> = (0..p.instances).map(|_| Vec::new()).collect();
@@ -513,7 +405,7 @@ fn search(
     plan: &SearchPlan<'_>,
     ctx: &MatchCtx<'_>,
     asg: &mut Assignment,
-    pos: usize,
+    label: usize,
     solutions: &mut Vec<Assignment>,
     stats: &mut SolveStats,
     opts: SolveOptions,
@@ -522,17 +414,16 @@ fn search(
         stats.truncated = true;
         return;
     }
-    if pos == plan.spec.arity() {
-        // Every conjunct atom was checked at its decision position and
-        // every `Or` conjunct was evaluated exactly at its deciding
-        // position, so a full assignment is a solution by construction.
+    if label == plan.spec.arity() {
+        // Every conjunct atom was checked at its deciding label and every
+        // `Or` conjunct was evaluated exactly there, so a full assignment
+        // is a solution by construction.
         debug_assert!(eval(&plan.spec.root, ctx, asg) || plan.start > 0);
         solutions.push(asg.clone());
         stats.solutions += 1;
         return;
     }
-    let label = plan.order[pos];
-    let (candidates, chosen) = generate_candidates(plan, ctx, asg, pos);
+    let (candidates, chosen) = generate_candidates(plan, ctx, asg, label);
     if gr_trace::enabled() {
         gr_trace::counter("solver.candidates", candidates.len() as i64);
         let key = format!("{}::{}", plan.spec.name, plan.spec.label_names[label]);
@@ -550,7 +441,7 @@ fn search(
     let mut survivors: Vec<ValueId> = Vec::with_capacity(candidates.len());
     for v in candidates {
         asg[label] = v;
-        if plan.generators[pos]
+        if plan.generators[label]
             .iter()
             .enumerate()
             .all(|(i, g)| Some(i) == chosen || source_contains(g, ctx, asg))
@@ -571,20 +462,20 @@ fn search(
         }
         asg[label] = v;
         if gr_trace::enabled() {
-            gr_trace::counter_max("solver.max_depth", (pos + 1) as i64);
+            gr_trace::counter_max("solver.max_depth", (label + 1) as i64);
         }
-        // c_k: all conjunct atoms decided at this position must hold, and
+        // c_k: all conjunct atoms decided at this label must hold, and
         // the optimistic evaluation of the undecided disjunctions must not
         // be false. A prune is counted under the kind of the first failing
         // checker atom (or `Or`).
-        let pruned_by = match plan.checkers[pos].iter().find(|a| !a.check(ctx, asg)) {
+        let pruned_by = match plan.checkers[label].iter().find(|a| !a.check(ctx, asg)) {
             Some(a) => Some(a.kind_name()),
-            None if !plan.partials_hold(ctx, asg, pos) => Some("Or"),
+            None if !plan.partials_hold(ctx, asg, label) => Some("Or"),
             None => None,
         };
         match pruned_by {
             Some(kind) => gr_trace::counter_keyed("solver.prunes", kind, 1),
-            None => search(plan, ctx, asg, pos + 1, solutions, stats, opts),
+            None => search(plan, ctx, asg, label + 1, solutions, stats, opts),
         }
         if solutions.len() >= opts.max_solutions {
             stats.truncated = true;
@@ -596,7 +487,7 @@ fn search(
     }
 }
 
-/// Materializes the candidate set for position `pos`: the most selective
+/// Materializes the candidate set for `label`: the most selective
 /// generating source (by [`Atom::estimate`]) is enumerated; the remaining
 /// sources filter by membership in `search`. Returns the index of the
 /// materialized source (its membership test is true by construction), or
@@ -606,11 +497,11 @@ fn generate_candidates(
     plan: &SearchPlan<'_>,
     ctx: &MatchCtx<'_>,
     asg: &[ValueId],
-    pos: usize,
+    label: usize,
 ) -> (Vec<ValueId>, Option<usize>) {
-    let target = Label(plan.order[pos]);
+    let target = Label(label);
     let mut best: Option<(usize, usize, Resolved<'_, '_>)> = None;
-    for (i, g) in plan.generators[pos].iter().enumerate() {
+    for (i, g) in plan.generators[label].iter().enumerate() {
         let Some((card, resolved)) = resolve_source(g, ctx, asg, target) else { continue };
         if best.as_ref().is_none_or(|(c, _, _)| card < *c) {
             best = Some((card, i, resolved));
@@ -798,11 +689,14 @@ mod tests {
     }
 
     #[test]
-    fn priority_order_matches_declaration_order_results() {
+    fn a_backwards_spec_is_searched_in_declaration_order() {
         // A deliberately backwards spec: the selective anchor (the single
-        // gep) is declared *last*, so the priority order assigns it first.
-        // The naive solver enumerates in declaration order; the reported
-        // solutions, and the order they are reported in, must be the same.
+        // gep) is declared *last*. Level 0 assigns `base`, which no atom
+        // generates on its own, so it falls back to `values(F)` and every
+        // value is a branching step; at most one gep survives below each,
+        // which costs nothing. The naive solver enumerates in declaration
+        // order too; the reported solutions, and the order they are
+        // reported in, must be the same.
         with_ctx(LOOP_SRC, |ctx| {
             let mut b = SpecBuilder::new("backwards");
             let base = b.label("base");
@@ -810,10 +704,11 @@ mod tests {
             b.atom(Atom::Opcode { l: gep, class: OpClass::Gep });
             b.atom(Atom::OperandIs { inst: gep, index: 0, value: base });
             let spec = b.finish();
-            let (prioritized, _) = solve(&spec, ctx, SolveOptions::default());
+            let (solved, stats) = solve(&spec, ctx, SolveOptions::default());
             let (declared, _) = solve_naive(&spec, ctx, SolveOptions::default());
-            assert!(!prioritized.is_empty());
-            assert_eq!(prioritized, declared, "label order must not change the reported solutions");
+            assert!(!solved.is_empty());
+            assert_eq!(solved, declared, "the solver must report the naive solutions");
+            assert_eq!(stats.steps, ctx.func.value_ids().count(), "label 0 searches values(F)");
         });
     }
 

@@ -157,8 +157,8 @@ impl fmt::Display for RegistryError {
 impl std::error::Error for RegistryError {}
 
 /// An ordered collection of idiom entries. Order is detection/report order
-/// (registration order — the solver's priority layer reorders *labels
-/// inside a solve*, never the idiom entries themselves).
+/// (registration order), just as each spec's label declaration order is
+/// the order the solver assigns its labels in.
 #[derive(Debug, Default)]
 pub struct IdiomRegistry {
     entries: Vec<IdiomEntry>,

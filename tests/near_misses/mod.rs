@@ -239,6 +239,22 @@ pub const NEAR_MISSES: &[NearMiss] = &[
              for (int i = 0; i < n; i++) { s += a[i] * prev; prev = a[i]; out[i] = s; }
          }",
     },
+    // prefix-scan: the running value also feeds a second accumulator, a
+    // use outside the output store that the scan's chunk replay does not
+    // carry; the outliner refuses the loop as carrying state that is not
+    // a detected reduction.
+    NearMiss {
+        name: "scan_feeds_a_second_accumulator",
+        kinds: &[Scan],
+        witness: Some("prefix-scan: UsesConfinedTo { source: acc, header: header, terminals: [store] }"),
+        conservative: false,
+        src: "float k(float* a, float* out, int n) {
+             float s = 0.0;
+             float t = 0.0;
+             for (int i = 0; i < n; i++) { s += a[i]; out[i] = s; t += s; }
+             return t;
+         }",
+    },
     // prefix-scan: the loop reads an output cell an earlier iteration
     // wrote, which a chunk replaying in parallel may not have written yet.
     NearMiss {

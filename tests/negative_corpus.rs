@@ -66,6 +66,7 @@ near_miss_tests!(
     histogram_adds_a_carried_value,
     scan_output_read_back,
     scan_with_carried_operand,
+    scan_feeds_a_second_accumulator,
     scan_output_read_into_another_array,
     scan_output_declared_in_the_loop,
     scan_stored_in_an_inner_loop,
