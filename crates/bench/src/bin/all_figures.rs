@@ -18,7 +18,10 @@
 //! integer-only reader (`gr_trace::json`), so one that does not parse
 //! fails the check. The comparison is printed as a baseline-vs-current
 //! diff table, and appended to the GitHub job summary when
-//! `GITHUB_STEP_SUMMARY` is set.
+//! `GITHUB_STEP_SUMMARY` is set. A row more than 20% below its baseline
+//! passes with the status `below baseline (re-pin)`, and a summary line
+//! counts such rows: the budget over a stale baseline lets them regress
+//! back unseen.
 //! `--write-baseline` regenerates the baseline file deliberately (after
 //! intended spec growth) instead of checking against it.
 
@@ -72,13 +75,28 @@ fn budget_limit(base: i64) -> i64 {
     base + base.max(0) / 5
 }
 
+/// The status of a row more than 20% below its baseline value: it passes,
+/// but the budget over the stale baseline would let it regress unseen.
+const BELOW: &str = "below baseline (re-pin)";
+
+/// Whether `cur` lies more than 20% below `base`.
+fn far_below(base: i64, cur: i64) -> bool {
+    cur * 5 < base * 4
+}
+
 /// Appends one baseline-vs-current row gated at +20% over `base`;
 /// returns the limit when `cur` exceeds it.
 fn gated_row(table: &mut String, label: &str, base: i64, cur: i64) -> Option<i64> {
     let limit = budget_limit(base);
     #[allow(clippy::cast_precision_loss)]
     let delta = (cur - base) as f64 / base.max(1) as f64 * 100.0;
-    let status = if cur > limit { "**FAIL (+20% budget)**" } else { "ok" };
+    let status = if cur > limit {
+        "**FAIL (+20% budget)**"
+    } else if far_below(base, cur) {
+        BELOW
+    } else {
+        "ok"
+    };
     let _ = writeln!(table, "| {label} | {base} | {cur} | {delta:+.1}% | {status} |");
     (cur > limit).then_some(limit)
 }
@@ -117,7 +135,8 @@ fn gate_rows(
 
 /// Builds the baseline-vs-current markdown diff table and the list of
 /// failures: a suite, counter or histogram regressed more than 20% or
-/// disappeared, the total regressed, or a document does not parse.
+/// disappeared, the total regressed, or a document does not parse. A row
+/// more than 20% below its baseline passes with the status [`BELOW`].
 fn diff_report(baseline: &str, current: &str) -> (String, Vec<String>) {
     let mut table = String::from(
         "| suite | baseline steps | current steps | delta | status |\n\
@@ -177,7 +196,13 @@ fn diff_report(baseline: &str, current: &str) -> (String, Vec<String>) {
         }
         #[allow(clippy::cast_precision_loss)]
         let delta = (c_sum - b_sum) as f64 / (*b_sum).max(1) as f64 * 100.0;
-        let status = if reasons.is_empty() { "ok" } else { "**FAIL**" };
+        let status = if !reasons.is_empty() {
+            "**FAIL**"
+        } else if far_below(*b_sum, *c_sum) {
+            BELOW
+        } else {
+            "ok"
+        };
         let _ = writeln!(table, "| hist.{name} | {b_sum} | {c_sum} | {delta:+.1}% | {status} |");
         for r in reasons {
             failures.push(format!("histogram `{name}` regressed: {r}"));
@@ -277,6 +302,13 @@ fn main() {
         };
         let (table, failures) = diff_report(&baseline, &json);
         println!("## Solver-step baseline check\n\n{table}");
+        let below = table.matches(BELOW).count();
+        if below > 0 {
+            println!(
+                "baseline check: {below} row(s) more than 20% below the baseline; re-pin it \
+                 with `all_figures --quick --write-baseline` so the budget starts from them"
+            );
+        }
         if let Ok(summary) = std::env::var("GITHUB_STEP_SUMMARY") {
             use std::io::Write as _;
             if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(summary) {
@@ -372,6 +404,23 @@ mod tests {
         let (table, failed) = diff_report(&base, DOC);
         assert!(failed.is_empty(), "{failed:?}");
         assert!(table.contains("| runtime.token_polls | — | 24 | — | new counter (re-baseline) |"));
+    }
+
+    #[test]
+    fn a_row_far_below_the_baseline_passes_and_asks_for_a_re_pin() {
+        let cur = DOC
+            .replace("\"solver_steps\": 100,", "\"solver_steps\": 80,")
+            .replace("\"token_polls\": 24", "\"token_polls\": 19")
+            .replace("\"sum\":7", "\"sum\":5");
+        let (table, failed) = diff_report(DOC, &cur);
+        assert!(failed.is_empty(), "{failed:?}");
+        // 80 is 20% below 100, not more; 19 of 24 and 5 of 7 are.
+        assert!(table.contains("| NAS | 100 | 80 | -20.0% | ok |"), "{table}");
+        assert!(
+            table.contains("| runtime.token_polls | 24 | 19 | -20.8% | below baseline (re-pin) |")
+        );
+        assert!(table.contains("| hist.solver.fanout{find-last} | 7 | 5 | -28.6% | below baseline"));
+        assert_eq!(table.matches(super::BELOW).count(), 2, "{table}");
     }
 
     #[test]

@@ -17,12 +17,13 @@ fn main() {
     );
     println!("{}", "-".repeat(88));
     for row in fig15(threads, scale) {
+        let original = row.original_speedup().map_or("= ours".to_string(), |s| format!("{s:.2}x"));
         println!(
-            "{:<8} | {:>10.1} | {:>9.2}x | {:>9.2}x || {:>10.2}x {:>10.2}x",
+            "{:<8} | {:>10.1} | {:>9.2}x | {:>10} || {:>10.2}x {:>10.2}x",
             row.name,
             row.sequential.as_secs_f64() * 1e3,
             row.reduction_speedup(),
-            row.original_speedup(),
+            original,
             row.paper_reduction,
             row.paper_original,
         );
@@ -30,5 +31,5 @@ fn main() {
     println!();
     println!("shape targets: histo & tpacf: ours >> original (locking);");
     println!("               EP & IS: original > ours (coarser parallelism);");
-    println!("               kmeans: ours == original (both reduction-based).");
+    println!("               kmeans: original = ours by construction (both reduction-based).");
 }

@@ -8,12 +8,15 @@
 //! and their wall-clock ratios are meaningful.
 //!
 //! * [`decode::Program`] — a module decoded once for execution: operands
-//!   become frame slots, branch targets block indices, phis per-edge
-//!   parallel copies, loads are typed by their result and each call
-//!   target is resolved to a builtin, a module function or a handler
+//!   become frame slots, branch targets the first op they enter, phis
+//!   per-edge parallel copies, loads are typed by their result and each
+//!   call target is resolved to a builtin, a module function or a handler
 //!   name. A typed compare followed by its block's final branch on it,
 //!   and a `gep` followed by a load or store through it, decode to one
-//!   fused op each,
+//!   fused op each. Each function is laid out in superblocks: edges are
+//!   threaded past blocks that only jump on, and a block that is the only
+//!   way into its phi-free successor runs on into that successor's ops,
+//!   without touching the IR or the exact block counts,
 //! * [`machine::Machine`] — the evaluator, one loop over that decoded
 //!   form, generic over a [`memory::MemBackend`] so threads can run over
 //!   shared read-only memory with private overlays (see `gr-parallel`).

@@ -262,6 +262,17 @@ struct Run<'a, 'm, M: MemBackend> {
     handler: Option<&'a IntrinsicHandler<'m, M>>,
 }
 
+/// The value of `r`, or a break out of the op loop labelled `$ops` with
+/// its trap.
+macro_rules! or_trap {
+    ($ops:lifetime, $r:expr) => {
+        match $r {
+            Ok(v) => v,
+            Err(e) => break $ops Trap::from(e),
+        }
+    };
+}
+
 impl<M: MemBackend> Run<'_, '_, M> {
     fn function(&mut self, idx: usize, args: &[RtVal]) -> Result<Option<RtVal>, Trap> {
         let program = self.program;
@@ -271,26 +282,30 @@ impl<M: MemBackend> Run<'_, '_, M> {
             frame.set(s, args[i]);
         }
         assert!(!func.block_start.is_empty(), "function has no blocks");
-        self.record(idx, func, 0);
+        self.count(idx, func, func.entry_counted);
         assert!(!func.entry_phis, "phi in entry block");
         // Reused by every call and parallel copy of this frame.
         let mut buf: Vec<RtVal> = Vec::new();
         let mut deferred = 0;
         let ops = &func.ops[..];
         let mut pc = 0;
-        loop {
+        // Only a trap leaves the loop; `pc` is then one past the op that
+        // trapped.
+        let trap = 'ops: loop {
             let op = ops[pc];
             pc += 1;
             match op {
                 Op::IntBin { op, d, a, b } => match (frame.int(a), frame.int(b)) {
-                    (Some(x), Some(y)) => frame.set_i(d, int_bin(op, x, y)?),
-                    _ => frame.set(d, eval_bin(op, frame.get(a), frame.get(b))?),
+                    (Some(x), Some(y)) => frame.set_i(d, or_trap!('ops, int_bin(op, x, y))),
+                    _ => frame.set(d, or_trap!('ops, eval_bin(op, frame.get(a), frame.get(b)))),
                 },
                 Op::FloatBin { op, d, a, b } => match (frame.float(a), frame.float(b)) {
                     (Some(x), Some(y)) => frame.set_f(d, float_bin(op, x, y)),
-                    _ => frame.set(d, eval_bin(op, frame.get(a), frame.get(b))?),
+                    _ => frame.set(d, or_trap!('ops, eval_bin(op, frame.get(a), frame.get(b)))),
                 },
-                Op::Bin { op, d, a, b } => frame.set(d, eval_bin(op, frame.get(a), frame.get(b))?),
+                Op::Bin { op, d, a, b } => {
+                    frame.set(d, or_trap!('ops, eval_bin(op, frame.get(a), frame.get(b))));
+                }
                 Op::IntCmp { pred, d, a, b } => {
                     let c = int_cmp(&frame, pred, a, b);
                     frame.set_b(d, c);
@@ -325,30 +340,30 @@ impl<M: MemBackend> Run<'_, '_, M> {
                 }
                 Op::LoadI { d, ptr } => {
                     let (obj, off) = frame.ptr(ptr, "load through non-pointer");
-                    frame.set_i(d, self.mem.load_i(obj, off)?);
+                    frame.set_i(d, or_trap!('ops, self.mem.load_i(obj, off)));
                 }
                 Op::LoadF { d, ptr } => {
                     let (obj, off) = frame.ptr(ptr, "load through non-pointer");
-                    frame.set_f(d, self.mem.load_f(obj, off)?);
+                    frame.set_f(d, or_trap!('ops, self.mem.load_f(obj, off)));
                 }
                 Op::Store { val, ptr } => {
                     let (obj, off) = frame.ptr(ptr, "store through non-pointer");
-                    self.store(&frame, val, obj, off)?;
+                    or_trap!('ops, self.store(&frame, val, obj, off));
                 }
                 Op::Gep { d, ptr, idx } => {
                     gep(&mut frame, d, ptr, idx);
                 }
                 Op::GepLoadI { d, g, ptr, idx } => {
                     let (obj, off) = gep(&mut frame, g, ptr, idx);
-                    frame.set_i(d, self.mem.load_i(obj, off)?);
+                    frame.set_i(d, or_trap!('ops, self.mem.load_i(obj, off)));
                 }
                 Op::GepLoadF { d, g, ptr, idx } => {
                     let (obj, off) = gep(&mut frame, g, ptr, idx);
-                    frame.set_f(d, self.mem.load_f(obj, off)?);
+                    frame.set_f(d, or_trap!('ops, self.mem.load_f(obj, off)));
                 }
                 Op::GepStore { val, g, ptr, idx } => {
                     let (obj, off) = gep(&mut frame, g, ptr, idx);
-                    self.store(&frame, val, obj, off)?;
+                    or_trap!('ops, self.store(&frame, val, obj, off));
                 }
                 Op::Cast { d, a, ty } => frame.set(d, coerce(frame.get(a), ty)),
                 Op::Select { d, c, t, e } => frame.copy(d, if frame.cond(c) { t } else { e }),
@@ -363,8 +378,8 @@ impl<M: MemBackend> Run<'_, '_, M> {
                     buf.extend(site.args.iter().map(|&s| frame.get(s)));
                     let result = match &site.callee {
                         Callee::Builtin(f) => Some(f(&buf)),
-                        Callee::Func(callee) => self.function(*callee, &buf)?,
-                        Callee::Handler(name) => self.intrinsic(name, &buf)?,
+                        Callee::Func(callee) => or_trap!('ops, self.function(*callee, &buf)),
+                        Callee::Handler(name) => or_trap!('ops, self.intrinsic(name, &buf)),
                     };
                     if let Some((d, ty)) = site.ret {
                         frame.set(d, coerce(result.unwrap_or(RtVal::Undef), ty));
@@ -383,7 +398,11 @@ impl<M: MemBackend> Run<'_, '_, M> {
                 Op::TakeDeferred => pc = self.enter(idx, func, deferred, &mut frame, &mut buf),
                 Op::Defect(m) => panic!("{}", func.defects[m as usize]),
             }
+        };
+        if let Some(p) = self.profile.as_mut() {
+            take_back(p, idx, func, pc - 1);
         }
+        Err(trap)
     }
 
     /// Stores the value in slot `val` at element `off` of `obj`.
@@ -402,17 +421,18 @@ impl<M: MemBackend> Run<'_, '_, M> {
         Ok(())
     }
 
-    /// Counts one execution of block `b` of function `idx`.
+    /// Counts one execution of each block in `blocks`, a range of
+    /// [`Func::counted`].
     #[inline(always)]
-    fn record(&mut self, idx: usize, func: &Func, b: u32) {
+    fn count(&mut self, idx: usize, func: &Func, blocks: (u32, u32)) {
         if let Some(p) = self.profile.as_mut() {
-            p.record(idx, BlockId(b), func.block_start.len());
+            record_blocks(p, idx, func, blocks);
         }
     }
 
-    /// Takes edge `e` of function `idx`: enters its target block and runs
-    /// the target's phis as one parallel copy. Returns the target's first
-    /// op.
+    /// Takes edge `e` of function `idx`: runs the phi copies of the blocks
+    /// it enters as one parallel copy. Returns the first op of the
+    /// superblock it enters.
     #[inline(always)]
     fn enter(
         &mut self,
@@ -423,7 +443,7 @@ impl<M: MemBackend> Run<'_, '_, M> {
         buf: &mut Vec<RtVal>,
     ) -> usize {
         let edge = &func.edges[check_target(func, e) as usize];
-        self.record(idx, func, edge.to);
+        self.count(idx, func, edge.counted);
         let copies = &func.copies[edge.copies.0 as usize..edge.copies.1 as usize];
         match edge.kind {
             EdgeKind::InOrder => {
@@ -441,7 +461,7 @@ impl<M: MemBackend> Run<'_, '_, M> {
             EdgeKind::NoIncoming => panic!("phi has no incoming for executed edge"),
             EdgeKind::NotALabel(_) => unreachable!("checked above"),
         }
-        func.block_start[edge.to as usize] as usize
+        edge.start as usize
     }
 
     /// Offers a call the module cannot resolve to the handler.
@@ -451,6 +471,24 @@ impl<M: MemBackend> Run<'_, '_, M> {
             Some(r) => r,
             None => Err(Trap::UnknownFunction(name.to_string())),
         }
+    }
+}
+
+/// Counts one execution of each block in `blocks` of function `idx`: out
+/// of line, so that the loop pays one test for an unprofiled run.
+#[inline(never)]
+fn record_blocks(profile: &mut Profile, idx: usize, func: &Func, (lo, hi): (u32, u32)) {
+    for &b in &func.counted[lo as usize..hi as usize] {
+        profile.record(idx, BlockId(b), func.block_start.len());
+    }
+}
+
+/// Takes back the blocks merged into the superblock of op `at` that start
+/// after it: a trap at `at` left them unentered.
+#[cold]
+fn take_back(profile: &mut Profile, idx: usize, func: &Func, at: usize) {
+    for m in func.merged.iter().filter(|m| m.head as usize <= at && at < m.first as usize) {
+        profile.take_back(idx, BlockId(m.block));
     }
 }
 
@@ -750,6 +788,87 @@ mod tests {
         for (n, expect) in [(0, 12), (1, 21), (2, 12), (3, 21)] {
             assert_eq!(run(src, "f", |_| vec![RtVal::I(n)]), Ok(Some(RtVal::I(expect))));
         }
+    }
+
+    #[test]
+    fn a_threaded_join_that_swaps_copies_in_parallel() {
+        // Both arms of the `if` jump to the join, whose phis swap a and b
+        // on the then arm and keep them on the else arm; the join jumps
+        // back to the header. Each arm's threaded edge writes the join's
+        // phis and then the header's from them, so on the then arm the
+        // header's a reads b and its b reads a.
+        let src = "int g(int n) { int a = 1; int b = 2; int i = 0; \
+                   while (i < n) { i = i + 1; int x = a; int y = b; \
+                   if (i < 100) { x = b; y = a; } a = x; b = y; } return a * 10 + b; }";
+        let m = gr_frontend::compile(src).unwrap();
+        let kinds: Vec<EdgeKind> = Program::new(&m).funcs[0].edges.iter().map(|e| e.kind).collect();
+        assert!(kinds.contains(&EdgeKind::Parallel), "{kinds:?}");
+        for n in [0, 1, 2, 3, 99, 100, 150] {
+            let swaps = (1..=n).filter(|&i| i < 100).count();
+            let expect = if swaps % 2 == 0 { 12 } else { 21 };
+            assert_eq!(run(src, "g", |_| vec![RtVal::I(n)]), Ok(Some(RtVal::I(expect))), "{n}");
+        }
+    }
+
+    #[test]
+    fn a_cycle_of_empty_blocks_decodes() {
+        // f: entry: condbr x, ok, a; a: br b; b: br c; c: br b; ok: ret 1.
+        let mut f = FunctionBuilder::new("f", &[("x", Type::Bool)], Type::Int);
+        let [ok, a, b, c] = ["ok", "a", "b", "c"].map(|name| f.new_block(name));
+        f.cond_br(f.arg(0), ok, a);
+        for (from, to) in [(a, b), (b, c), (c, b)] {
+            f.switch_to(from);
+            f.br(to);
+        }
+        f.switch_to(ok);
+        let one = f.const_int(1);
+        f.ret(Some(one));
+        let mut m = Module::new();
+        m.push_function(f.finish());
+        let mut machine = Machine::new(&m, Memory::new(&m));
+        assert_eq!(machine.call("f", &[RtVal::B(true)]), Ok(Some(RtVal::I(1))));
+    }
+
+    #[test]
+    fn a_trap_takes_back_the_merged_blocks_after_it() {
+        // f(p, i, d): entry: v = p[i]; br mid. mid: q = v / d; br tail.
+        // tail: ret p[q]. Each block is the only successor of the one
+        // before, so all three decode as one superblock.
+        let mut f = FunctionBuilder::new(
+            "f",
+            &[("p", Type::PtrInt), ("i", Type::Int), ("d", Type::Int)],
+            Type::Int,
+        );
+        let (mid, tail) = (f.new_block("mid"), f.new_block("tail"));
+        let at = f.gep(f.arg(0), f.arg(1));
+        let v = f.load(at);
+        f.br(mid);
+        f.switch_to(mid);
+        let q = f.binop(BinOp::Div, v, f.arg(2));
+        f.br(tail);
+        f.switch_to(tail);
+        let at = f.gep(f.arg(0), q);
+        let w = f.load(at);
+        f.ret(Some(w));
+        let mut m = Module::new();
+        m.push_function(f.finish());
+        assert_eq!(Program::new(&m).funcs[0].block_start[1..], [u32::MAX, u32::MAX]);
+        let counts = |i: i64, d: i64| {
+            let mut mem = Memory::new(&m);
+            let p = RtVal::ptr(mem.alloc_int(&[4, 0]));
+            let mut machine = Machine::new(&m, mem);
+            machine.enable_profile();
+            let r = machine.call("f", &[p, RtVal::I(i), RtVal::I(d)]);
+            let profile = machine.profile.as_ref().unwrap();
+            (r, (0..3).map(|b| profile.block_count(0, BlockId(b))).collect::<Vec<_>>())
+        };
+        let oob = |index| Err(Trap::Mem(MemError::OutOfBounds { obj: ObjId(0), index, len: 2 }));
+        // A trap before mid's first op leaves mid and tail unentered; a
+        // trap at mid's division enters mid but not tail.
+        assert_eq!(counts(5, 1), (oob(5), vec![1, 0, 0]));
+        assert_eq!(counts(0, 0), (Err(Trap::DivByZero), vec![1, 1, 0]));
+        assert_eq!(counts(0, 1), (oob(4), vec![1, 1, 1]));
+        assert_eq!(counts(0, 4), (Ok(Some(RtVal::I(0))), vec![1, 1, 1]));
     }
 
     #[test]

@@ -30,6 +30,13 @@ impl Profile {
         v[block.index()] += 1;
     }
 
+    /// Takes back one recorded execution of a block.
+    pub(crate) fn take_back(&mut self, func_index: usize, block: BlockId) {
+        if let Some(c) = self.counts.get_mut(&func_index).and_then(|v| v.get_mut(block.index())) {
+            *c -= 1;
+        }
+    }
+
     /// Executions of one block.
     #[must_use]
     pub fn block_count(&self, func_index: usize, block: BlockId) -> u64 {
